@@ -12,9 +12,17 @@ Two equivalent execution paths are provided: an exact sequential recurrence
 (`ssm_scan`) and a causal FFT convolution against the materialized impulse
 response (`ssm_conv`). Training uses the convolution; the scan doubles as an
 independent oracle and a streaming-style evaluator.
+
+The impulse response, a Vandermonde sum over modes, is computed the same way
+at every length: taps fall into about sqrt(L) blocks of about sqrt(L) taps,
+the per-block and within-block powers of the transition are taken in log
+space, and one batched complex matmul combines them (see `_damped_response`;
+S4D kernel computation, Gu et al. 2022, arXiv 2206.11893).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -170,26 +178,6 @@ def fuse_diagonal(systems: list[DiagonalSsm]) -> DiagonalSsm:
                        cat("c_re"), cat("c_im"), cat("d"), cat("log_dt"))
 
 
-def fuse_discrete(systems: list[DiscreteSsm]) -> DiscreteSsm:
-    """Stack already-discretized independent systems along the channel axis."""
-    if len(systems) == 1:
-        return systems[0]
-    if any(s.state_dim != systems[0].state_dim for s in systems):
-        raise ShapeError("fused systems must share state_dim")
-
-    def cat(field):
-        return T.concat([getattr(s, field) for s in systems], axis=0)
-
-    have_logs = all(s.logmag is not None for s in systems)
-    return DiscreteSsm(
-        systems[0].state_dim, sum(s.channels for s in systems),
-        cat("abar_re"), cat("abar_im"), cat("bbar_re"), cat("bbar_im"),
-        cat("c_re"), cat("c_im"), cat("d"),
-        logmag=cat("logmag") if have_logs else None,
-        angle=cat("angle") if have_logs else None,
-    )
-
-
 def _check_channels(d: DiscreteSsm, u: SeqBatch):
     if u.dim != d.channels:
         raise ShapeError(f"input has {u.dim} channels but the system has {d.channels}")
@@ -230,35 +218,58 @@ def _damped_response(logmag: Tensor, angle: Tensor, cb_re: Tensor, cb_im: Tensor
                      length: int) -> Tensor:
     """K[c, k] = 2*Re(cb * exp((logmag + i*angle) * k)) summed over modes.
 
-    One fused node. Short kernels take cumulative products of the discrete
-    transition; beyond 4096 taps powers accumulate in log space (linear in
-    k), which avoids underflow flushing on long horizons.
+    One fused node. Each tap is split as k = chunk*i + j with
+    chunk = ceil(sqrt(length)), so abar^k = abar^(chunk*i) * abar^j. Both
+    factors are taken in log space (linear in the exponent, so rounding does
+    not build up with k and a tap underflows only when its true value does),
+    and the mode sum for all taps is one batched matmul of (channels,
+    blocks, state) by (channels, state, chunk). The backward pass reuses the
+    two factors, so the node keeps O(channels * state * sqrt(length)) values.
     """
-    k = np.arange(length, dtype=np.float64)
-    if length > 4096:
-        z = np.exp((logmag.data + 1j * angle.data)[..., None] * k)
-    else:
-        abar = np.exp(logmag.data + 1j * angle.data)
-        z = np.empty(abar.shape + (length,), dtype=np.complex128)
-        z[..., 0] = 1.0
-        if length > 1:
-            z[..., 1:] = abar[..., None]
-            np.cumprod(z, axis=-1, out=z)
+    chunk = math.isqrt(length - 1) + 1
+    blocks = -(-length // chunk)
+    block_taps = chunk * np.arange(blocks, dtype=np.float64)
+    taps = np.arange(chunk, dtype=np.float64)
+    coarse = _log_powers(logmag.data, angle.data, block_taps)   # (p, n, blocks)
+    fine = _log_powers(logmag.data, angle.data, taps)           # (p, n, chunk)
     cb = cb_re.data + 1j * cb_im.data
-    kernel = 2.0 * np.einsum("pn,pnl->pl", cb, z).real
+    # (p, blocks, n) @ (p, n, chunk): tap chunk*i + j of every channel
+    blocked = np.matmul(np.swapaxes(cb[..., None] * coarse, 1, 2), fine)
+    kernel = 2.0 * blocked.real.reshape(blocked.shape[0], -1)[:, :length]
     out = Tensor._wrap(kernel.astype(logmag.dtype, copy=False))
 
     def bwd(g, acc):
-        gz = np.einsum("pl,pnl->pn", g, z.real)
-        gz_im = np.einsum("pl,pnl->pn", g, z.imag)
-        acc(cb_re, (2.0 * gz).astype(cb_re.dtype, copy=False))
-        acc(cb_im, (-2.0 * gz_im).astype(cb_im.dtype, copy=False))
-        w = cb[..., None] * z * k
-        acc(logmag, (2.0 * np.einsum("pl,pnl->pn", g, w.real)).astype(logmag.dtype, copy=False))
-        acc(angle, (-2.0 * np.einsum("pl,pnl->pn", g, w.imag)).astype(angle.dtype, copy=False))
+        grid = np.zeros((g.shape[0], blocks * chunk))
+        grid[:, :length] = g
+        grid = grid.reshape(g.shape[0], blocks, chunk)
+        fine_t = np.swapaxes(fine, 1, 2)                        # (p, chunk, n)
+        # per block: sum_j g*abar^j and sum_j g*j*abar^j, then over blocks
+        # against abar^(chunk*i), with k = chunk*i + j
+        within = np.matmul(grid, fine_t)                        # (p, blocks, n)
+        within_k = np.matmul(grid * taps, fine_t)
+        coarse_t = np.swapaxes(coarse, 1, 2)
+        gz = (coarse_t * within).sum(axis=1)                    # sum_k g*z
+        gzk = (coarse_t * (within_k + block_taps[:, None] * within)).sum(axis=1)
+        w = cb * gzk                                            # sum_k g*cb*z*k
+        acc(cb_re, (2.0 * gz.real).astype(cb_re.dtype, copy=False))
+        acc(cb_im, (-2.0 * gz.imag).astype(cb_im.dtype, copy=False))
+        acc(logmag, (2.0 * w.real).astype(logmag.dtype, copy=False))
+        acc(angle, (-2.0 * w.imag).astype(angle.dtype, copy=False))
 
     T.record_op(out, (logmag, angle, cb_re, cb_im), bwd)
     return out
+
+
+def _log_powers(logmag: np.ndarray, angle: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """abar^k for each tap k as exp(logmag*k) * exp(i*angle*k), shape (p, n, taps).
+
+    ``taps`` starts at 0, whose power is 1 outright, so a transition with
+    abar = 0 (logmag = -inf) gives 1 there rather than exp(-inf * 0).
+    """
+    mag = np.ones(logmag.shape + taps.shape)
+    mag[..., 1:] = np.exp(logmag[..., None] * taps[1:])
+    phase = angle[..., None] * taps
+    return mag * (np.cos(phase) + 1j * np.sin(phase))
 
 
 def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:

@@ -164,6 +164,11 @@ def _restore_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[TaskModel
     return model, cfg
 
 
+def _check_eval_batches(batches: int) -> None:
+    if batches < 1:
+        raise ConfigError(f"evaluation needs at least one batch, got {batches}")
+
+
 def _eval_model(model: TaskModel, cfg: dict, batches: int) -> dict:
     """Deterministic, dropout-free evaluation on a held-out batch stream."""
     spec = model.spec
@@ -197,6 +202,7 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     model, optimizer and generator state from a checkpoint and continues.
     """
     cfg = load_config(config)
+    _check_eval_batches(cfg["eval_batches"])
     if seed is not None:
         cfg["seed"] = int(seed)
     if out_dir is not None:
@@ -302,6 +308,7 @@ def evaluate(checkpoint_path, task=None, batches: int = 8) -> dict:
     ``task`` optionally overrides the stored task (dict of TaskSpec fields);
     the input width must stay compatible with the stored model.
     """
+    _check_eval_batches(batches)
     arrays, meta = load_checkpoint(checkpoint_path)
     if meta.get("kind") != "mhssm-train-state":
         raise ConfigError(f"{checkpoint_path} is not a training checkpoint")

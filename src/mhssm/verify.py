@@ -174,6 +174,11 @@ def tensor_op_cases(seed: int):
     case("causal_conv_fft", {"u": cu, "k": ck},
          lambda ps: T.causal_conv_fft(ps["u"], ps["k"]))
 
+    # 37 taps split into 6 blocks of 7, the last one partial
+    system = init_ssm_rng(3, 2, rng, "random_stable")
+    case("materialize_kernel", system.named_params(),
+         lambda ps: materialize_kernel(discretize(DiagonalSsm(3, 2, **ps)), 37))
+
     return cases
 
 

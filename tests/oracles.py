@@ -70,6 +70,35 @@ def mp_zoh(lam: complex, dt: float, b: complex, dps: int = 50):
         return complex(abar), complex(bbar)
 
 
+def power_sum_kernel(logmag: np.ndarray, angle: np.ndarray, cb: np.ndarray,
+                     length: int) -> np.ndarray:
+    """K[p, k] = sum_n 2*Re(cb[p, n] * abar[p, n]**k), one tap at a time.
+
+    ``abar = exp(logmag + i*angle)``; each power is taken directly from k
+    times its complex log, with no reuse between taps.
+    """
+    log_abar = logmag + 1j * angle
+    out = np.zeros((cb.shape[0], length))
+    for k in range(length):
+        out[:, k] = 2.0 * (cb * np.exp(log_abar * k)).real.sum(axis=1)
+    return out
+
+
+def mp_kernel_tap(logmag: np.ndarray, angle: np.ndarray, cb: np.ndarray, k: int,
+                  dps: int = 50) -> list:
+    """Tap k of every channel in arbitrary precision (no underflow at any k)."""
+    with mpmath.workdps(dps):
+        taps = []
+        for p in range(cb.shape[0]):
+            total = mpmath.mpf(0)
+            for n in range(cb.shape[1]):
+                log_abar = mpmath.mpc(float(logmag[p, n]), float(angle[p, n]))
+                weight = mpmath.mpc(cb[p, n].real, cb[p, n].imag)
+                total += 2 * mpmath.re(weight * mpmath.exp(log_abar * k))
+            taps.append(total)
+        return taps
+
+
 def loop_reverse(data: np.ndarray, lengths) -> np.ndarray:
     """Per-sequence reversal with a scalar loop; padding stays in place."""
     out = data.copy()

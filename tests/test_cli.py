@@ -99,3 +99,21 @@ def test_console_entry_point(cfg_file, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("batches", ["0", "-3"])
+def test_evaluate_without_batches_is_config_error(cfg_file, tmp_path, capsys, batches):
+    out = tmp_path / "run"
+    main(["train", "--config", str(cfg_file), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--batches", batches]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_train_without_eval_batches_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CFG, eval_batches=0)))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.csv").exists()

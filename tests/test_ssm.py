@@ -9,7 +9,7 @@ from mhssm.ssm import (DiagonalSsm, DiscreteSsm, discretize, fuse_diagonal,
                        materialize_kernel, ssm_conv, ssm_scan)
 from mhssm.tensor import GradTape, Tensor
 
-from oracles import mp_zoh
+from oracles import mp_kernel_tap, mp_zoh, power_sum_kernel
 
 
 def make_batch(rng, length, channels, batch=1, lengths=None):
@@ -17,6 +17,11 @@ def make_batch(rng, length, channels, batch=1, lengths=None):
     if lengths is None:
         lengths = np.full(batch, length)
     return SeqBatch(Tensor(data), lengths)
+
+
+def readout_weights(d):
+    """cb = c * bbar per mode, as a complex array."""
+    return (d.c_re.data + 1j * d.c_im.data) * (d.bbar_re.data + 1j * d.bbar_im.data)
 
 
 def manual_discrete(abar, bbar, c, d_skip):
@@ -122,6 +127,7 @@ class TestScan:
         u = SeqBatch(Tensor(np.zeros((2, 10, 3))), np.array([10, 10]))
         assert np.abs(ssm_scan(d, u).data.data).max() == 0.0
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_degenerate_transition_is_memoryless(self):
         rng = np.random.default_rng(3)
         c = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
@@ -129,9 +135,11 @@ class TestScan:
         d_skip = rng.standard_normal(2)
         d = manual_discrete(np.zeros((2, 4)), bbar, c, d_skip)
         u = make_batch(rng, 12, 2, batch=2)
-        y = ssm_scan(d, u).data.data
         gain = 2.0 * (c * bbar).sum(axis=1).real + d_skip
-        np.testing.assert_allclose(y, u.data.data * gain, atol=1e-12)
+        # abar = 0: the convolution's kernel sees log|abar| = -inf
+        for path in (ssm_scan, ssm_conv):
+            y = path(d, u).data.data
+            np.testing.assert_allclose(y, u.data.data * gain, atol=1e-12)
 
     def test_channel_mismatch(self):
         d = discretize(init_ssm(4, 3, seed=1))
@@ -174,6 +182,42 @@ class TestKernel:
         d = discretize(init_ssm(2, 1, seed=0))
         with pytest.raises(ShapeError):
             materialize_kernel(d, 0)
+
+    @pytest.mark.parametrize("length", [1, 2, 255, 256, 257, 4096, 4097, 16384])
+    def test_matches_power_sum_oracle(self, length):
+        # perfect squares and partial last blocks of the sqrt(L) tap split
+        rng = np.random.Generator(np.random.PCG64(length))
+        for scheme in ("s4d_lin", "random_stable"):
+            d = discretize(init_ssm_rng(8, 2, rng, scheme))
+            logmag, angle, cb = d.logmag.data, d.angle.data, readout_weights(d)
+            k = materialize_kernel(d, length).data
+            ref = power_sum_kernel(logmag, angle, cb, length)
+            scale = np.abs(ref).max(axis=1)
+            assert (np.abs(k - ref).max(axis=1) <= 1e-10 * scale).all(), scheme
+            last = [float(v) for v in mp_kernel_tap(logmag, angle, cb, length - 1)]
+            assert (np.abs(k[:, -1] - last) <= 1e-10 * scale).all(), scheme
+
+    def test_heavily_damped_tail_is_finite_zero(self):
+        # |abar| ~ e^-5: taps past ~150 are below the float64 range
+        rng = np.random.default_rng(21)
+        logmag = rng.uniform(-5.5, -4.5, (2, 4))
+        angle = rng.uniform(-np.pi, np.pi, (2, 4))
+        cb = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        abar = np.exp(logmag + 1j * angle)
+        d = DiscreteSsm(4, 2, Tensor(abar.real), Tensor(abar.imag),
+                        Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 4))),
+                        Tensor(cb.real), Tensor(cb.imag), Tensor(np.zeros(2)),
+                        logmag=Tensor(logmag), angle=Tensor(angle))
+        length = 4097
+        k = materialize_kernel(d, length).data
+        assert np.isfinite(k).all()
+        ref = power_sum_kernel(logmag, angle, cb, 100)
+        scale = np.abs(ref).max(axis=1)
+        assert (np.abs(k[:, :100] - ref).max(axis=1) <= 1e-10 * scale).all()
+        assert np.abs(k[:, 200:]).max() <= 1e-300
+        for tap in (50, 140, 149, 150, 151, 1000, length - 1):
+            exact = np.array([float(v) for v in mp_kernel_tap(logmag, angle, cb, tap)])
+            assert (np.abs(k[:, tap] - exact) <= 1e-10 * np.abs(exact) + 1e-300).all(), tap
 
     def test_long_kernel_log_space_path(self):
         d = discretize(init_ssm(4, 2, seed=8))
