@@ -8,13 +8,12 @@ trainer for synthetic long-range tasks.
 
 from . import tensor
 from .blocks import (BidirMhSsmBlock, DirectionalMhSsm, MhSsmBlockConfig,
-                     MhSsmStage, head_split, inter_head_gate)
+                     MhSsmStage, inter_head_gate)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import (Encoder, EncoderConfig, build_encoder, param_count,
-                      run_encoder, time_reduction)
+from .encoder import Encoder, EncoderConfig, build_encoder, param_count, time_reduction
 from .errors import ConfigError, NumericsError, ShapeError
 from .nn import LayerNorm, Linear, Module
-from .optim import Adam, LrSchedule, adam_step, clip_grad_norm, lr_at
+from .optim import Adam, LrSchedule, clip_grad_norm
 from .seq import SeqBatch, reverse_time
 from .ssm import (DiagonalSsm, DiscreteSsm, discretize, init_ssm,
                   materialize_kernel, ssm_conv, ssm_scan)
@@ -29,10 +28,9 @@ __all__ = [
     "DirectionalMhSsm", "DiscreteSsm", "Encoder", "EncoderConfig", "GradTape",
     "IGNORE_INDEX", "LayerNorm", "Linear", "LrSchedule", "MhSsmBlockConfig",
     "MhSsmStage", "Module", "NumericsError", "SeqBatch", "ShapeError",
-    "TaskSpec", "Tensor", "adam_step", "backward", "build_encoder",
-    "clip_grad_norm", "discretize", "evaluate", "generate_task", "head_split",
-    "init_ssm", "inter_head_gate", "load_checkpoint", "load_config", "lr_at",
-    "materialize_kernel", "param_count", "reverse_time", "run_encoder",
-    "save_checkpoint", "ssm_conv", "ssm_scan", "tensor", "time_reduction",
-    "train",
+    "TaskSpec", "Tensor", "backward", "build_encoder", "clip_grad_norm",
+    "discretize", "evaluate", "generate_task", "init_ssm", "inter_head_gate",
+    "load_checkpoint", "load_config", "materialize_kernel", "param_count",
+    "reverse_time", "save_checkpoint", "ssm_conv", "ssm_scan", "tensor",
+    "time_reduction", "train",
 ]

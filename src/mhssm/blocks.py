@@ -1,8 +1,10 @@
 """Multi-head state space layers with inter-head gating.
 
-A stage projects the input, splits it into heads, runs an independent
-causal state space system per head, gates, concatenates and projects back.
-Stages are stacked inside each direction; the bidirectional residual block
+A stage projects the input and runs one causal state space system over all
+``model_dim`` channels. The channels are independent SISO systems, so a head
+is simply a contiguous slice of ``model_dim / heads`` channels whose
+parameters were drawn together; gating then acts on the whole tensor. Stages
+are stacked inside each direction; the bidirectional residual block
 concatenates the forward pass with a time-reversed pass of independently
 parameterized stages and mixes them back to the model width.
 """
@@ -17,7 +19,7 @@ from . import tensor as T
 from .errors import ConfigError
 from .nn import LayerNorm, Linear, Module
 from .seq import SeqBatch, reverse_time
-from .ssm import discretize, fuse_diagonal, init_ssm_rng, ssm_conv
+from .ssm import discretize, init_ssm_rng, ssm_conv, stack_systems
 from .tensor import Tensor
 
 GATINGS = ("ihg", "glu", "gelu")
@@ -56,83 +58,62 @@ class MhSsmBlockConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
-def head_split(x: Tensor, proj: Linear, heads: int) -> list[Tensor]:
-    """Project with a single learned map, then partition into contiguous heads."""
-    dim = x.shape[-1]
-    if dim % heads != 0:
-        raise ConfigError(f"width {dim} is not divisible by {heads} heads")
-    width = dim // heads
-    projected = proj(x)
-    return [T.narrow(projected, -1, h * width, width) for h in range(heads)]
+def inter_head_gate(y: Tensor) -> Tensor:
+    """The second half of the heads gates the first: a = y[:d/2] * sigmoid(y[d/2:]).
 
-
-def inter_head_gate(ys: list[Tensor]) -> list[Tensor]:
-    """Half the heads gate the other half: a_h = y_h * sigmoid(y_{h + H/2})."""
-    heads = len(ys)
-    if heads % 2 != 0:
-        raise ConfigError(f"inter-head gating requires an even head count, got {heads}")
-    half = heads // 2
-    return [T.mul(ys[h], T.sigmoid(ys[h + half])) for h in range(half)]
+    With heads as contiguous channel slices this is a_h = y_h * sigmoid(y_{h + H/2})
+    for every h < H/2, on the last axis of ``y``.
+    """
+    width = y.shape[-1]
+    if width % 2 != 0:
+        raise ConfigError(f"inter-head gating requires an even split, got width {width}")
+    half = width // 2
+    return T.mul(T.narrow(y, -1, 0, half), T.sigmoid(T.narrow(y, -1, half, half)))
 
 
 class MhSsmStage(Module):
-    """One split/process/gate/merge pass at a fixed width.
-
-    ``identity_ssm`` is a test hook that replaces every head's system with
-    the identity map.
-    """
+    """One project/process/gate/merge pass at a fixed width."""
 
     def __init__(self, cfg: MhSsmBlockConfig, rng: np.random.Generator, dtype=np.float64):
         cfg.validate()
-        d, h = cfg.model_dim, cfg.heads
+        d, h, hd = cfg.model_dim, cfg.heads, cfg.head_dim
         self.heads = h
         self.gating = cfg.gating
         self.in_proj = Linear(d, d, rng, dtype=dtype)
-        self.ssms = [
-            init_ssm_rng(cfg.state_dim, cfg.head_dim, rng, cfg.init_scheme, dtype)
-            for _ in range(h)
-        ]
+        # drawn head by head, so each head's channel slice keeps its own draw
+        self.ssm = stack_systems([
+            init_ssm_rng(cfg.state_dim, hd, rng, cfg.init_scheme, dtype) for _ in range(h)
+        ])
         if cfg.gating == "glu":
-            self.glu_proj = [Linear(cfg.head_dim, 2 * cfg.head_dim, rng, dtype=dtype) for _ in range(h)]
-        else:
-            self.glu_proj = []
+            # one (hd, 2hd) value/gate map per head, as a block-diagonal stack
+            projs = [Linear(hd, 2 * hd, rng, dtype=dtype) for _ in range(h)]
+            self.glu_w = Tensor(np.stack([p.w.data for p in projs]), requires_grad=True)
+            self.glu_b = Tensor(np.stack([p.b.data for p in projs]), requires_grad=True)
         gated_width = d // 2 if cfg.gating == "ihg" else d
         self.out_proj = Linear(gated_width, d, rng, dtype=dtype)
-        self.identity_ssm = False
 
     def gated_width(self) -> int:
         return self.out_proj.w.shape[0]
 
-    def _run_heads(self, x: Tensor, lengths) -> list[Tensor]:
-        # The heads' channels are mutually independent, so one fused
-        # convolution equals running each head's system on its own slice.
-        projected = self.in_proj(x)
-        if self.identity_ssm:
-            full = projected
-        else:
-            fused = discretize(fuse_diagonal(self.ssms))
-            full = ssm_conv(fused, SeqBatch(projected, lengths)).data
-        width = projected.shape[-1] // self.heads
-        return [T.narrow(full, -1, h * width, width) for h in range(self.heads)]
+    def _glu(self, y: Tensor) -> Tensor:
+        bsz, horizon, d = y.shape
+        h, hd = self.heads, d // self.heads
+        heads = T.transpose(T.reshape(y, (bsz * horizon, h, hd)), (1, 0, 2))
+        vg = T.add(T.matmul(heads, self.glu_w), T.reshape(self.glu_b, (h, 1, 2 * hd)))
+        gated = T.mul(T.narrow(vg, -1, 0, hd), T.sigmoid(T.narrow(vg, -1, hd, hd)))
+        return T.reshape(T.transpose(gated, (1, 0, 2)), (bsz, horizon, d))
 
-    def _gate(self, ys: list[Tensor]) -> list[Tensor]:
+    def gate(self, y: Tensor) -> Tensor:
+        """Gate the whole-width system output; the result has gated_width() channels."""
         if self.gating == "ihg":
-            return inter_head_gate(ys)
+            return inter_head_gate(y)
         if self.gating == "gelu":
-            return [T.gelu(y) for y in ys]
-        gated = []
-        for y, proj in zip(ys, self.glu_proj):
-            vg = proj(y)
-            width = y.shape[-1]
-            value = T.narrow(vg, -1, 0, width)
-            gate = T.narrow(vg, -1, width, width)
-            gated.append(T.mul(value, T.sigmoid(gate)))
-        return gated
+            return T.gelu(y)
+        return self._glu(y)
 
     def __call__(self, x: Tensor, lengths) -> Tensor:
-        ys = self._run_heads(x, lengths)
-        gated = self._gate(ys)
-        return self.out_proj(T.concat(gated, axis=-1))
+        y = ssm_conv(discretize(self.ssm), SeqBatch(self.in_proj(x), lengths)).data
+        return self.out_proj(self.gate(y))
 
 
 class DirectionalMhSsm(Module):
@@ -145,10 +126,6 @@ class DirectionalMhSsm(Module):
         for stage in self.stages:
             x = stage(x, lengths)
         return x
-
-    def set_identity_ssm(self, flag: bool):
-        for stage in self.stages:
-            stage.identity_ssm = flag
 
 
 class BidirMhSsmBlock(Module):
@@ -179,14 +156,3 @@ class BidirMhSsmBlock(Module):
         branch = self.out_proj(T.gelu(self.concat_halves(x)))
         branch = T.dropout(branch, self.dropout, train_rng)
         return x.with_data(T.add(x.data, branch)).rezero()
-
-    def tie_directions(self):
-        """Test hook: copy forward-direction parameters onto the backward one."""
-        self.bwd.set_params({
-            name: Tensor(value.data.copy(), requires_grad=True)
-            for name, value in self.fwd.named_params().items()
-        })
-
-    def set_identity_ssm(self, flag: bool):
-        self.fwd.set_identity_ssm(flag)
-        self.bwd.set_identity_ssm(flag)

@@ -141,8 +141,7 @@ class TimeReductionFrontend(Module):
 class MultiScaleFrontend(Module):
     """Residual multi-head SSM blocks interleaved with frame splices.
 
-    ``skip_blocks`` is a test hook that removes the residual blocks, which
-    reduces this frontend to the plain time-reduction one.
+    With both block lists emptied it is the plain time-reduction frontend.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
@@ -155,19 +154,16 @@ class MultiScaleFrontend(Module):
         self.blocks_hi = [
             BidirMhSsmBlock(cfg.fe_block_config(half), rng, cfg.np_dtype) for _ in range(2)
         ]
-        self.skip_blocks = False
 
     def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
         if x.dim != self.input_dim:
             raise ConfigError(f"frontend expects {self.input_dim}-dim input, got {x.dim}")
         h = x.with_data(self.proj(x.data)).rezero()
-        if not self.skip_blocks:
-            for block in self.blocks_lo:
-                h = block(h, train_rng)
+        for block in self.blocks_lo:
+            h = block(h, train_rng)
         h = time_reduction(h)
-        if not self.skip_blocks:
-            for block in self.blocks_hi:
-                h = block(h, train_rng)
+        for block in self.blocks_hi:
+            h = block(h, train_rng)
         return time_reduction(h)
 
 
@@ -275,19 +271,16 @@ class TransformerLayer(Module):
 class StateformerLayer(Module):
     """Transformer layer with a bidirectional SSM residual block in front.
 
-    ``skip_ssm`` is a test hook; with the SSM branch removed the layer is
-    exactly its inner transformer layer.
+    With ``ssm_block`` replaced by the identity the layer is exactly its
+    inner transformer layer.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         self.ssm_block = BidirMhSsmBlock(cfg.block_config(), rng, cfg.np_dtype)
         self.inner = TransformerLayer(cfg, rng)
-        self.skip_ssm = False
 
     def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
-        if not self.skip_ssm:
-            x = self.ssm_block(x, train_rng)
-        return self.inner(x, train_rng)
+        return self.inner(self.ssm_block(x, train_rng), train_rng)
 
 
 class MhSsmLayer(Module):
@@ -338,10 +331,6 @@ def build_encoder(cfg: EncoderConfig, seed: int = 0) -> Encoder:
     return Encoder(cfg, seed)
 
 
-def run_encoder(enc: Encoder, x: SeqBatch) -> SeqBatch:
-    return enc(x)
-
-
 # ---------------------------------------------------------------------------
 # analytic parameter accounting
 
@@ -362,7 +351,7 @@ def _ssm_count(channels: int, state_dim: int) -> int:
 def _stage_count(block: MhSsmBlockConfig) -> int:
     d, h = block.model_dim, block.heads
     total = _linear_count(d, d)
-    total += h * _ssm_count(block.head_dim, block.state_dim)
+    total += _ssm_count(d, block.state_dim)
     if block.gating == "glu":
         total += h * _linear_count(block.head_dim, 2 * block.head_dim)
     gated = d // 2 if block.gating == "ihg" else d

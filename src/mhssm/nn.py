@@ -58,12 +58,6 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.w), self.b)
 
-    def set_identity(self):
-        """Test hook: make this layer the identity map."""
-        d = self.w.shape[0]
-        self.w = Tensor(np.eye(d), requires_grad=True, dtype=self.w.dtype)
-        self.b = Tensor(np.zeros(d), requires_grad=True, dtype=self.b.dtype)
-
 
 class LayerNorm(Module):
     def __init__(self, dim: int, dtype=np.float64, eps: float = 1e-5):

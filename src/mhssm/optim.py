@@ -29,10 +29,6 @@ class LrSchedule:
         return self.peak_lr * warm * decay
 
 
-def lr_at(schedule: LrSchedule, step: int, epoch: int) -> float:
-    return schedule.lr_at(step, epoch)
-
-
 class Adam:
     """Standard Adam with bias correction; moments are kept per parameter name."""
 
@@ -87,11 +83,6 @@ class Adam:
                   if k.startswith("adam.m.")}
         self.v = {k[len("adam.v."):]: v.copy() for k, v in arrays.items()
                   if k.startswith("adam.v.")}
-
-
-def adam_step(state: Adam, grads: dict[str, np.ndarray],
-              params: dict[str, Tensor], lr: float) -> dict[str, Tensor]:
-    return state.step(params, grads, lr)
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

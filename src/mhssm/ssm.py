@@ -17,7 +17,9 @@ The impulse response, a Vandermonde sum over modes, is computed the same way
 at every length: taps fall into about sqrt(L) blocks of about sqrt(L) taps,
 the per-block and within-block powers of the transition are taken in log
 space, and one batched complex matmul combines them (see `_damped_response`;
-S4D kernel computation, Gu et al. 2022, arXiv 2206.11893).
+S4D kernel computation, Gu et al. 2022, arXiv 2206.11893). The logs,
+log|abar| and arg(abar), are required fields of every `DiscreteSsm`:
+discretization yields them directly as dt times the continuous eigenvalue.
 """
 
 from __future__ import annotations
@@ -66,15 +68,16 @@ class DiagonalSsm(Module):
 class DiscreteSsm:
     """Discrete transition/input obtained from a DiagonalSsm.
 
-    ``logmag``/``angle`` are the polar log of the transition (carried through
-    from discretization when available) used for underflow-safe powers.
+    ``logmag``/``angle`` are the polar log of the transition, log|abar| and
+    arg(abar), and are required: discretization produces them directly, and
+    the kernel takes its underflow-safe powers from them alone.
     """
 
     __slots__ = ("state_dim", "channels", "abar_re", "abar_im",
                  "bbar_re", "bbar_im", "c_re", "c_im", "d", "logmag", "angle")
 
     def __init__(self, state_dim, channels, abar_re, abar_im, bbar_re, bbar_im,
-                 c_re, c_im, d, logmag=None, angle=None):
+                 c_re, c_im, d, logmag, angle):
         self.state_dim = state_dim
         self.channels = channels
         self.abar_re = abar_re
@@ -158,24 +161,22 @@ def discretize(ssm: DiagonalSsm) -> DiscreteSsm:
                        logmag=logmag, angle=angle)
 
 
-def fuse_diagonal(systems: list[DiagonalSsm]) -> DiagonalSsm:
-    """Stack independent systems along the channel axis (taped concat).
+_SSM_FIELDS = ("log_neg_re", "lam_im", "b_re", "b_im", "c_re", "c_im", "d", "log_dt")
 
-    Channels never interact, so running the fused system equals running each
-    system on its own channel slice; gradients flow back to each system's own
-    parameters.
+
+def stack_systems(systems: list[DiagonalSsm]) -> DiagonalSsm:
+    """One system holding the given ones side by side on the channel axis.
+
+    Channels never interact, so the result on a channel slice equals the
+    matching input system. The parameters are new trainable leaves (no tape
+    node); the input systems are left as they were.
     """
-    if len(systems) == 1:
-        return systems[0]
     if any(s.state_dim != systems[0].state_dim for s in systems):
-        raise ShapeError("fused systems must share state_dim")
-
-    def cat(field):
-        return T.concat([getattr(s, field) for s in systems], axis=0)
-
+        raise ShapeError("stacked systems must share state_dim")
+    arrays = {f: np.concatenate([getattr(s, f).data for s in systems], axis=0)
+              for f in _SSM_FIELDS}
     return DiagonalSsm(systems[0].state_dim, sum(s.channels for s in systems),
-                       cat("log_neg_re"), cat("lam_im"), cat("b_re"), cat("b_im"),
-                       cat("c_re"), cat("c_im"), cat("d"), cat("log_dt"))
+                       **{f: Tensor(a, requires_grad=True) for f, a in arrays.items()})
 
 
 def _check_channels(d: DiscreteSsm, u: SeqBatch):
@@ -276,15 +277,9 @@ def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
     """Impulse response K[c, k] = 2*Re(sum_n c_n abar_n^k bbar_n)."""
     if length < 1:
         raise ShapeError(f"kernel length must be >= 1, got {length}")
-    if d.logmag is not None:
-        logmag, angle = d.logmag, d.angle
-    else:
-        sq = T.add(T.mul(d.abar_re, d.abar_re), T.mul(d.abar_im, d.abar_im))
-        logmag = T.scale(T.log(sq), 0.5)
-        angle = T.atan2(d.abar_im, d.abar_re)
     cb_re = T.sub(T.mul(d.c_re, d.bbar_re), T.mul(d.c_im, d.bbar_im))
     cb_im = T.add(T.mul(d.c_re, d.bbar_im), T.mul(d.c_im, d.bbar_re))
-    return _damped_response(logmag, angle, cb_re, cb_im, length)
+    return _damped_response(d.logmag, d.angle, cb_re, cb_im, length)
 
 
 def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:

@@ -286,19 +286,6 @@ def cos(a: Tensor) -> Tensor:
     return out
 
 
-def atan2(y: Tensor, x: Tensor) -> Tensor:
-    _broadcast_check(y, x, "atan2")
-    out = Tensor._wrap(np.arctan2(y.data, x.data))
-
-    def bwd(g, acc):
-        denom = x.data * x.data + y.data * y.data
-        acc(y, _unbroadcast(g * x.data / denom, y.shape))
-        acc(x, _unbroadcast(-g * y.data / denom, x.shape))
-
-    record_op(out, (y, x), bwd)
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
     s = _expit(a.data)
     out = Tensor._wrap(s)
@@ -324,23 +311,6 @@ def gelu(a: Tensor) -> Tensor:
 
     record_op(out, (a,), bwd)
     return out
-
-
-_POINTWISE = {
-    "add": add,
-    "mul": mul,
-    "sigmoid": sigmoid,
-    "gelu": gelu,
-    "relu": relu,
-    "scale": scale,
-}
-
-
-def pointwise(op: str, *inputs) -> Tensor:
-    """Dispatch an elementwise operation by name."""
-    if op not in _POINTWISE:
-        raise ValueError(f"unknown pointwise op {op!r}; choose from {sorted(_POINTWISE)}")
-    return _POINTWISE[op](*inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,18 @@ Metrics stream to ``metrics.csv`` with header ``step,epoch,lr,loss,acc,seconds``
 checkpoints use the binary container from :mod:`mhssm.checkpoint` and carry
 model parameters, optimizer moments, and the dropout generator state, so a
 resumed run reproduces the uninterrupted one bit for bit.
+
+Checkpoints written when every head of a stage had its own parameter arrays
+(``stages.j.ssms.<h>.<field>``, ``glu_proj.<h>.w``/``.b``) still load and
+resume: right after loading, their arrays are merged into the whole-width
+names (``stages.j.ssm.<field>``, ``glu_w``/``glu_b``) for the model and both
+Adam moments. The container bytes and ``checkpoint.VERSION`` are unchanged.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -99,6 +106,16 @@ def task_spec(cfg: dict) -> TaskSpec:
     return spec
 
 
+def _check_token_frontend(cfg: dict) -> None:
+    # every task scores one target per input frame, which the 4x-subsampling
+    # frontends cannot produce
+    if cfg["frontend"] != "linear":
+        raise ConfigError(
+            f"frontend {cfg['frontend']!r} subsamples frames 4x, but the token tasks "
+            "score every input frame; use frontend 'linear'"
+        )
+
+
 def encoder_config(cfg: dict, input_dim: int) -> EncoderConfig:
     enc = EncoderConfig(
         frontend=cfg["frontend"], input_dim=input_dim, model_dim=cfg["model_dim"],
@@ -142,6 +159,37 @@ def _save_state(path, model: TaskModel, opt: Adam, cfg: dict, step: int,
         "dropout_rng": dropout_rng.bit_generator.state,
     }
     save_checkpoint(path, arrays, meta)
+
+
+# per-head names of the stage layout before heads were whole-width slices
+_LEGACY_SSM = re.compile(r"^(.*\.stages\.\d+\.)ssms\.(\d+)\.(\w+)$")
+_LEGACY_GLU = re.compile(r"^(.*\.stages\.\d+\.)glu_proj\.(\d+)\.([wb])$")
+
+
+def _upgrade_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Merge per-head stage arrays of older checkpoints into whole-width ones.
+
+    ``<stage>.ssms.<h>.<field>`` arrays concatenate on the channel axis into
+    ``<stage>.ssm.<field>``; ``<stage>.glu_proj.<h>.w``/``.b`` stack into
+    ``<stage>.glu_w``/``glu_b``. Applies under any prefix (model and Adam
+    moments alike); current names pass through untouched, and a merged array
+    takes the place of its first head.
+    """
+    out: dict = {}
+    heads: dict[str, dict[int, np.ndarray]] = {}
+    for key, arr in arrays.items():
+        if m := _LEGACY_SSM.match(key):
+            name, join = f"{m[1]}ssm.{m[3]}", np.concatenate
+        elif m := _LEGACY_GLU.match(key):
+            name, join = f"{m[1]}glu_{m[3]}", np.stack
+        else:
+            out[key] = arr
+            continue
+        out.setdefault(name, join)          # holds the first head's place
+        heads.setdefault(name, {})[int(m[2])] = arr
+    for name, parts in heads.items():
+        out[name] = out[name]([parts[h] for h in sorted(parts)])
+    return out
 
 
 def _restore_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[TaskModel, dict]:
@@ -203,6 +251,7 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     """
     cfg = load_config(config)
     _check_eval_batches(cfg["eval_batches"])
+    _check_token_frontend(cfg)
     if seed is not None:
         cfg["seed"] = int(seed)
     if out_dir is not None:
@@ -216,6 +265,7 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     start_step = 0
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
+        arrays = _upgrade_arrays(arrays)
         if meta.get("kind") != "mhssm-train-state":
             raise ConfigError(f"{resume} is not a training checkpoint")
         stored_cfg = load_config(meta["config"])
@@ -310,6 +360,7 @@ def evaluate(checkpoint_path, task=None, batches: int = 8) -> dict:
     """
     _check_eval_batches(batches)
     arrays, meta = load_checkpoint(checkpoint_path)
+    arrays = _upgrade_arrays(arrays)
     if meta.get("kind") != "mhssm-train-state":
         raise ConfigError(f"{checkpoint_path} is not a training checkpoint")
     model, cfg = _restore_model(meta, arrays)

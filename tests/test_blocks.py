@@ -3,12 +3,16 @@ import pytest
 
 from mhssm import tensor as T
 from mhssm.blocks import (BidirMhSsmBlock, DirectionalMhSsm, MhSsmBlockConfig,
-                          MhSsmStage, head_split, inter_head_gate)
+                          MhSsmStage, inter_head_gate)
 from mhssm.errors import ConfigError
 from mhssm.nn import Linear
 from mhssm.seq import SeqBatch, reverse_time
-from mhssm.tensor import Tensor
+from mhssm.ssm import init_ssm_rng
+from mhssm.tasks import IGNORE_INDEX, generate_task
+from mhssm.tensor import GradTape, Tensor
+from mhssm.training import TaskModel, load_config
 
+from hooks import identity_linear, set_identity_ssm, tie_directions
 from oracles import loop_reverse
 
 
@@ -25,12 +29,6 @@ def batch_from(rng, dim, length=10, batch=2, lengths=None):
         mask = np.arange(length)[None, :, None] < np.asarray(lengths)[:, None, None]
         data = data * mask
     return SeqBatch(Tensor(data), lengths)
-
-
-def identity_linear(dim):
-    lin = Linear(dim, dim, np.random.default_rng(0))
-    lin.set_identity()
-    return lin
 
 
 class TestConfig:
@@ -52,59 +50,47 @@ class TestConfig:
 
 
 class TestHeadSplit:
-    def test_identity_projection_partitions_input(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((2, 5, 8)))
-        parts = head_split(x, identity_linear(8), 2)
-        np.testing.assert_array_equal(parts[0].data, x.data[:, :, :4])
-        np.testing.assert_array_equal(parts[1].data, x.data[:, :, 4:])
-
     def test_wide_model_partition(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((1, 3, 512)))
-        parts = head_split(x, identity_linear(512), 4)
-        assert [p.shape[-1] for p in parts] == [128, 128, 128, 128]
-
-    def test_concat_recovers_input(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.standard_normal((2, 4, 12)))
-        parts = head_split(x, identity_linear(12), 3)
-        np.testing.assert_array_equal(T.concat(parts, axis=-1).data, x.data)
+        # one 512-channel system; each head owns a contiguous 128-channel slice
+        stage = MhSsmStage(cfg_for(512, 4, gating="glu"), np.random.default_rng(2))
+        assert stage.ssm.channels == 512
+        assert stage.ssm.c_re.shape == (512, 4)
+        assert stage.glu_w.shape == (4, 128, 256)
+        assert stage.glu_b.shape == (4, 256)
 
     def test_indivisible(self):
-        with pytest.raises(ConfigError):
-            head_split(Tensor(np.zeros((1, 2, 10))), identity_linear(10), 4)
+        with pytest.raises(ConfigError, match="divisible"):
+            MhSsmStage(cfg_for(10, 4, gating="gelu"), np.random.default_rng(0))
 
 
 class TestInterHeadGate:
     def test_zero_gates_halve(self):
         rng = np.random.default_rng(4)
-        ys = [Tensor(rng.standard_normal((2, 3, 4))) for _ in range(2)]
-        ys[1] = Tensor(np.zeros((2, 3, 4)))
-        (gated,) = inter_head_gate(ys)
-        np.testing.assert_array_equal(gated.data, 0.5 * ys[0].data)
+        values = rng.standard_normal((2, 3, 4))
+        gated = inter_head_gate(Tensor(np.concatenate([values, np.zeros((2, 3, 4))], -1)))
+        np.testing.assert_array_equal(gated.data, 0.5 * values)
 
     def test_saturated_gates_identity(self):
         rng = np.random.default_rng(5)
-        ys = [Tensor(rng.standard_normal((1, 2, 3))),
-              Tensor(np.full((1, 2, 3), 20.0))]
-        (gated,) = inter_head_gate(ys)
-        assert np.abs(gated.data - ys[0].data).max() <= 1e-8
+        values = rng.standard_normal((1, 2, 3))
+        gated = inter_head_gate(Tensor(np.concatenate([values, np.full((1, 2, 3), 20.0)], -1)))
+        assert np.abs(gated.data - values).max() <= 1e-8
 
     def test_two_head_example(self):
-        gated = inter_head_gate([Tensor([[[1.0, 2.0]]]), Tensor([[[0.0, 20.0]]])])
-        np.testing.assert_allclose(gated[0].data[0, 0], [0.5, 2.0], atol=1e-8)
+        # head 0 = [1, 2] gated by head 1 = [0, 20]
+        gated = inter_head_gate(Tensor([[[1.0, 2.0, 0.0, 20.0]]]))
+        np.testing.assert_allclose(gated.data[0, 0], [0.5, 2.0], atol=1e-8)
 
     def test_odd_head_count_rejected(self):
         with pytest.raises(ConfigError, match="even"):
-            inter_head_gate([Tensor([1.0])] * 3)
+            inter_head_gate(Tensor(np.ones((1, 1, 3))))
 
 
 class TestStage:
     def test_identity_hook_with_saturated_gates_is_linear_of_linear(self):
         dim = 8
         stage = MhSsmStage(cfg_for(dim, 2), np.random.default_rng(6))
-        stage.identity_ssm = True
+        set_identity_ssm(stage)
         stage.in_proj = identity_linear(dim)
         rng = np.random.default_rng(7)
         value = rng.standard_normal((1, 5, dim // 2))
@@ -136,6 +122,58 @@ class TestStage:
         alt = stage(Tensor(bumped), np.array([20])).data
         assert np.abs(alt[0, :12] - base[0, :12]).max() <= 1e-12
         assert np.abs(alt[0, 12:] - base[0, 12:]).max() > 1e-3
+
+
+class TestWholeWidthStage:
+    @pytest.mark.parametrize("gating,nodes", [("ihg", 49), ("gelu", 46), ("glu", 56)])
+    def test_tape_nodes_per_stage(self, gating, nodes):
+        # input projection 2, discretization 30, kernel 7, convolution and
+        # skip 4, output projection 2, plus the gate: ihg 4, gelu 1, glu 11
+        stage = MhSsmStage(cfg_for(8, 2, gating=gating), np.random.default_rng(0))
+        with GradTape() as tape:
+            stage(Tensor(np.ones((2, 5, 8))), np.array([5, 5]))
+        assert len(tape.nodes) == nodes
+
+    @pytest.mark.parametrize("block,nodes", [("mh_ssm", 428), ("stateformer", 474)])
+    def test_tape_nodes_per_default_step(self, block, nodes):
+        # the count does not depend on the batch size, so a batch of 2 will do
+        cfg = load_config({"block": block})
+        model = TaskModel(cfg)
+        x, targets = generate_task(model.spec, 2, 0)
+        with GradTape() as tape:
+            T.cross_entropy(model(x), targets, IGNORE_INDEX)
+        assert len(tape.nodes) == nodes
+
+    @pytest.mark.parametrize("gating", ["ihg", "glu"])
+    def test_ssm_is_consecutive_head_draws(self, gating):
+        # the init order every seeded run rests on: input projection, then
+        # one init_ssm_rng draw per head, then the per-head glu maps
+        cfg = cfg_for(12, 4, gating=gating, state_dim=3)
+        stage = MhSsmStage(cfg, np.random.Generator(np.random.PCG64(40)))
+        rng = np.random.Generator(np.random.PCG64(40))
+        Linear(12, 12, rng)
+        heads = [init_ssm_rng(3, 3, rng) for _ in range(4)]
+        for name, t in stage.ssm.named_params().items():
+            want = np.concatenate([h.named_params()[name].data for h in heads])
+            np.testing.assert_array_equal(t.data, want, err_msg=name)
+        if gating == "glu":
+            w = np.stack([Linear(3, 6, rng).w.data for _ in range(4)])
+            np.testing.assert_array_equal(stage.glu_w.data, w)
+            np.testing.assert_array_equal(stage.glu_b.data, np.zeros((4, 6)))
+        np.testing.assert_array_equal(stage.out_proj.w.data,
+                                      Linear(stage.gated_width(), 12, rng).w.data)
+
+    def test_glu_matches_per_head_loop(self):
+        stage = MhSsmStage(cfg_for(12, 3, gating="glu"), np.random.default_rng(41))
+        rng = np.random.default_rng(42)
+        stage.glu_b = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+        y = rng.standard_normal((2, 5, 12))
+        want = []
+        for h in range(3):
+            vg = y[..., 4 * h:4 * h + 4] @ stage.glu_w.data[h] + stage.glu_b.data[h]
+            want.append(vg[..., :4] / (1.0 + np.exp(-vg[..., 4:])))
+        got = stage.gate(Tensor(y)).data
+        assert np.abs(got - np.concatenate(want, axis=-1)).max() <= 1e-14
 
 
 class TestDirectional:
@@ -205,8 +243,8 @@ class TestBidirBlock:
 
     def test_tied_identity_halves_equal(self):
         block = self.make()
-        block.tie_directions()
-        block.set_identity_ssm(True)
+        tie_directions(block)
+        set_identity_ssm(*block.fwd.stages, *block.bwd.stages)
         rng = np.random.default_rng(21)
         half = rng.standard_normal((1, 3, 8))
         palindrome = np.concatenate([half, half[:, ::-1]], axis=1)
@@ -216,7 +254,7 @@ class TestBidirBlock:
 
     def test_reversal_swaps_concatenated_halves(self):
         block = self.make()
-        block.tie_directions()
+        tie_directions(block)
         rng = np.random.default_rng(22)
         x = batch_from(rng, 8, length=10, batch=1)
         halves = block.concat_halves(x).data

@@ -117,3 +117,14 @@ def test_train_without_eval_batches_is_config_error(tmp_path, capsys):
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("frontend", ["tr", "ms"])
+def test_train_with_subsampling_frontend_is_config_error(tmp_path, capsys, frontend):
+    # token tasks score every input frame; a 4x-subsampling frontend cannot
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"frontend": frontend, "seq_len": 64, "batch": 2, "lag": 4}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'linear'" in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()

@@ -6,7 +6,7 @@ from mhssm.checkpoint import load_checkpoint, save_checkpoint
 from mhssm.encoder import (EncoderConfig, MultiScaleFrontend,
                            SelfAttentionBlock, StateformerLayer,
                            TimeReductionFrontend, build_encoder, param_count,
-                           run_encoder, time_reduction)
+                           time_reduction)
 from mhssm.errors import ConfigError
 from mhssm.seq import SeqBatch
 from mhssm.tensor import GradTape, Tensor
@@ -91,7 +91,7 @@ class TestMsFrontend:
         tr = TimeReductionFrontend(cfg, np.random.default_rng(9))
         tr.proj.w = Tensor(ms.proj.w.data.copy(), requires_grad=True)
         tr.proj.b = Tensor(ms.proj.b.data.copy(), requires_grad=True)
-        ms.skip_blocks = True
+        ms.blocks_lo = ms.blocks_hi = []
         x = seq(np.random.default_rng(10), 37, 80, batch=2, lengths=[37, 20])
         np.testing.assert_array_equal(ms(x).data.data, tr(x).data.data)
 
@@ -164,7 +164,7 @@ class TestLayers:
 
     def test_stateformer_with_zeroed_branch_is_transformer(self):
         layer = StateformerLayer(self.enc_cfg("stateformer"), np.random.default_rng(16))
-        layer.skip_ssm = True
+        layer.ssm_block = lambda h, train_rng=None: h
         x = seq(np.random.default_rng(17), 9, 16, batch=2, lengths=[9, 5])
         np.testing.assert_array_equal(layer(x).data.data, layer.inner(x).data.data)
 
@@ -172,7 +172,7 @@ class TestLayers:
         cfg = self.enc_cfg("stateformer", layers=16)
         enc = build_encoder(cfg, seed=18)
         x = seq(np.random.default_rng(19), 12, 8, batch=2, lengths=[12, 7])
-        out = run_encoder(enc, x)
+        out = enc(x)
         assert out.data.shape == (2, 12, 16)
         assert np.isfinite(out.data.data).all()
 
@@ -180,7 +180,7 @@ class TestLayers:
         for kind in ("mh_ssm", "transformer", "stateformer"):
             enc = build_encoder(self.enc_cfg(kind, layers=2), seed=20)
             x = seq(np.random.default_rng(21), 10, 8, batch=2, lengths=[10, 4])
-            out = run_encoder(enc, x)
+            out = enc(x)
             assert np.abs(out.data.data[1, 4:]).max() == 0.0
 
     def test_stateformer_gradient_check(self):
@@ -195,8 +195,8 @@ class TestEncoder:
                             num_layers=2, block_kind="mh_ssm", heads=2, stack=1,
                             state_dim=4, ffn_dim=32, dropout=0.0)
         x = seq(np.random.default_rng(22), 9, 8)
-        a = run_encoder(build_encoder(cfg, seed=7), x).data.data
-        b = run_encoder(build_encoder(cfg, seed=7), x).data.data
+        a = build_encoder(cfg, seed=7)(x).data.data
+        b = build_encoder(cfg, seed=7)(x).data.data
         np.testing.assert_array_equal(a, b)
 
     def test_positional_sensitivity_probe(self):
@@ -208,8 +208,8 @@ class TestEncoder:
                                 num_layers=1, block_kind="mh_ssm", heads=2,
                                 stack=1, state_dim=4, ffn_dim=32, dropout=0.0)
         enc = build_encoder(ssm_cfg, seed=1)
-        out = run_encoder(enc, SeqBatch(Tensor(x), np.array([12]))).data.data
-        out_rev = run_encoder(enc, SeqBatch(Tensor(rev), np.array([12]))).data.data
+        out = enc(SeqBatch(Tensor(x), np.array([12]))).data.data
+        out_rev = enc(SeqBatch(Tensor(rev), np.array([12]))).data.data
         assert np.abs(out_rev[:, ::-1] - out).max() > 1e-3
 
         attn_cfg = EncoderConfig(frontend="linear", input_dim=8, model_dim=16,
@@ -217,8 +217,8 @@ class TestEncoder:
                                  attn_heads=2, ffn_dim=32, dropout=0.0,
                                  positional=False)
         enc = build_encoder(attn_cfg, seed=1)
-        out = run_encoder(enc, SeqBatch(Tensor(x), np.array([12]))).data.data
-        out_rev = run_encoder(enc, SeqBatch(Tensor(rev), np.array([12]))).data.data
+        out = enc(SeqBatch(Tensor(x), np.array([12]))).data.data
+        out_rev = enc(SeqBatch(Tensor(rev), np.array([12]))).data.data
         np.testing.assert_allclose(out_rev[:, ::-1], out, atol=1e-12)
 
     def test_transformer_defaults_to_positional(self):

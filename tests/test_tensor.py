@@ -63,17 +63,9 @@ class TestPointwise:
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_scale_dispatch(self):
-        out = T.pointwise("scale", Tensor([1.0, -2.0]), 3.0)
-        np.testing.assert_array_equal(out.data, [3.0, -6.0])
-
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown pointwise"):
-            T.pointwise("tanh", Tensor([0.0]))
 
     def test_scalar_broadcast(self):
         out = T.add(Tensor([[1.0, 2.0]]), Tensor(3.0))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from mhssm.training import (DEFAULTS, METRICS_HEADER, TaskModel, evaluate,
                             load_config, train)
 
 from oracles import ScalarAdam
+
+DATA = Path(__file__).parent / "data"
 
 TINY = {
     "task": "delayed_echo", "seq_len": 32, "vocab": 4, "lag": 4,
@@ -301,3 +304,26 @@ class TestTrainLoop:
         upticks = max(b - a for a, b in zip(ma, ma[1:]))
         assert ma[-1] < ma[0]
         assert upticks <= 0.1 * ma[0]
+
+
+class TestPerHeadCheckpoints:
+    """Checkpoints from the per-head stage layout (see data/make_legacy_checkpoints.py)."""
+
+    @pytest.mark.parametrize("gating", ["ihg", "glu"])
+    def test_evaluates_to_recorded_values(self, gating):
+        want = json.loads((DATA / "legacy_evals.json").read_text())[gating]
+        report = evaluate(DATA / f"legacy_{gating}.bin", batches=2)
+        assert report["loss"] == want["loss"]
+        assert report["accuracy"] == want["accuracy"]
+
+    @pytest.mark.parametrize("gating", ["ihg", "glu"])
+    def test_resumes_with_merged_names(self, gating, tmp_path):
+        result = train({"steps": 8}, out_dir=tmp_path / "more",
+                       resume=DATA / f"legacy_{gating}.bin")
+        assert [h["step"] for h in result["history"]] == [7, 8]
+        assert np.isfinite(result["final_eval"]["loss"])
+        arrays, _ = mhssm.load_checkpoint(result["checkpoint_path"])
+        model = {k[len("model."):] for k in arrays if k.startswith("model.")}
+        assert not any(".ssms." in k or ".glu_proj." in k for k in model)
+        for moment in ("adam.m.", "adam.v."):
+            assert {k[len(moment):] for k in arrays if k.startswith(moment)} == model
