@@ -67,8 +67,7 @@ def inter_head_gate(y: Tensor) -> Tensor:
     width = y.shape[-1]
     if width % 2 != 0:
         raise ConfigError(f"inter-head gating requires an even split, got width {width}")
-    half = width // 2
-    return T.mul(T.narrow(y, -1, 0, half), T.sigmoid(T.narrow(y, -1, half, half)))
+    return T.glu(y)
 
 
 class MhSsmStage(Module):
@@ -100,8 +99,7 @@ class MhSsmStage(Module):
         h, hd = self.heads, d // self.heads
         heads = T.transpose(T.reshape(y, (bsz * horizon, h, hd)), (1, 0, 2))
         vg = T.add(T.matmul(heads, self.glu_w), T.reshape(self.glu_b, (h, 1, 2 * hd)))
-        gated = T.mul(T.narrow(vg, -1, 0, hd), T.sigmoid(T.narrow(vg, -1, hd, hd)))
-        return T.reshape(T.transpose(gated, (1, 0, 2)), (bsz, horizon, d))
+        return T.reshape(T.transpose(T.glu(vg), (1, 0, 2)), (bsz, horizon, d))
 
     def gate(self, y: Tensor) -> Tensor:
         """Gate the whole-width system output; the result has gated_width() channels."""

@@ -56,7 +56,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(out_dim), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.w), self.b)
+        return T.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):

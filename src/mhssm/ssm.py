@@ -286,13 +286,12 @@ def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
     """Causal FFT convolution against the materialized kernel plus skip.
 
     Same contract as :func:`ssm_scan`; zero-padding to at least twice the
-    sequence length keeps the circular transform acyclic.
+    sequence length keeps the circular transform acyclic. The skip term
+    ``d * u`` is added inside the convolution node.
     """
     _check_channels(d, u)
     kernel = materialize_kernel(d, u.length)
-    y = T.causal_conv_fft(u.data, kernel)
-    y = T.add(y, T.mul(T.reshape(d.d, (1, 1, d.channels)), u.data))
-    return u.with_data(y)
+    return u.with_data(T.causal_conv_fft(u.data, kernel, d.d))
 
 
 def kernel_sum_bound(d: DiscreteSsm, length: int) -> np.ndarray:

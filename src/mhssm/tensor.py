@@ -6,6 +6,13 @@ Values are numpy arrays in float64 (the test/reference precision) or float32
 explicit. Operations record onto the innermost active :class:`GradTape`; with
 no tape active they are plain numpy computations.
 
+A tape keeps only what the reverse sweep still reads: each node's saved
+activations, and during the sweep the gradients of tensors not yet
+replayed. An intermediate tensor's gradient is dropped as soon as the node
+that produced it has run its backward. The hottest composites (affine map,
+sigmoid gate, convolution plus skip) are single nodes that store their
+result once.
+
 Tensors are immutable once created and may be shared freely across threads.
 A tape is single-threaded: record and backward must happen on one logical
 thread.
@@ -97,7 +104,10 @@ class GradTape:
 
     Forward activations are saved eagerly inside each node's backward
     closure. Gradient accumulation is additive: a tensor consumed by k
-    operations receives the sum of k partial adjoints.
+    operations receives the sum of k partial adjoints. The reverse sweep
+    takes each node's output gradient out of its table before replaying the
+    node, so at any moment only the parameter gradients and the frontier of
+    not-yet-replayed tensors are alive.
     """
 
     def __init__(self):
@@ -141,7 +151,7 @@ class GradTape:
             grads[key] = g if prev is None else prev + g
 
         for node in reversed(self.nodes):
-            g = grads.get(id(node.output))
+            g = grads.pop(id(node.output), None)
             if g is None:
                 continue
             node.backward(g, accumulate)
@@ -313,6 +323,31 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
+def glu(y: Tensor) -> Tensor:
+    """Gated linear unit on the last axis: y[..., :h] * sigmoid(y[..., h:]).
+
+    One node: it keeps the sigmoid and reads the value half straight from
+    ``y``, where the composition ``mul(narrow, sigmoid(narrow))`` would keep
+    both halves, the sigmoid and the product.
+    """
+    width = y.shape[-1]
+    if width % 2 != 0:
+        raise ShapeError(f"glu needs an even last axis, got width {width}")
+    half = width // 2
+    value = y.data[..., :half]
+    s = _expit(y.data[..., half:])
+    out = Tensor._wrap(value * s)
+
+    def bwd(g, acc):
+        gy = np.empty(y.shape, dtype=np.result_type(g, s))
+        gy[..., :half] = g * s
+        gy[..., half:] = g * value * s * (1.0 - s)
+        acc(y, gy)
+
+    record_op(out, (y,), bwd)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # linear algebra and structure
 
@@ -333,6 +368,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     record_op(out, (a, b), bwd)
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map on the last axis, x @ w + b, as one node.
+
+    ``w`` is (in, out) and ``b`` is (out,). All leading axes of ``x`` fold
+    into the rows of one 2-d product, the bias is added in place, and the
+    backward pass takes dx, dw and db as one product or sum each.
+    """
+    if w.ndim != 2 or b.shape != (w.shape[1],):
+        raise ShapeError(
+            f"linear needs an (in, out) weight and (out,) bias, got {w.shape}/{b.shape}"
+        )
+    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear input width differs from the weight: {x.shape} @ {w.shape}")
+    rows = np.matmul(x.data.reshape(-1, w.shape[0]), w.data)
+    rows += b.data
+    out = Tensor._wrap(rows.reshape(x.shape[:-1] + (w.shape[1],)))
+
+    def bwd(g, acc):
+        g2 = g.reshape(-1, w.shape[1])
+        acc(x, np.matmul(g2, w.data.T).reshape(x.shape))
+        acc(w, np.matmul(x.data.reshape(-1, w.shape[0]).T, g2))
+        acc(b, g2.sum(axis=0))
+
+    record_op(out, (x, w, b), bwd)
     return out
 
 
@@ -594,12 +656,15 @@ def ifft_real(z: Tensor) -> Tensor:
     return out
 
 
-def causal_conv_fft(u: Tensor, kernel: Tensor) -> Tensor:
-    """Causal convolution of (batch, length, channels) with per-channel kernels.
+def causal_conv_fft(u: Tensor, kernel: Tensor, skip: Tensor) -> Tensor:
+    """Causal convolution of (batch, length, channels) with per-channel kernels,
+    plus the per-channel feedthrough ``skip * u``.
 
-    ``kernel`` has shape (channels, taps). The FFT size is the next power of
-    two at or above length + taps, so no circular wrap reaches the returned
-    prefix. Output position t depends on input positions <= t only.
+    ``kernel`` has shape (channels, taps) and ``skip`` (channels,). The FFT
+    size is the next power of two at or above length + taps, so no circular
+    wrap reaches the returned prefix. Output position t depends on input
+    positions <= t only. The skip term is added in place inside this node,
+    so the result is stored once.
     """
     bsz, length, channels = u.shape
     kc, taps = kernel.shape
@@ -607,19 +672,26 @@ def causal_conv_fft(u: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError(
             f"kernel channels {kc} do not match input channels {channels}"
         )
+    if skip.shape != (channels,):
+        raise ShapeError(f"skip shape {skip.shape} does not match input channels {channels}")
     m = next_pow2(length + taps)
     # transform along a contiguous axis: (batch, length, ch) -> (batch, ch, length)
     uf = np.fft.rfft(np.ascontiguousarray(u.data.transpose(0, 2, 1)), n=m, axis=-1)
     kf = np.fft.rfft(kernel.data, n=m, axis=-1)[None]
     y = np.fft.irfft(uf * kf, n=m, axis=-1)[:, :, :length]
-    out = Tensor._wrap(np.ascontiguousarray(y.transpose(0, 2, 1)).astype(u.dtype, copy=False))
+    y = np.ascontiguousarray(y.transpose(0, 2, 1)).astype(u.dtype, copy=False)
+    y += skip.data * u.data
+    out = Tensor._wrap(y)
 
     def bwd(g, acc):
         gf = np.fft.rfft(np.ascontiguousarray(g.transpose(0, 2, 1)), n=m, axis=-1)
         gu = np.fft.irfft(gf * np.conj(kf), n=m, axis=-1)[:, :, :length]
-        acc(u, np.ascontiguousarray(gu.transpose(0, 2, 1)).astype(u.dtype, copy=False))
+        gu = np.ascontiguousarray(gu.transpose(0, 2, 1)).astype(u.dtype, copy=False)
+        gu += g * skip.data
+        acc(u, gu)
         gk = np.fft.irfft((gf * np.conj(uf)).sum(axis=0), n=m, axis=-1)[:, :taps]
         acc(kernel, gk.astype(kernel.dtype, copy=False))
+        acc(skip, (g * u.data).sum(axis=(0, 1)))
 
-    record_op(out, (u, kernel), bwd)
+    record_op(out, (u, kernel, skip), bwd)
     return out

@@ -76,21 +76,26 @@ DEFAULTS: dict = {
 }
 
 
+def _config_overrides(source) -> dict:
+    """The keys a config mapping or JSON file sets, as a new dict."""
+    if source is None:
+        return {}
+    if isinstance(source, dict):
+        return dict(source)
+    try:
+        overrides = json.loads(Path(source).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {source}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {source} is not valid JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config file {source} must hold a JSON object")
+    return overrides
+
+
 def load_config(source) -> dict:
     """Merge a config mapping or JSON file over the defaults."""
-    if source is None:
-        overrides = {}
-    elif isinstance(source, dict):
-        overrides = dict(source)
-    else:
-        try:
-            overrides = json.loads(Path(source).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {source}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {source} is not valid JSON: {exc}") from None
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"config file {source} must hold a JSON object")
+    overrides = _config_overrides(source)
     unknown = set(overrides) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -247,9 +252,12 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
 
     ``config`` is a dict or JSON path merged over DEFAULTS. ``seed`` and
     ``out_dir`` override the corresponding config keys. ``resume`` restores
-    model, optimizer and generator state from a checkpoint and continues.
+    model, optimizer and generator state from a checkpoint and continues;
+    every non-loop key the config sets, from a dict or a file alike, must
+    match the stored config.
     """
-    cfg = load_config(config)
+    overrides = _config_overrides(config)
+    cfg = load_config(overrides)
     _check_eval_batches(cfg["eval_batches"])
     _check_token_frontend(cfg)
     if seed is not None:
@@ -272,7 +280,6 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
         # loop controls may change across a resume; model/task/optimizer may not
         loop_keys = ("steps", "out", "eval_every", "eval_batches", "target_acc",
                      "checkpoint_every")
-        overrides = {k: v for k, v in (config or {}).items()} if isinstance(config, dict) else {}
         for key, value in overrides.items():
             if key not in loop_keys and stored_cfg.get(key) != value:
                 raise ConfigError(
@@ -319,6 +326,9 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
                 )
             params = model.named_params()
             tensor_grads = tape.gradients(loss)
+            # nothing reads the step's activations again: free them before the
+            # optimizer step, the checkpoint save and any evaluation
+            del tape
             names = {id(t): name for name, t in params.items()}
             grads = {names[id(t)]: g for t, g in tensor_grads.items() if id(t) in names}
             clip_grad_norm(grads, cfg["clip_norm"])

@@ -126,6 +126,9 @@ def tensor_op_cases(seed: int):
     mb = leaf((2, 3, 4))
     case("matmul_batched", {"a": mb, "b": m2}, lambda ps: T.matmul(ps["a"], ps["b"]))
     case("add_broadcast", {"a": mb, "b": leaf((4,))}, lambda ps: T.add(ps["a"], ps["b"]))
+    case("linear", {"x": mb, "w": m2, "b": leaf((2,))},
+         lambda ps: T.linear(ps["x"], ps["w"], ps["b"]))
+    case("glu", {"a": mb}, lambda ps: T.glu(ps["a"]))
 
     case("reshape", {"a": a}, lambda ps: T.reshape(ps["a"], (4, 3)))
     case("transpose", {"a": mb}, lambda ps: T.transpose(ps["a"], (2, 0, 1)))
@@ -169,8 +172,8 @@ def tensor_op_cases(seed: int):
 
     cu = leaf((2, 6, 3))
     ck = leaf((3, 6), scale_=0.5)
-    case("causal_conv_fft", {"u": cu, "k": ck},
-         lambda ps: T.causal_conv_fft(ps["u"], ps["k"]))
+    case("causal_conv_fft", {"u": cu, "k": ck, "d": leaf((3,))},
+         lambda ps: T.causal_conv_fft(ps["u"], ps["k"], ps["d"]))
 
     # 37 taps split into 6 blocks of 7, the last one partial
     system = init_ssm_rng(3, 2, rng, "random_stable")

@@ -128,3 +128,39 @@ def test_train_with_subsampling_frontend_is_config_error(tmp_path, capsys, front
     err = capsys.readouterr().err
     assert "error:" in err and "'linear'" in err
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_resume_with_config_file_rejects_changed_model(cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps(dict(CFG, model_dim=32, steps=10)))
+    capsys.readouterr()
+    code = main(["train", "--config", str(wider), "--out", str(tmp_path / "more"),
+                 "--resume", str(out / "checkpoint.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'model_dim'" in err
+
+
+def test_resume_with_config_file_allows_loop_controls(cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps(dict(CFG, steps=10)))
+    capsys.readouterr()
+    assert main(["train", "--config", str(longer), "--out", str(tmp_path / "more"),
+                 "--resume", str(out / "checkpoint.bin")]) == 0
+    assert json.loads(capsys.readouterr().out)["steps_run"] == 10
+
+
+def test_evaluate_truncated_checkpoint_is_error(cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["train", "--config", str(cfg_file), "--out", str(out)])
+    blob = (out / "checkpoint.bin").read_bytes()
+    cut = tmp_path / "cut.bin"
+    # inside the first entry's dims, past its dtype and ndim fields
+    cut.write_bytes(blob[:blob.index(b"<f8") + 4])
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(cut), "--batches", "1"]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -181,16 +181,91 @@ class TestCausalConvFft:
         rng = np.random.default_rng(8)
         u = rng.standard_normal((2, 20, 3))
         k = rng.standard_normal((3, 20))
-        got = T.causal_conv_fft(Tensor(u), Tensor(k)).data
+        got = T.causal_conv_fft(Tensor(u), Tensor(k), Tensor(np.zeros(3))).data
         for b in range(2):
             for c in range(3):
                 from oracles import direct_causal_conv
                 ref = direct_causal_conv(u[b, :, c], k[c])
                 assert np.abs(got[b, :, c] - ref).max() <= 1e-12
 
+    def test_skip_is_per_channel_feedthrough(self):
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal((2, 20, 3))
+        k = rng.standard_normal((3, 20))
+        skip = rng.standard_normal(3)
+        base = T.causal_conv_fft(Tensor(u), Tensor(k), Tensor(np.zeros(3))).data
+        got = T.causal_conv_fft(Tensor(u), Tensor(k), Tensor(skip)).data
+        np.testing.assert_array_equal(got, base + skip * u)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channels"):
-            T.causal_conv_fft(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((3, 4))))
+            T.causal_conv_fft(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((3, 4))),
+                              Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="skip"):
+            T.causal_conv_fft(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((2, 4))),
+                              Tensor(np.zeros(3)))
+
+
+def _taped(build, leaves):
+    """Output data and leaf gradients of sum(build(*leaves) * w) for a fixed w."""
+    with GradTape() as tape:
+        out = build(*leaves)
+        w = Tensor(np.random.default_rng(5).standard_normal(out.shape))
+        loss = T.tsum(T.mul(out, w))
+    grads = tape.gradients(loss)
+    return out.data, [grads[t] for t in leaves]
+
+
+class TestFusedOps:
+    """Each single-node op against the composition of primitives it replaces."""
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 5), (2, 3, 4)])
+    def test_linear_matches_add_matmul(self, lead):
+        rng = np.random.default_rng(20)
+        leaves = [Tensor(rng.standard_normal(lead + (6,)), requires_grad=True),
+                  Tensor(rng.standard_normal((6, 4)), requires_grad=True),
+                  Tensor(rng.standard_normal(4), requires_grad=True)]
+        got, got_g = _taped(T.linear, leaves)
+        want, want_g = _taped(lambda x, w, b: T.add(T.matmul(x, w), b), leaves)
+        np.testing.assert_array_equal(got, want)
+        for g, r in zip(got_g, want_g):
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+
+    def test_linear_shape_errors(self):
+        with pytest.raises(ShapeError, match="width"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="bias"):
+            T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 8)])
+    def test_glu_matches_mul_narrow_sigmoid(self, shape):
+        y = Tensor(np.random.default_rng(21).standard_normal(shape) * 3.0, requires_grad=True)
+        half = shape[-1] // 2
+        got, got_g = _taped(T.glu, [y])
+        want, want_g = _taped(
+            lambda t: T.mul(T.narrow(t, -1, 0, half), T.sigmoid(T.narrow(t, -1, half, half))),
+            [y])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_g[0], want_g[0])
+
+    def test_glu_odd_width(self):
+        with pytest.raises(ShapeError, match="even"):
+            T.glu(Tensor(np.ones((2, 3))))
+
+    def test_conv_skip_matches_conv_plus_mul(self):
+        rng = np.random.default_rng(22)
+        leaves = [Tensor(rng.standard_normal((2, 9, 3)), requires_grad=True),
+                  Tensor(rng.standard_normal((3, 9)), requires_grad=True),
+                  Tensor(rng.standard_normal(3), requires_grad=True)]
+        got, got_g = _taped(T.causal_conv_fft, leaves)
+
+        def composed(u, k, d):
+            y = T.causal_conv_fft(u, k, Tensor(np.zeros(3)))
+            return T.add(y, T.mul(T.reshape(d, (1, 1, 3)), u))
+        want, want_g = _taped(composed, leaves)
+        np.testing.assert_array_equal(got, want)
+        for g, r in zip(got_g, want_g):
+            np.testing.assert_array_equal(g, r)
 
 
 class TestBackward:
@@ -239,6 +314,39 @@ class TestBackward:
         with GradTape() as tape:
             T.tsum(T.add(x, y))
         assert tape.parameters == [x]
+
+    def test_shared_intermediate_accumulates_before_replay(self):
+        # h feeds two later nodes; its gradient must be complete when the node
+        # that made it replays, even though it is dropped right after
+        x = Tensor([1.5, -2.0], requires_grad=True)
+        with GradTape() as tape:
+            h = T.mul(x, x)
+            loss = T.tsum(T.add(T.exp(h), T.scale(h, 3.0)))
+        want = (np.exp(x.data ** 2) + 3.0) * 2.0 * x.data
+        np.testing.assert_allclose(tape.gradients(loss)[x], want, rtol=1e-15)
+
+    @pytest.mark.parametrize("block", ["mh_ssm", "stateformer"])
+    def test_backward_peak_stays_near_forward_memory(self, block):
+        # numpy reports its buffers to tracemalloc; the reverse sweep drops
+        # each intermediate gradient once replayed, so its peak stays close
+        # to what the forward pass left on the tape
+        import tracemalloc
+
+        from mhssm.tasks import IGNORE_INDEX, generate_task
+        from mhssm.training import TaskModel, load_config
+        model = TaskModel(load_config({"block": block}))
+        x, targets = generate_task(model.spec, 4, 0)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                loss = T.cross_entropy(model(x), targets, IGNORE_INDEX)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.gradients(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * held, f"backward peak {peak / held:.2f}x the forward's memory"
 
 
 @pytest.mark.parametrize("seed", range(10))

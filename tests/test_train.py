@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,30 @@ class TestTrainLoop:
         result = train(cfg, out_dir=tmp_path / "copy")
         losses = [h["loss"] for h in result["history"]]
         assert np.mean(losses[-50:]) < 1.55 < np.log(6)
+
+    def test_step_tape_released_before_checkpoint(self, tmp_path, monkeypatch):
+        # a step's activations are not read once its gradients exist, so the
+        # tape must not stay alive through the optimizer step, the checkpoint
+        # save and any evaluation before the next step
+        from mhssm import training
+        tapes = []
+
+        class RecordingTape(GradTape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        alive_at_save = []
+        real_save = training.save_checkpoint
+
+        def save(*args, **kwargs):
+            alive_at_save.append(sum(ref() is not None for ref in tapes))
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(training, "GradTape", RecordingTape)
+        monkeypatch.setattr(training, "save_checkpoint", save)
+        train({**TINY, "steps": 3, "checkpoint_every": 1}, out_dir=tmp_path / "run")
+        assert alive_at_save == [0, 0, 0, 0]
 
     def test_resume_allows_changed_loop_controls(self, tmp_path):
         part = train(dict(TINY), out_dir=tmp_path / "part")
