@@ -20,6 +20,7 @@ thread.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +29,10 @@ from scipy.special import expit as _expit
 
 from .errors import ShapeError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# plain Python floats: a numpy float64 scalar would promote float32 arrays
+# (NEP 50); the double values are the same
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 

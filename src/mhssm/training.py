@@ -247,14 +247,32 @@ def _eval_model(model: TaskModel, cfg: dict, batches: int) -> dict:
     }
 
 
+def _metrics_through(path: Path, step: int) -> str:
+    """The header and the rows of a metrics file up to and including ``step``.
+
+    Rows are written every step but checkpoints only every
+    ``checkpoint_every`` steps, so a run stopped in between has logged steps
+    its checkpoint does not hold; a resume rewrites the file with this text,
+    so those steps are not logged twice.
+    """
+    rows = [METRICS_HEADER]
+    for line in path.read_text().splitlines()[1:]:
+        first = line.split(",", 1)[0]
+        if first.isdigit() and int(first) <= step:
+            rows.append(line)
+    return "\n".join(rows) + "\n"
+
+
 def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     """Run the training loop; returns paths and final metrics.
 
     ``config`` is a dict or JSON path merged over DEFAULTS. ``seed`` and
     ``out_dir`` override the corresponding config keys. ``resume`` restores
     model, optimizer and generator state from a checkpoint and continues;
-    every non-loop key the config sets, from a dict or a file alike, must
-    match the stored config.
+    every non-loop key the config sets, from a dict or a file alike, and
+    ``seed`` must match the stored config. A resume into the directory of
+    the stopped run keeps its ``metrics.csv`` rows up to the checkpoint's
+    step and drops the later ones before appending.
     """
     overrides = _config_overrides(config)
     cfg = load_config(overrides)
@@ -280,7 +298,10 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
         # loop controls may change across a resume; model/task/optimizer may not
         loop_keys = ("steps", "out", "eval_every", "eval_batches", "target_acc",
                      "checkpoint_every")
-        for key, value in overrides.items():
+        requested = dict(overrides)
+        if seed is not None:
+            requested["seed"] = int(seed)
+        for key, value in requested.items():
             if key not in loop_keys and stored_cfg.get(key) != value:
                 raise ConfigError(
                     f"checkpoint/config mismatch for {key!r}: "
@@ -304,13 +325,15 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     dtype = np.dtype(cfg["dtype"])
     use_dropout = cfg["dropout"] > 0.0
 
-    mode = "a" if (resume is not None and metrics_path.exists()) else "w"
+    if resume is not None and metrics_path.exists():
+        logged = _metrics_through(metrics_path, start_step)
+    else:
+        logged = METRICS_HEADER + "\n"
     history: list[dict] = []
     eval_acc = None
     stopped_early = False
-    with open(metrics_path, mode) as metrics:
-        if mode == "w":
-            metrics.write(METRICS_HEADER + "\n")
+    with open(metrics_path, "w") as metrics:
+        metrics.write(logged)
         t0 = time.perf_counter()
         for step in range(start_step + 1, cfg["steps"] + 1):
             epoch = (step - 1) // cfg["steps_per_epoch"]

@@ -1,11 +1,17 @@
-"""Test-only substitutions that reduce a layer to a simpler one.
+"""Test-only substitutions that reduce a layer to a simpler one, and a
+probe on the tape's node dtypes.
 
-Each works through the layer's own parameters or attributes, so the
-production classes carry no switches for them.
+Each works through the layer's own parameters or attributes, or through the
+library's public ``record_op``, so the production code carries no switches
+for them.
 """
+
+import contextlib
+import sys
 
 import numpy as np
 
+from mhssm import tensor as T
 from mhssm.nn import Linear
 from mhssm.tensor import Tensor
 
@@ -39,3 +45,36 @@ def tie_directions(block):
         name: Tensor(value.data.copy(), requires_grad=True)
         for name, value in block.fwd.named_params().items()
     })
+
+
+@contextlib.contextmanager
+def dtype_leaks(dtype):
+    """Collect the tape nodes that leave ``dtype`` while the block runs.
+
+    Wraps ``mhssm.tensor.record_op`` (every node, in the library or not,
+    records through it) and yields a list of (recording function, "output"
+    or "grad", dtype) for each node output, and each gradient a node's
+    backward hands to ``acc``, of another dtype.
+    """
+    leaks = []
+    record_op = T.record_op
+
+    def checked_record(output, inputs, backward_fn):
+        name = sys._getframe(1).f_code.co_name
+        if output.dtype != dtype:
+            leaks.append((name, "output", output.dtype))
+
+        def backward(g, acc):
+            def checked_acc(t, grad):
+                if grad.dtype != dtype:
+                    leaks.append((name, "grad", grad.dtype))
+                acc(t, grad)
+            backward_fn(g, checked_acc)
+
+        record_op(output, inputs, backward)
+
+    T.record_op = checked_record
+    try:
+        yield leaks
+    finally:
+        T.record_op = record_op

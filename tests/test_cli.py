@@ -164,3 +164,16 @@ def test_evaluate_truncated_checkpoint_is_error(cfg_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--checkpoint", str(cut), "--batches", "1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_resume_with_other_seed_is_config_error(cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "more"),
+                 "--seed", "99", "--resume", str(out / "checkpoint.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'seed'" in err
+    assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "same"),
+                 "--seed", str(CFG["seed"]), "--resume", str(out / "checkpoint.bin")]) == 0

@@ -9,8 +9,10 @@ from mhssm.encoder import (EncoderConfig, MultiScaleFrontend,
                            time_reduction)
 from mhssm.errors import ConfigError
 from mhssm.seq import SeqBatch
+from mhssm.ssm import CHUNKED_ABOVE
 from mhssm.tensor import GradTape, Tensor
 
+from hooks import dtype_leaks
 from oracles import loop_attention_weights
 
 
@@ -306,3 +308,37 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+
+class TestFloat32:
+    """A float32 encoder computes in float32 end to end, backward included."""
+
+    SMALL = dict(input_dim=6, model_dim=8, num_layers=1, attn_heads=2, ffn_dim=16,
+                 heads=2, stack=1, state_dim=4, fe_heads=2, fe_stack=1,
+                 fe_state_dim=4, dropout=0.0, dtype="float32")
+
+    @pytest.mark.parametrize("block_kind,gating,frontend,length", [
+        ("mh_ssm", "ihg", "linear", 24),
+        ("mh_ssm", "glu", "linear", 24),
+        ("mh_ssm", "gelu", "linear", 24),
+        ("stateformer", "ihg", "linear", 24),
+        ("stateformer", "glu", "ms", 48),
+        # past the crossover, so the chunked convolution node runs
+        ("mh_ssm", "ihg", "linear", CHUNKED_ABOVE + 37),
+    ])
+    def test_every_node_and_gradient_is_float32(self, block_kind, gating, frontend, length):
+        cfg = EncoderConfig(frontend=frontend, block_kind=block_kind, gating=gating,
+                            **self.SMALL)
+        enc = build_encoder(cfg, seed=3)
+        rng = np.random.default_rng(8)
+        x = seq(rng, length, cfg.input_dim, batch=2, lengths=[length, length - 5])
+        x = x.with_data(Tensor(x.data.data, dtype=np.float32))
+        with dtype_leaks(np.float32) as leaks:
+            with GradTape() as tape:
+                out = enc(x).data
+                weights = Tensor(rng.standard_normal(out.shape), dtype=np.float32)
+                loss = T.tsum(T.mul(out, weights))
+            grads = tape.gradients(loss)
+        assert leaks == []
+        assert out.dtype == np.float32 and loss.dtype == np.float32
+        assert grads and all(g.dtype == np.float32 for g in grads.values())

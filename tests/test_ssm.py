@@ -4,7 +4,9 @@ import pytest
 from mhssm import tensor as T
 from mhssm.errors import ConfigError, ShapeError
 from mhssm.seq import SeqBatch
-from mhssm.ssm import (DiagonalSsm, DiscreteSsm, discretize, init_ssm,
+from mhssm.blocks import BidirMhSsmBlock, MhSsmBlockConfig
+from mhssm.ssm import (CHUNK, CHUNKED_ABOVE, DiagonalSsm, DiscreteSsm,
+                       _chunked_conv, _readout_weights, discretize, init_ssm,
                        init_ssm_rng, kernel_sum_bound, materialize_kernel,
                        ssm_conv, ssm_scan, stack_systems)
 from mhssm.tensor import GradTape, Tensor
@@ -332,3 +334,140 @@ class TestFuse:
     def test_state_dim_mismatch(self):
         with pytest.raises(ShapeError):
             stack_systems([init_ssm(4, 1, seed=0), init_ssm(8, 1, seed=1)])
+
+
+def fft_conv(d, u):
+    return T.causal_conv_fft(u, materialize_kernel(d, u.shape[1]), d.d)
+
+
+def chunked_conv(d, u):
+    cb_re, cb_im = _readout_weights(d)
+    return _chunked_conv(u, d.logmag, d.angle, cb_re, cb_im, d.d)
+
+
+def output_and_grads(conv, make_discrete, leaves, u, weights):
+    """conv's output and the gradient of sum(y * weights) for every leaf."""
+    with GradTape() as tape:
+        y = conv(make_discrete(), u)
+        loss = T.tsum(T.mul(y, Tensor(weights)))
+    grads = tape.gradients(loss)
+    return y.data, {name: grads[t] for name, t in leaves.items()}
+
+
+def assert_paths_agree(make_discrete, leaves, u, weights, out_rtol=1e-13, grad_rtol=1e-12):
+    """The chunked node matches the FFT path: output relative to its peak,
+    every gradient relative to the global gradient norm."""
+    y_ref, g_ref = output_and_grads(fft_conv, make_discrete, leaves, u, weights)
+    y, g = output_and_grads(chunked_conv, make_discrete, leaves, u, weights)
+    assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
+    assert np.abs(y - y_ref).max() <= out_rtol * np.abs(y_ref).max()
+    norm = np.sqrt(sum(float((a ** 2).sum()) for a in g_ref.values()))
+    for name in g_ref:
+        assert np.isfinite(g[name]).all(), name
+        assert np.abs(g[name] - g_ref[name]).max() <= grad_rtol * norm, name
+
+
+def polar_system(logmag, angle, cb, d_skip):
+    """Leaves of a discrete system given in polar form, and a builder for it."""
+    leaves = {"logmag": logmag, "angle": angle, "cb_re": cb.real, "cb_im": cb.imag,
+              "d": d_skip}
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
+    p, n = logmag.shape
+    ones, zeros = Tensor(np.ones((p, n))), Tensor(np.zeros((p, n)))
+    abar = np.exp(logmag + 1j * angle)
+
+    def make():
+        # c = cb and bbar = 1, so the readout product is cb itself
+        return DiscreteSsm(n, p, Tensor(abar.real), Tensor(abar.imag), ones, zeros,
+                           leaves["cb_re"], leaves["cb_im"], leaves["d"],
+                           logmag=leaves["logmag"], angle=leaves["angle"])
+
+    return make, leaves
+
+
+class TestChunkedConv:
+    @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+                                        CHUNKED_ABOVE - 1, CHUNKED_ABOVE + 1,
+                                        4097, 8192, 16384])
+    def test_matches_fft_path(self, length):
+        rng = np.random.Generator(np.random.PCG64(length))
+        ssm = stack_systems([init_ssm_rng(8, 2, rng, scheme)
+                             for scheme in ("s4d_lin", "random_stable")])
+        batch = 2 if length <= 4097 else 1
+        u = Tensor(rng.standard_normal((batch, length, 4)), requires_grad=True)
+        weights = rng.standard_normal(u.shape)
+        assert_paths_agree(lambda: discretize(ssm), {**ssm.named_params(), "u": u},
+                           u, weights)
+
+    def test_heavily_damped_system(self):
+        # |abar| ~ e^-5: every power past the first chunk is below 1e-69
+        rng = np.random.default_rng(22)
+        logmag = rng.uniform(-5.5, -4.5, (3, 4))
+        make, leaves = polar_system(logmag, rng.uniform(-np.pi, np.pi, (3, 4)),
+                                    rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
+                                    rng.standard_normal(3))
+        u = Tensor(rng.standard_normal((2, CHUNKED_ABOVE + 45, 3)), requires_grad=True)
+        assert_paths_agree(make, {**leaves, "u": u}, u, rng.standard_normal(u.shape))
+
+    def test_degenerate_transition_is_memoryless(self):
+        # abar = 0 (log|abar| = -inf): y = (2 Re sum cb + d) * u, exactly memoryless
+        rng = np.random.default_rng(23)
+        cb = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        d_skip = rng.standard_normal(2)
+        make, leaves = polar_system(np.full((2, 4), -np.inf), rng.uniform(-3, 3, (2, 4)),
+                                    cb, d_skip)
+        u = Tensor(rng.standard_normal((2, CHUNKED_ABOVE + 9, 2)), requires_grad=True)
+        weights = rng.standard_normal(u.shape)
+        y, grads = output_and_grads(chunked_conv, make, {**leaves, "u": u}, u, weights)
+        gain = 2.0 * cb.sum(axis=1).real + d_skip
+        np.testing.assert_allclose(y, u.data * gain, atol=1e-12)
+        np.testing.assert_allclose(grads["u"], weights * gain, atol=1e-12)
+        assert (grads["logmag"] == 0.0).all()
+        assert_paths_agree(make, {**leaves, "u": u}, u, weights)
+
+    def test_matches_scan_with_gradients(self):
+        ssm = init_ssm(4, 2, seed=24, scheme="random_stable")
+        rng = np.random.default_rng(25)
+        u = Tensor(rng.standard_normal((2, 2 * CHUNK + 3, 2)), requires_grad=True)
+        weights = rng.standard_normal(u.shape)
+        leaves = {**ssm.named_params(), "u": u}
+
+        def scan(d, x):
+            return ssm_scan(d, SeqBatch(x, [x.shape[1]] * x.shape[0])).data
+
+        y_scan, g_scan = output_and_grads(scan, lambda: discretize(ssm), leaves, u, weights)
+        y, g = output_and_grads(chunked_conv, lambda: discretize(ssm), leaves, u, weights)
+        assert np.abs(y - y_scan).max() <= 1e-12 * np.abs(y_scan).max()
+        for name in g_scan:
+            scale = max(np.abs(g_scan[name]).max(), 1e-12)
+            assert np.abs(g[name] - g_scan[name]).max() <= 1e-10 * scale, name
+
+    def test_length_selects_the_path(self, monkeypatch):
+        d = discretize(init_ssm(4, 2, seed=26))
+        rng = np.random.default_rng(27)
+        long_u = make_batch(rng, CHUNKED_ABOVE + 1, 2, batch=2)
+        expected = chunked_conv(d, long_u.data).data
+
+        def no_fft(*args):
+            raise AssertionError("FFT path used past the crossover")
+
+        monkeypatch.setattr(T, "causal_conv_fft", no_fft)
+        np.testing.assert_array_equal(ssm_conv(d, long_u).data.data, expected)
+        with pytest.raises(AssertionError, match="FFT path"):
+            ssm_conv(d, make_batch(rng, CHUNKED_ABOVE, 2))
+
+    def test_padded_batch_through_bidirectional_block(self):
+        # ragged lengths past the crossover: each row alone matches its padded
+        # row, padding stays zero, through both directions of the block
+        cfg = MhSsmBlockConfig(model_dim=8, heads=2, stack=2, state_dim=4, dropout=0.0)
+        block = BidirMhSsmBlock(cfg, np.random.Generator(np.random.PCG64(28)))
+        rng = np.random.default_rng(29)
+        lengths = np.array([CHUNKED_ABOVE + 44, CHUNKED_ABOVE + 7, CHUNKED_ABOVE + 30])
+        width = int(lengths.max())
+        valid = np.arange(width)[None, :, None] < lengths[:, None, None]
+        frames = rng.standard_normal((3, width, 8)) * valid
+        out = block(SeqBatch(Tensor(frames), lengths)).data.data
+        assert (out[~valid[..., 0]] == 0.0).all()
+        for b, n in enumerate(lengths):
+            alone = block(SeqBatch(Tensor(frames[b:b + 1, :n]), [n])).data.data[0]
+            assert np.abs(alone - out[b, :n]).max() <= 1e-12 * np.abs(alone).max()

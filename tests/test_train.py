@@ -14,6 +14,7 @@ from mhssm.tensor import GradTape, Tensor
 from mhssm.training import (DEFAULTS, METRICS_HEADER, TaskModel, evaluate,
                             load_config, train)
 
+from hooks import dtype_leaks
 from oracles import ScalarAdam
 
 DATA = Path(__file__).parent / "data"
@@ -226,6 +227,31 @@ class TestTrainLoop:
         res_rows = [r.rsplit(",", 1)[0] for r in open(resumed["metrics_path"])]
         assert res_rows[-2:] == full_rows[-2:]
 
+    def test_resume_in_place_logs_each_step_once(self, tmp_path, monkeypatch):
+        # a run stopped after step 5 has logged steps 4 and 5, but its last
+        # checkpoint holds step 3; the resume must not log them twice
+        from mhssm import training
+        cfg = {**TINY, "steps": 8, "checkpoint_every": 3}
+        full = train(dict(cfg), out_dir=tmp_path / "full")
+        real_generate = training.generate_task
+
+        def generate_until_step_5(spec, batch, index, **kwargs):
+            if index == 5:
+                raise KeyboardInterrupt
+            return real_generate(spec, batch, index, **kwargs)
+
+        monkeypatch.setattr(training, "generate_task", generate_until_step_5)
+        with pytest.raises(KeyboardInterrupt):
+            train(dict(cfg), out_dir=tmp_path / "run")
+        monkeypatch.undo()
+        run = tmp_path / "run"
+        logged = [r.split(",")[0] for r in open(run / "metrics.csv")][1:]
+        assert logged == ["1", "2", "3", "4", "5"]
+        resumed = train(dict(cfg), out_dir=run, resume=run / "checkpoint.bin")
+        rows = [r.rsplit(",", 1)[0] for r in open(resumed["metrics_path"])]
+        assert [r.split(",")[0] for r in rows[1:]] == [str(s) for s in range(1, 9)]
+        assert rows == [r.rsplit(",", 1)[0] for r in open(full["metrics_path"])]
+
     def test_checkpoint_evaluation_roundtrip(self, tmp_path):
         result = train(dict(TINY), out_dir=tmp_path / "run")
         a = evaluate(result["checkpoint_path"], batches=2)
@@ -307,6 +333,18 @@ class TestTrainLoop:
         arrays, _ = mhssm.load_checkpoint(result["checkpoint_path"])
         model_arrays = [a for k, a in arrays.items() if k.startswith("model.")]
         assert all(a.dtype == np.float32 for a in model_arrays)
+
+    def test_float32_model_computes_in_float32(self):
+        model = TaskModel({**DEFAULTS, **TINY, "dtype": "float32"})
+        x, targets = generate_task(model.spec, 2, 0, dtype=np.float32)
+        with dtype_leaks(np.float32) as leaks:
+            with GradTape() as tape:
+                logits = model(x)
+                loss = T.cross_entropy(logits, targets, IGNORE_INDEX)
+            grads = tape.gradients(loss)
+        assert leaks == []
+        assert logits.dtype == np.float32 and loss.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.values())
 
     def test_float32_dropout_resume_bitwise(self, tmp_path):
         cfg = {**TINY, "dtype": "float32", "dropout": 0.2, "checkpoint_every": 6}
