@@ -18,7 +18,7 @@ from .seq import SeqBatch, reverse_time
 from .ssm import (DiagonalSsm, DiscreteSsm, discretize, init_ssm,
                   materialize_kernel, ssm_conv, ssm_scan)
 from .tasks import IGNORE_INDEX, TaskSpec, generate_task
-from .tensor import GradTape, Tensor, backward
+from .tensor import GradTape, Tensor
 from .training import DEFAULTS, evaluate, load_config, train
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "DirectionalMhSsm", "DiscreteSsm", "Encoder", "EncoderConfig", "GradTape",
     "IGNORE_INDEX", "LayerNorm", "Linear", "LrSchedule", "MhSsmBlockConfig",
     "MhSsmStage", "Module", "NumericsError", "SeqBatch", "ShapeError",
-    "TaskSpec", "Tensor", "backward", "build_encoder", "clip_grad_norm",
+    "TaskSpec", "Tensor", "build_encoder", "clip_grad_norm",
     "discretize", "evaluate", "generate_task", "init_ssm", "inter_head_gate",
     "load_checkpoint", "load_config", "materialize_kernel", "param_count",
     "reverse_time", "save_checkpoint", "ssm_conv", "ssm_scan", "tensor",

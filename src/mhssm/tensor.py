@@ -13,6 +13,19 @@ that produced it has run its backward. The hottest composites (affine map,
 sigmoid gate, convolution plus skip) are single nodes that store their
 result once.
 
+The elementwise rules ``gelu``, ``glu`` and ``layer_norm`` build each result
+in one preallocated buffer with ``out=`` and in-place operators, in the same
+operation order as the plain expressions, so their values keep every bit.
+
+A training step frees over a hundred megabytes of tape and takes them back on
+the next step. glibc's malloc serves arrays above its mmap threshold with
+fresh mappings and trims freed memory at the top of its heap back to the
+kernel, so every step would fault all of those pages in again. The first
+:class:`GradTape` to open therefore fixes the mmap threshold at 1 GiB and
+the trim threshold at 2**31 - 1 bytes through ``mallopt``, once per process,
+so freed step memory stays in the heap for the next step. Under any other C
+library, or off Linux, that call does nothing.
+
 Tensors are immutable once created and may be shared freely across threads.
 A tape is single-threaded: record and backward must happen on one logical
 thread.
@@ -20,7 +33,11 @@ thread.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import platform
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +52,26 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# mallopt parameter numbers from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# far above a step's big arrays (the default config's feed-forward
+# activations are 16 MiB), so they come from the heap, not from mmap
+_MMAP_THRESHOLD_BYTES = 1 << 30
+_TRIM_THRESHOLD_BYTES = 2**31 - 1
+
+
+@functools.cache
+def _retain_heap() -> None:
+    """Keep freed memory in glibc's heap (see the module docstring)."""
+    if not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 class Tensor:
@@ -87,10 +124,6 @@ def zeros(shape, dtype=np.float64) -> Tensor:
     return Tensor._wrap(np.zeros(shape, dtype=dtype))
 
 
-def constant(value: float, shape=(), dtype=np.float64) -> Tensor:
-    return Tensor._wrap(np.full(shape, value, dtype=dtype))
-
-
 class _Node:
     __slots__ = ("output", "backward")
 
@@ -119,6 +152,7 @@ class GradTape:
         self._params: dict[int, Tensor] = {}
 
     def __enter__(self) -> "GradTape":
+        _retain_heap()
         _TAPES.append(self)
         return self
 
@@ -161,11 +195,6 @@ class GradTape:
         return {
             t: grads[key] for key, t in self._params.items() if key in grads
         }
-
-
-def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Replay the tape in reverse, returning per-parameter gradients."""
-    return tape.gradients(loss)
 
 
 def _active() -> GradTape | None:
@@ -281,12 +310,6 @@ def exp(a: Tensor) -> Tensor:
     return out
 
 
-def log(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.log(a.data))
-    record_op(out, (a,), lambda g, acc: acc(a, g / a.data))
-    return out
-
-
 def sin(a: Tensor) -> Tensor:
     out = Tensor._wrap(np.sin(a.data))
     record_op(out, (a,), lambda g, acc: acc(a, g * np.cos(a.data)))
@@ -306,21 +329,26 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.maximum(a.data, 0.0))
-    record_op(out, (a,), lambda g, acc: acc(a, g * (a.data > 0.0)))
-    return out
-
-
 def gelu(a: Tensor) -> Tensor:
     """Gaussian-CDF gelu: x * Phi(x), with Phi computed through erf."""
     x = a.data
-    phi_cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    # phi_cdf = 0.5 * (1 + erf(x / sqrt 2)), built in its own buffer
+    phi_cdf = x * _INV_SQRT2
+    _erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     out = Tensor._wrap(x * phi_cdf)
 
     def bwd(g, acc):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        acc(a, g * (phi_cdf + x * pdf))
+        # g * (phi_cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        gx = np.multiply(x, -0.5)
+        gx *= x
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT_2PI
+        gx *= x
+        gx += phi_cdf
+        gx *= g
+        acc(a, gx)
 
     record_op(out, (a,), bwd)
     return out
@@ -343,8 +371,13 @@ def glu(y: Tensor) -> Tensor:
 
     def bwd(g, acc):
         gy = np.empty(y.shape, dtype=np.result_type(g, s))
-        gy[..., :half] = g * s
-        gy[..., half:] = g * value * s * (1.0 - s)
+        g_value, g_gate = gy[..., :half], gy[..., half:]
+        # g * value * s * (1 - s), with 1 - s parked in the value half
+        np.subtract(1.0, s, out=g_value)
+        np.multiply(g, value, out=g_gate)
+        g_gate *= s
+        g_gate *= g_value
+        np.multiply(g, s, out=g_value)
         acc(y, gy)
 
     record_op(out, (y,), bwd)
@@ -462,11 +495,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def reverse_within(a: Tensor, lengths) -> Tensor:
     """Reverse axis 1 of each batch row within its valid length.
 
@@ -502,22 +530,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    xhat = x.data - mu
+    buf = xhat * xhat
+    var = buf.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor._wrap(xhat * gain.data + bias.data)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=buf)
+    buf += bias.data
+    out = Tensor._wrap(buf)
 
     def bwd(g, acc):
         lead = tuple(range(g.ndim - 1))
-        acc(gain, (g * xhat).sum(axis=lead))
+        buf = g * xhat
+        acc(gain, buf.sum(axis=lead))
         acc(bias, g.sum(axis=lead))
-        gh = g * gain.data
-        gx = inv * (
-            gh
-            - gh.mean(axis=-1, keepdims=True)
-            - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-        )
+        # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain
+        gx = g * gain.data
+        np.multiply(gx, xhat, out=buf)
+        proj = buf.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, proj, out=buf)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= buf
+        gx *= inv
         acc(x, gx)
 
     record_op(out, (x, gain, bias), bwd)
@@ -607,56 +641,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fourier transforms and FFT convolution
-
-
-def _require_pow2(n: int):
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ShapeError(
-            f"sequence length {n} is not a power of two; zero-pad the input before transforming"
-        )
+# FFT convolution
 
 
 def next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
-
-
-def fft_real(x: Tensor) -> Tensor:
-    """Discrete Fourier transform of a real sequence along the last axis.
-
-    Returns the spectrum with a trailing axis of size 2 holding (re, im).
-    The length must be a power of two; callers zero-pad.
-    """
-    n = x.shape[-1]
-    _require_pow2(n)
-    spec = np.fft.fft(x.data, axis=-1)
-    out = Tensor._wrap(
-        np.stack([spec.real, spec.imag], axis=-1).astype(x.dtype, copy=False)
-    )
-
-    def bwd(g, acc):
-        gc = g[..., 0] + 1j * g[..., 1]
-        acc(x, (n * np.fft.ifft(gc, axis=-1).real).astype(x.dtype, copy=False))
-
-    record_op(out, (x,), bwd)
-    return out
-
-
-def ifft_real(z: Tensor) -> Tensor:
-    """Inverse of :func:`fft_real`; returns the real part of the inverse DFT."""
-    if z.shape[-1] != 2:
-        raise ShapeError(f"expected trailing (re, im) axis of size 2, got shape {z.shape}")
-    n = z.shape[-2]
-    _require_pow2(n)
-    zc = z.data[..., 0] + 1j * z.data[..., 1]
-    out = Tensor._wrap(np.fft.ifft(zc, axis=-1).real.astype(z.dtype, copy=False))
-
-    def bwd(g, acc):
-        gf = np.fft.fft(g, axis=-1) / n
-        acc(z, np.stack([gf.real, gf.imag], axis=-1).astype(z.dtype, copy=False))
-
-    record_op(out, (z,), bwd)
-    return out
 
 
 def causal_conv_fft(u: Tensor, kernel: Tensor, skip: Tensor) -> Tensor:

@@ -16,6 +16,8 @@ Adam moments. The container bytes and ``checkpoint.VERSION`` are unchanged.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 import time
 from pathlib import Path
@@ -23,13 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .blocks import GATINGS
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import Encoder, EncoderConfig
+from .encoder import BLOCK_KINDS, FRONTENDS, Encoder, EncoderConfig
 from .errors import ConfigError, NumericsError
 from .nn import Linear, Module
 from .optim import Adam, LrSchedule, clip_grad_norm
 from .seq import SeqBatch
-from .tasks import IGNORE_INDEX, TaskSpec, generate_task
+from .tasks import IGNORE_INDEX, TASK_KINDS, TaskSpec, generate_task
 from .tensor import GradTape, Tensor
 
 METRICS_HEADER = "step,epoch,lr,loss,acc,seconds"
@@ -93,14 +96,71 @@ def _config_overrides(source) -> dict:
     return overrides
 
 
+# the least value of each integer key
+_INT_MIN = {
+    "seq_len": 1, "vocab": 2, "lag": 0, "num_markers": 1, "model_dim": 1,
+    "num_layers": 0, "heads": 1, "stack": 1, "state_dim": 1, "attn_heads": 1,
+    "ffn_dim": 1, "batch": 1, "steps": 0, "steps_per_epoch": 1, "warmup_steps": 0,
+    "hold_epochs": 0, "seed": 0, "eval_every": 0, "eval_batches": 1,
+    "checkpoint_every": 0,
+}
+
+# the range of each real-valued key; None is allowed where the default is None
+_REAL_RANGE = {
+    "dropout": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "peak_lr": ("> 0", lambda v: v > 0.0),
+    "decay_factor": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "clip_norm": (">= 0", lambda v: v >= 0.0),
+    "target_acc": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+
+_CHOICES = {
+    "task": TASK_KINDS, "frontend": FRONTENDS, "block": BLOCK_KINDS,
+    "gating": GATINGS, "dtype": ("float64", "float32"),
+}
+
+
+def _check_value(key: str, value) -> None:
+    """Raise ConfigError unless ``value`` has the type and range ``key`` needs."""
+    if value is None and DEFAULTS[key] is None:
+        return
+    if key in _INT_MIN:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                or value < _INT_MIN[key]:
+            raise ConfigError(
+                f"{key} must be an integer >= {_INT_MIN[key]}, got {value!r}")
+    elif key in _REAL_RANGE:
+        text, ok = _REAL_RANGE[key]
+        if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+                or not math.isfinite(value) or not ok(value):
+            raise ConfigError(f"{key} must be a number {text}, got {value!r}")
+    elif key in _CHOICES:
+        if value not in _CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {value!r}")
+    elif key == "positional":
+        if not isinstance(value, bool):
+            raise ConfigError(f"positional must be true, false or null, got {value!r}")
+    elif key == "out":
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"out must be a non-empty path string, got {value!r}")
+
+
 def load_config(source) -> dict:
-    """Merge a config mapping or JSON file over the defaults."""
+    """Merge a config mapping or JSON file over the defaults.
+
+    Every value is checked for its type and range, and the task and model
+    built from the merged config are validated, so a bad config raises
+    :class:`ConfigError` here, before anything is written.
+    """
     overrides = _config_overrides(source)
     unknown = set(overrides) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = dict(DEFAULTS)
     cfg.update(overrides)
+    for key, value in cfg.items():
+        _check_value(key, value)
+    encoder_config(cfg, task_spec(cfg).input_dim)
     return cfg
 
 
@@ -275,13 +335,13 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     step and drops the later ones before appending.
     """
     overrides = _config_overrides(config)
-    cfg = load_config(overrides)
-    _check_eval_batches(cfg["eval_batches"])
-    _check_token_frontend(cfg)
+    flags = {}
     if seed is not None:
-        cfg["seed"] = int(seed)
+        flags["seed"] = int(seed)
     if out_dir is not None:
-        cfg["out"] = str(out_dir)
+        flags["out"] = str(out_dir)
+    cfg = load_config({**overrides, **flags})
+    _check_token_frontend(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"

@@ -23,13 +23,6 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def naive_dft(x: np.ndarray) -> np.ndarray:
-    n = x.shape[-1]
-    k = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return x @ w.T
-
-
 def direct_causal_conv(u: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """O(L^2) causal convolution; u is (length,), kernel is (taps,)."""
     length = len(u)

@@ -177,3 +177,25 @@ def test_resume_with_other_seed_is_config_error(cfg_file, tmp_path, capsys):
     assert "error:" in err and "'seed'" in err
     assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "same"),
                  "--seed", str(CFG["seed"]), "--resume", str(out / "checkpoint.bin")]) == 0
+
+
+@pytest.mark.parametrize("bad", [
+    {"batch": "32"}, {"peak_lr": "x"}, {"steps_per_epoch": 0}, {"batch": 0},
+    {"dropout": True}, {"steps": 8.0}, {"out": 5}, {"lag": 32}, {"heads": 3},
+], ids=["batch-str", "peak_lr-str", "steps_per_epoch-0", "batch-0", "dropout-bool",
+        "steps-float", "out-int", "lag-past-seq_len", "heads-not-dividing"])
+def test_train_with_bad_value_fails_before_output(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CFG, **bad)))
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(path)] + ([] if "out" in bad else ["--out", str(out)])
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_with_negative_seed_flag_fails_before_output(cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out), "--seed", "-1"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
