@@ -1,5 +1,6 @@
-"""Test-only substitutions that reduce a layer to a simpler one, and a
-probe on the tape's node dtypes.
+"""Test-only substitutions that reduce a layer to a simpler one, a probe on
+the tape's node dtypes, and the environment for tests that start a fresh
+interpreter.
 
 Each works through the layer's own parameters or attributes, or through the
 library's public ``record_op``, so the production code carries no switches
@@ -7,10 +8,13 @@ for them.
 """
 
 import contextlib
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import mhssm
 from mhssm import tensor as T
 from mhssm.nn import Linear
 from mhssm.tensor import Tensor
@@ -78,3 +82,13 @@ def dtype_leaks(dtype):
         yield leaks
     finally:
         T.record_op = record_op
+
+
+def subprocess_env(**extra) -> dict:
+    """This process's environment with the imported ``mhssm`` on PYTHONPATH.
+
+    A child interpreter then imports the same package, installed or not.
+    """
+    src = str(Path(mhssm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)

@@ -18,6 +18,8 @@ from mhssm.verify import (criterion_determinism, criterion_frontends,
                           criterion_stability)
 from mhssm.training import train
 
+from hooks import subprocess_env
+
 LEARNING_BUDGET_SECONDS = 1800.0
 
 LEARN_BASE = {
@@ -131,7 +133,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 
 def test_criterion_9_selftest_cli():
     proc = subprocess.run([sys.executable, "-m", "mhssm.cli", "selftest"],
-                          capture_output=True, text=True, timeout=1200)
+                          capture_output=True, text=True, timeout=1200,
+                          env=subprocess_env())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("PASS") >= 7
     report(9, "selftest CLI", "exit code 0; " + proc.stdout.strip().splitlines()[-1])

@@ -6,6 +6,8 @@ import pytest
 
 from mhssm.cli import main
 
+from hooks import subprocess_env
+
 CFG = {
     "task": "delayed_echo", "seq_len": 32, "vocab": 4, "lag": 4,
     "model_dim": 16, "num_layers": 1, "heads": 2, "stack": 1, "state_dim": 4,
@@ -96,7 +98,7 @@ def test_console_entry_point(cfg_file, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mhssm.cli", "train", "--config", str(cfg_file),
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert (out / "metrics.csv").exists()
 

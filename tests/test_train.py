@@ -1,5 +1,4 @@
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -18,7 +17,7 @@ from mhssm.tensor import GradTape, Tensor
 from mhssm.training import (DEFAULTS, METRICS_HEADER, TaskModel, evaluate,
                             load_config, train)
 
-from hooks import dtype_leaks
+from hooks import dtype_leaks, subprocess_env
 from oracles import ScalarAdam
 
 DATA = Path(__file__).parent / "data"
@@ -431,10 +430,8 @@ def test_warm_training_steps_take_no_page_faults():
     # the heap policy every step here takes about 5,000 minor faults; with it,
     # fragmentation still lifts the heap's high-water mark by up to ~160 pages
     # on some warm steps, hence the bound of 1,000
-    src = str(Path(mhssm.__file__).resolve().parents[1])
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = subprocess_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                         MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
