@@ -13,32 +13,26 @@ Two equivalent execution paths are provided: an exact sequential recurrence
 (`ssm_conv`). Training uses the convolution; the scan doubles as an
 independent oracle and a streaming-style evaluator.
 
-`ssm_conv` picks its algorithm by input length alone:
+`ssm_conv` runs one algorithm at every input length: `_chunked_conv`,
+chunked state passing (Dao & Gu 2024, arXiv 2405.21060). Small GEMMs act
+inside chunks of CHUNK = 32 steps and the n-mode state is carried between
+them, O(L * (Q + 4n)) work per channel, with no kernel and no transform
+(per-node timings in the `ssm_conv` docstring). CHUNK = 32 beat 16 and 64 at
+(1, 8192), (32, 512) and (8, 800) alike.
 
-* up to CHUNKED_ABOVE = 256 steps it materializes the kernel and convolves
-  by FFT (`T.causal_conv_fft`). The impulse response, a Vandermonde sum over
-  modes, is computed the same way at every length: taps fall into about
-  sqrt(L) blocks of about sqrt(L) taps, the per-block and within-block
-  powers of the transition are taken in log space, and one batched complex
-  matmul combines them (see `_damped_response`; S4D kernel computation, Gu
-  et al. 2022, arXiv 2206.11893);
-* longer inputs run `_chunked_conv`, chunked state passing (Dao & Gu 2024,
-  arXiv 2405.21060): small GEMMs inside chunks of CHUNK = 32 steps and the
-  n-mode state carried between them, O(L * (Q + 4n)) work per channel, with
-  no kernel and no transform.
-
-The switch is where the FFT path's cost doubles: past 256 steps its
-transform size goes from 512 to 1024 points. Measured per node (forward and
-backward, 16 states, one BLAS thread, median of 9 calls), the chunked node
-took 0.45-0.64x the FFT path's time at 257 steps (batch 8 and 32, 16 to 64
-channels) and 0.34x at batch 1 and 8192 steps, but 0.80-0.94x at 256 steps
-and 0.91-1.18x at 128. Keeping the FFT path through 256 steps keeps the
-results of the default 256-step configuration bit for bit. CHUNK = 32 beat
-16 and 64 at (1, 8192), (32, 512) and (8, 800) alike.
+The impulse response itself (`materialize_kernel`) serves
+`kernel_sum_bound`, the self-check and the tests, which convolve it by FFT
+(`T.causal_conv_fft`) as the reference for `ssm_conv`. It is computed the
+same way at every length: taps fall into about sqrt(L) blocks of about
+sqrt(L) taps, the per-block and within-block powers of the transition are
+taken in log space, and one batched complex matmul combines them (see
+`_damped_response`; S4D kernel computation, Gu et al. 2022, arXiv
+2206.11893).
 
 The logs log|abar| and arg(abar) are required fields of every
 `DiscreteSsm`: discretization yields them directly as dt times the
-continuous eigenvalue, and both paths take their powers from them.
+continuous eigenvalue, and the chunked node and the kernel take their
+powers from them.
 """
 
 from __future__ import annotations
@@ -58,11 +52,10 @@ INIT_SCHEMES = ("s4d_lin", "random_stable")
 DT_MIN = 0.001
 DT_MAX = 0.1
 
-# chunk length of `_chunked_conv`, and the longest input `ssm_conv` still
-# convolves by FFT (measurements in the module docstring)
+# chunk length of `_chunked_conv` (measurements in the module docstring),
+# and the values of one batch row its layout copies move at once
 CHUNK = 32
-CHUNKED_ABOVE = 256
-_TRANSPOSE_STEPS = 64
+_TILE_VALUES = 16384
 
 
 class DiagonalSsm(Module):
@@ -298,6 +291,22 @@ def _log_powers(logmag: np.ndarray, angle: np.ndarray, taps: np.ndarray) -> np.n
     return mag * (np.cos(phase) + 1j * np.sin(phase))
 
 
+def _powers_through(logmag: np.ndarray, angle: np.ndarray, last: int) -> np.ndarray:
+    """abar^0..abar^last as (p, n, last+1), from about 2*sqrt(last) log powers.
+
+    abar^(s*i + j) = abar^(s*i) * abar^j with s = ceil(sqrt(last + 1)): each
+    power is one complex product of two `_log_powers` values, so only those
+    take exp, cos and sin (at 64 channels, 16 states and 33 powers: 0.7 ms
+    instead of 2.2 ms).
+    """
+    step = math.isqrt(last) + 1
+    blocks = -(-(last + 1) // step)
+    coarse = _log_powers(logmag, angle, step * np.arange(blocks, dtype=np.float64))
+    fine = _log_powers(logmag, angle, np.arange(step, dtype=np.float64))
+    powers = coarse[..., :, None] * fine[..., None, :]
+    return powers.reshape(logmag.shape + (-1,))[..., :last + 1]
+
+
 def _readout_weights(d: DiscreteSsm) -> tuple[Tensor, Tensor]:
     """cb = c * bbar per mode, as a (re, im) pair of (channels, state) tensors."""
     cb_re = T.sub(T.mul(d.c_re, d.bbar_re), T.mul(d.c_im, d.bbar_im))
@@ -323,19 +332,45 @@ def _toeplitz_select(q: int) -> np.ndarray:
     return (lag.reshape(-1, 1) == np.arange(q)).astype(np.float64)
 
 
-def _channels_first(x: np.ndarray, padded: int, dtype) -> np.ndarray:
-    """(batch, length, channels) -> (channels, batch, padded) of ``dtype``,
-    zeros past length.
+def _chunk_tiles(bsz: int, length: int, p: int):
+    """(batch row, first chunk, end chunk) of each tile the layout copies move
+    at once: about _TILE_VALUES values of one batch row, whole chunks only.
 
-    Copied _TRANSPOSE_STEPS time steps at a time: one whole-array transpose
-    copy strides through memory and ran ~4x slower at (1, 8192, 64).
+    One transposing copy of the whole array strides through memory and ran
+    3x slower at (32, 256, 64) and (1, 8192, 64). Per node, tiles of 16384
+    values beat tiles of 4096 by 1-4% at every workload shape.
     """
+    whole = length // CHUNK
+    per = max(1, _TILE_VALUES // (CHUNK * p))
+    for b in range(bsz):
+        for lo in range(0, whole, per):
+            yield b, lo, min(lo + per, whole)
+
+
+def _to_chunks(x: np.ndarray, chunks: int, dtype) -> np.ndarray:
+    """(batch, length, channels) -> (channels, chunks, batch, CHUNK) of
+    ``dtype``, zeros past length."""
     bsz, length, p = x.shape
-    out = np.empty((p, bsz, padded), dtype=dtype)
-    out[..., length:] = 0.0
-    for start in range(0, length, _TRANSPOSE_STEPS):
-        stop = min(start + _TRANSPOSE_STEPS, length)
-        out[..., start:stop] = x[:, start:stop].transpose(2, 0, 1)
+    q = CHUNK
+    out = np.empty((p, chunks, bsz, q), dtype=dtype)
+    for b, lo, hi in _chunk_tiles(bsz, length, p):
+        out[:, lo:hi, b] = x[b, lo * q:hi * q].reshape(hi - lo, q, p).transpose(2, 0, 1)
+    whole, rest = divmod(length, q)
+    if rest:
+        out[:, whole, :, :rest] = x[:, whole * q:].transpose(2, 0, 1)
+        out[:, whole, :, rest:] = 0.0
+    return out
+
+
+def _from_chunks(xc: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The inverse of `_to_chunks` into ``out`` (batch, length, channels)."""
+    bsz, length, p = out.shape
+    q = CHUNK
+    for b, lo, hi in _chunk_tiles(bsz, length, p):
+        out[b, lo * q:hi * q].reshape(hi - lo, q, p)[...] = xc[:, lo:hi, b].transpose(1, 2, 0)
+    whole, rest = divmod(length, q)
+    if rest:
+        out[:, whole * q:] = xc[:, whole, :, :rest].transpose(1, 2, 0)
     return out
 
 
@@ -346,94 +381,102 @@ def _chunked_conv(u: Tensor, logmag: Tensor, angle: Tensor, cb_re: Tensor,
     One fused node computing what ``causal_conv_fft(u, materialize_kernel)``
     does, without the L-tap kernel or any transform (chunked state passing,
     Dao & Gu 2024, arXiv 2405.21060). Time is cut into chunks of Q = CHUNK
-    steps, the last one zero-padded; z = abar, and the powers z^0..z^Q are
-    taken in log space by `_log_powers`, so abar = 0 stays memoryless.
+    steps, the last one zero-padded; z = abar, and the powers z^0..z^Q
+    come from log space (`_powers_through`), so abar = 0 stays memoryless.
+    Chunks are laid out chunk-major, (channels, chunks, batch, Q), so each
+    chunk's rows are one contiguous block.
 
     * Within a chunk the output is the chunk times the lower-triangular
       Toeplitz matrix of taps 0..Q-1, with the skip on its diagonal, and the
       chunk's end state is E = sum_s z^(Q-1-s) u_s: two batched GEMMs over
-      (channels, batch*chunks, Q).
+      (channels, chunks*batch, Q).
     * The state entering chunk i is S_i = z^Q S_(i-1) + E_(i-1), S_0 = 0, a
-      loop over chunks on (channels, batch, n) complex arrays.
+      loop over chunks on contiguous (channels, batch*n) blocks that
+      overwrites E_(i-1) with S_i in place.
     * A third GEMM adds the carried state's output Re(S_i @ 2 cb z^(t+1)) at
-      step t of chunk i, as a real GEMM over interleaved (re, im) columns.
+      step t of chunk i >= 1, as a real GEMM over interleaved (re, im)
+      columns.
 
     The backward pass runs the transposed GEMMs and the reverse recurrence
     H_i = dS_i + conj(z^Q) H_(i+1), sums the Toeplitz weight gradient along
     its diagonals, and maps every power gradient to the logs through
-    d z^k / d log z = k z^k. The node keeps the chunked input, the states
-    and the small weights, and no spectrum.
+    d z^k / d log z = k z^k. The node keeps the states and the small
+    weights, and no spectrum; the chunked input is rebuilt from ``u``.
     """
     bsz, length, p = u.shape
     n = logmag.shape[1]
     q = CHUNK
     chunks = -(-length // q)
     rows = bsz * chunks
+    carried = rows - bsz          # rows of chunks 1.., which have a carried state
     dtype = u.dtype
     cdtype = np.result_type(dtype, np.complex64)
-    powers = _log_powers(logmag.data, angle.data, np.arange(q + 1, dtype=np.float64))
+    powers = _powers_through(logmag.data, angle.data, q)                 # (p, n, q+1)
     cb = cb_re.data + 1j * cb_im.data
     select = _toeplitz_select(q)
     taps = 2.0 * np.matmul(cb[:, None, :], powers[..., :q])[:, 0].real   # (p, q)
     taps[:, 0] += skip.data
     # (p, q, q): row s holds tap t - s of the output at step t
-    w_toe = (taps @ select.T).reshape(p, q, q).astype(dtype)
+    w_toe = (taps @ select.T).reshape(p, q, q).astype(dtype, copy=False)
     # (p, q, 2n): row s holds z^(q-1-s), columns interleaved (re, im)
     w_end = np.ascontiguousarray(np.swapaxes(powers[..., q - 1::-1], 1, 2), dtype=cdtype)
     w_end = w_end.view(dtype)
     # (p, 2n, q): Re(S @ 2 cb z^(t+1)) over interleaved state columns
     w_c = 2.0 * cb[..., None] * powers[..., 1:]
-    w_out = np.stack([w_c.real, -w_c.imag], axis=2).reshape(p, 2 * n, q).astype(dtype)
-    z_q = powers[..., q].astype(cdtype)[:, None]                        # (p, 1, n)
+    w_out = np.stack([w_c.real, -w_c.imag], axis=2).reshape(p, 2 * n, q)
+    w_out = w_out.astype(dtype, copy=False)
+    # z^Q per (channel, batch row, mode), so the carry's inner loop spans
+    # batch*n contiguous values
+    z_q = np.repeat(powers[:, None, :, q].astype(cdtype), bsz, axis=1)
 
     # the arrays that outlive the call come before the temporaries, so the
     # space the temporaries free is reused; in the other order the heap
     # fragmented and peak RSS on `asr_stateformer` rose by 7%
-    uc = _channels_first(u.data, chunks * q, dtype).reshape(p, rows, q)
-    states = np.empty((p, bsz, chunks, n), dtype=cdtype)
     y = np.empty((bsz, length, p), dtype=dtype)
-    ends = np.matmul(uc, w_end).view(cdtype).reshape(p, bsz, chunks, n)
-    states[:, :, 0] = 0.0
-    for i in range(1, chunks):
-        np.multiply(z_q, states[:, :, i - 1], out=states[:, :, i])
-        states[:, :, i] += ends[:, :, i - 1]
-    flat_states = states.view(dtype).reshape(p, rows, 2 * n)
-    yc = np.matmul(flat_states, w_out)
-    yc += np.matmul(uc, w_toe)
-    y[...] = yc.reshape(p, bsz, chunks * q)[..., :length].transpose(1, 2, 0)
-    out = Tensor._wrap(y)
+    flat_states = np.empty((p, rows, 2 * n), dtype=dtype)
+    uc = _to_chunks(u.data, chunks, dtype).reshape(p, rows, q)
+    # E_i, then in place: states[:, i] = S_(i+1), the state entering chunk i+1
+    states = np.matmul(uc, w_end, out=flat_states).view(cdtype).reshape(p, chunks, bsz, n)
+    carry = np.empty((p, bsz, n), dtype=cdtype)
+    for i in range(1, chunks - 1):
+        np.multiply(z_q, states[:, i - 1], out=carry)
+        states[:, i] += carry
+    yc = np.matmul(uc, w_toe)
+    yc[:, bsz:] += np.matmul(flat_states[:, :carried], w_out)
+    out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y))
 
     def bwd(g, acc):
         gu = np.empty((bsz, length, p), dtype=dtype)           # first, as above
-        gc = _channels_first(g, chunks * q, dtype).reshape(p, rows, q)
-        # d loss / d E_i = H_(i+1), the last chunk's end state is unused
-        g_state = np.matmul(gc, np.swapaxes(w_out, 1, 2)).view(cdtype)
-        g_state = g_state.reshape(p, bsz, chunks, n)
-        g_ends = np.empty_like(g_state)
-        g_ends[:, :, -1] = 0.0
+        gc = _to_chunks(g, chunks, dtype).reshape(p, rows, q)
+        # d loss / d S_i, then in place H_i; d loss / d E_i = H_(i+1), and
+        # the last chunk's end state is unused
+        g_states = np.matmul(gc, np.swapaxes(w_out, 1, 2)).view(cdtype)
+        g_states = g_states.reshape(p, chunks, bsz, n)
         conj_zq = np.conj(z_q)
-        for i in range(chunks - 1, 0, -1):
-            np.multiply(conj_zq, g_ends[:, :, i], out=g_ends[:, :, i - 1])
-            g_ends[:, :, i - 1] += g_state[:, :, i]
-        del g_state
-        g_zq = (g_ends * np.conj(states)).sum(axis=(1, 2))
-        g_ends = g_ends.view(dtype).reshape(p, rows, 2 * n)
+        carry = np.empty_like(conj_zq)
+        for i in range(chunks - 2, 0, -1):
+            np.multiply(conj_zq, g_states[:, i + 1], out=carry)
+            g_states[:, i] += carry
+        g_zq = (g_states[:, 2:] * np.conj(states[:, :-2])).sum(axis=(1, 2))
+        g_ends = g_states.view(dtype).reshape(p, rows, 2 * n)[:, bsz:]
 
         gc_u = np.matmul(gc, np.swapaxes(w_toe, 1, 2))
-        gc_u += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
-        gu[...] = gc_u.reshape(p, bsz, chunks * q)[..., :length].transpose(1, 2, 0)
+        gc_u[:, :carried] += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
+        acc(u, _from_chunks(gc_u.reshape(p, chunks, bsz, q), gu))
         del gc_u
-        acc(u, gu)
 
-        uc_t = np.swapaxes(uc, 1, 2)
+        # rebuilt rather than kept: the tape already holds the input, and a
+        # kept copy raised peak RSS over default-config training steps by 7%
+        uc_t = np.swapaxes(_to_chunks(u.data, chunks, dtype).reshape(p, rows, q), 1, 2)
         g_taps = np.matmul(uc_t, gc).reshape(p, q * q) @ select          # (p, q)
         g_pow = np.zeros(powers.shape, dtype=np.complex128)              # (p, n, q+1)
         g_pow[..., :q] = 2.0 * np.conj(cb)[..., None] * g_taps[:, None, :]
         # the end-state weights hold z^(q-1-s) as (re, im) columns
-        g_pow[..., q - 1::-1] += np.swapaxes(np.matmul(uc_t, g_ends).view(cdtype), 1, 2)
+        g_pow[..., q - 1::-1] += np.swapaxes(
+            np.matmul(uc_t[..., :carried], g_ends).view(cdtype), 1, 2)
         # conj of d Re(S W) / d W for W = 2 cb z^(t+1), as (p, n, q)
-        g_w = 2.0 * np.conj(np.swapaxes(
-            np.matmul(np.swapaxes(gc, 1, 2), flat_states).view(cdtype), 1, 2))
+        g_w = 2.0 * np.conj(np.swapaxes(np.matmul(
+            np.swapaxes(gc[:, bsz:], 1, 2), flat_states[:, :carried]).view(cdtype), 1, 2))
         g_pow[..., 1:] += np.conj(cb)[..., None] * g_w
         g_pow[..., q] += g_zq
         g_cb = (2.0 * (g_taps[:, None, :] * np.conj(powers[..., :q])).sum(axis=-1)
@@ -452,16 +495,25 @@ def _chunked_conv(u: Tensor, logmag: Tensor, angle: Tensor, cb_re: Tensor,
 def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
     """Causal convolution with the system's impulse response, plus skip.
 
-    Same contract as :func:`ssm_scan`. Up to CHUNKED_ABOVE steps the kernel
-    is materialized and applied by FFT (``T.causal_conv_fft``, zero-padded to
-    at least twice the length so the circular transform stays acyclic);
-    longer inputs run :func:`_chunked_conv`, which never builds the kernel.
-    Either way the skip term ``d * u`` is added inside the one node.
+    Same contract as :func:`ssm_scan`, computed by :func:`_chunked_conv` at
+    every length as one node with the skip term ``d * u`` inside; the kernel
+    is never built. Per node in ms against the FFT reference (the
+    materialized kernel convolved by ``T.causal_conv_fft``), at the shapes
+    the benchmark workloads run: the forward alone, as evaluation runs it,
+    then forward and backward. 16 states, one BLAS thread, 2-core x86-64
+    host, discretization included, median of 61 interleaved calls with the
+    input out of cache::
+
+        (batch, steps, channels)  workload           FFT          chunked
+        (32, 256, 64)             echo_mh_ssm        15.1 / 46.0   8.3 / 32.8
+        (8, 192, 64)              asr encoder         4.6 / 12.2   2.9 /  9.0
+        (8, 384, 32)              asr frontend, 1/2   3.5 / 11.7   1.9 /  7.3
+        (8, 768, 16)              asr frontend        4.1 / 12.9   1.7 /  6.7
+        (1, 8192, 64)             echo_8k_mh_ssm     51.5 / 102   11.6 / 35.6
     """
     _check_channels(d, u)
-    if u.length <= CHUNKED_ABOVE:
-        kernel = materialize_kernel(d, u.length)
-        return u.with_data(T.causal_conv_fft(u.data, kernel, d.d))
+    if u.length < 1:
+        raise ShapeError(f"input length must be >= 1, got {u.length}")
     cb_re, cb_im = _readout_weights(d)
     return u.with_data(_chunked_conv(u.data, d.logmag, d.angle, cb_re, cb_im, d.d))
 

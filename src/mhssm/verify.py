@@ -21,7 +21,7 @@ from .encoder import (EncoderConfig, MultiScaleFrontend, StateformerLayer,
 from .nn import Module
 from .optim import Adam
 from .seq import SeqBatch
-from .ssm import (CHUNKED_ABOVE, DiagonalSsm, discretize, init_ssm_rng,
+from .ssm import (DiagonalSsm, discretize, init_ssm_rng,
                   kernel_sum_bound, materialize_kernel, ssm_conv, ssm_scan,
                   stack_systems)
 from .tensor import GradTape, Tensor
@@ -173,14 +173,14 @@ def tensor_op_cases(seed: int):
     case("materialize_kernel", system.named_params(),
          lambda ps: materialize_kernel(discretize(DiagonalSsm(3, 2, **ps)), 37))
 
-    # past the crossover ssm_conv runs the chunked node: here 8 whole chunks
-    # and a ragged ninth of 5 steps
-    chunked = init_ssm_rng(3, 2, rng, "random_stable")
-    steps = CHUNKED_ABOVE + 5
-    case("chunked_conv", {**chunked.named_params(), "u": leaf((1, steps, 2))},
-         lambda ps: ssm_conv(
-             discretize(DiagonalSsm(3, 2, **{k: v for k, v in ps.items() if k != "u"})),
-             SeqBatch(ps["u"], [steps])).data)
+    # ssm_conv's chunked node: 8 whole chunks and a ragged ninth of 5 steps,
+    # then a single ragged chunk, the short inputs training sends through it
+    for name, steps in (("chunked_conv", 261), ("chunked_conv_short", 5)):
+        chunked = init_ssm_rng(3, 2, rng, "random_stable")
+        case(name, {**chunked.named_params(), "u": leaf((1, steps, 2))},
+             lambda ps, steps=steps: ssm_conv(
+                 discretize(DiagonalSsm(3, 2, **{k: v for k, v in ps.items() if k != "u"})),
+                 SeqBatch(ps["u"], [steps])).data)
 
     return cases
 

@@ -1,6 +1,6 @@
-"""Test-only substitutions that reduce a layer to a simpler one, a probe on
-the tape's node dtypes, and the environment for tests that start a fresh
-interpreter.
+"""Test-only substitutions that reduce a layer to a simpler one or swap in a
+reference path, a probe on the tape's node dtypes, and the environment for
+tests that start a fresh interpreter.
 
 Each works through the layer's own parameters or attributes, or through the
 library's public ``record_op``, so the production code carries no switches
@@ -17,6 +17,7 @@ import numpy as np
 import mhssm
 from mhssm import tensor as T
 from mhssm.nn import Linear
+from mhssm.ssm import materialize_kernel
 from mhssm.tensor import Tensor
 
 
@@ -41,6 +42,12 @@ def set_identity_ssm(*stages):
             "c_im": Tensor(np.zeros(shape), requires_grad=True),
             "d": Tensor(np.ones(channels), requires_grad=True),
         })
+
+
+def fft_ssm_conv(d, u):
+    """``ssm_conv`` by the reference path: the materialized kernel,
+    convolved by FFT with the skip term."""
+    return u.with_data(T.causal_conv_fft(u.data, materialize_kernel(d, u.length), d.d))
 
 
 def tie_directions(block):

@@ -9,7 +9,6 @@ from mhssm.encoder import (EncoderConfig, MultiScaleFrontend,
                            time_reduction)
 from mhssm.errors import ConfigError
 from mhssm.seq import SeqBatch
-from mhssm.ssm import CHUNKED_ABOVE
 from mhssm.tensor import GradTape, Tensor
 
 from hooks import dtype_leaks
@@ -323,8 +322,8 @@ class TestFloat32:
         ("mh_ssm", "gelu", "linear", 24),
         ("stateformer", "ihg", "linear", 24),
         ("stateformer", "glu", "ms", 48),
-        # past the crossover, so the chunked convolution node runs
-        ("mh_ssm", "ihg", "linear", CHUNKED_ABOVE + 37),
+        # nine whole chunks of the convolution node and a ragged tenth
+        ("mh_ssm", "ihg", "linear", 293),
     ])
     def test_every_node_and_gradient_is_float32(self, block_kind, gating, frontend, length):
         cfg = EncoderConfig(frontend=frontend, block_kind=block_kind, gating=gating,

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from mhssm import ssm as ssm_module
 from mhssm import tensor as T
 from mhssm.errors import ConfigError, ShapeError
 from mhssm.seq import SeqBatch
 from mhssm.blocks import BidirMhSsmBlock, MhSsmBlockConfig
-from mhssm.ssm import (CHUNK, CHUNKED_ABOVE, DiagonalSsm, DiscreteSsm,
+from mhssm.ssm import (CHUNK, DiagonalSsm, DiscreteSsm,
                        _chunked_conv, _readout_weights, discretize, init_ssm,
                        init_ssm_rng, kernel_sum_bound, materialize_kernel,
                        ssm_conv, ssm_scan, stack_systems)
@@ -386,9 +387,8 @@ def polar_system(logmag, angle, cb, d_skip):
 
 
 class TestChunkedConv:
-    @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
-                                        CHUNKED_ABOVE - 1, CHUNKED_ABOVE + 1,
-                                        4097, 8192, 16384])
+    @pytest.mark.parametrize("length", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+                                        255, 256, 257, 4097, 8192, 16384])
     def test_matches_fft_path(self, length):
         rng = np.random.Generator(np.random.PCG64(length))
         ssm = stack_systems([init_ssm_rng(8, 2, rng, scheme)
@@ -406,7 +406,7 @@ class TestChunkedConv:
         make, leaves = polar_system(logmag, rng.uniform(-np.pi, np.pi, (3, 4)),
                                     rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
                                     rng.standard_normal(3))
-        u = Tensor(rng.standard_normal((2, CHUNKED_ABOVE + 45, 3)), requires_grad=True)
+        u = Tensor(rng.standard_normal((2, 301, 3)), requires_grad=True)
         assert_paths_agree(make, {**leaves, "u": u}, u, rng.standard_normal(u.shape))
 
     def test_degenerate_transition_is_memoryless(self):
@@ -416,7 +416,7 @@ class TestChunkedConv:
         d_skip = rng.standard_normal(2)
         make, leaves = polar_system(np.full((2, 4), -np.inf), rng.uniform(-3, 3, (2, 4)),
                                     cb, d_skip)
-        u = Tensor(rng.standard_normal((2, CHUNKED_ABOVE + 9, 2)), requires_grad=True)
+        u = Tensor(rng.standard_normal((2, 265, 2)), requires_grad=True)
         weights = rng.standard_normal(u.shape)
         y, grads = output_and_grads(chunked_conv, make, {**leaves, "u": u}, u, weights)
         gain = 2.0 * cb.sum(axis=1).real + d_skip
@@ -442,27 +442,33 @@ class TestChunkedConv:
             scale = max(np.abs(g_scan[name]).max(), 1e-12)
             assert np.abs(g[name] - g_scan[name]).max() <= 1e-10 * scale, name
 
-    def test_length_selects_the_path(self, monkeypatch):
+    def test_every_length_runs_the_chunked_node(self, monkeypatch):
         d = discretize(init_ssm(4, 2, seed=26))
         rng = np.random.default_rng(27)
-        long_u = make_batch(rng, CHUNKED_ABOVE + 1, 2, batch=2)
-        expected = chunked_conv(d, long_u.data).data
+        batches = [make_batch(rng, length, 2, batch=2)
+                   for length in (1, 5, 31, 32, 33, 255, 256, 257)]
+        expected = [chunked_conv(d, u.data).data for u in batches]
 
-        def no_fft(*args):
-            raise AssertionError("FFT path used past the crossover")
+        def no_kernel(*args):
+            raise AssertionError("kernel or FFT path used")
 
-        monkeypatch.setattr(T, "causal_conv_fft", no_fft)
-        np.testing.assert_array_equal(ssm_conv(d, long_u).data.data, expected)
-        with pytest.raises(AssertionError, match="FFT path"):
-            ssm_conv(d, make_batch(rng, CHUNKED_ABOVE, 2))
+        monkeypatch.setattr(T, "causal_conv_fft", no_kernel)
+        monkeypatch.setattr(ssm_module, "materialize_kernel", no_kernel)
+        for u, want in zip(batches, expected):
+            np.testing.assert_array_equal(ssm_conv(d, u).data.data, want)
+
+    def test_empty_input_rejected(self):
+        d = discretize(init_ssm(4, 2, seed=26))
+        with pytest.raises(ShapeError, match="length"):
+            ssm_conv(d, make_batch(np.random.default_rng(27), 0, 2))
 
     def test_padded_batch_through_bidirectional_block(self):
-        # ragged lengths past the crossover: each row alone matches its padded
+        # ragged lengths over many chunks: each row alone matches its padded
         # row, padding stays zero, through both directions of the block
         cfg = MhSsmBlockConfig(model_dim=8, heads=2, stack=2, state_dim=4, dropout=0.0)
         block = BidirMhSsmBlock(cfg, np.random.Generator(np.random.PCG64(28)))
         rng = np.random.default_rng(29)
-        lengths = np.array([CHUNKED_ABOVE + 44, CHUNKED_ABOVE + 7, CHUNKED_ABOVE + 30])
+        lengths = np.array([300, 263, 286])
         width = int(lengths.max())
         valid = np.arange(width)[None, :, None] < lengths[:, None, None]
         frames = rng.standard_normal((3, width, 8)) * valid

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mhssm
+from mhssm import blocks
 from mhssm import tensor as T
 from mhssm.errors import ConfigError, NumericsError
 from mhssm.optim import Adam, LrSchedule, clip_grad_norm
@@ -17,7 +18,7 @@ from mhssm.tensor import GradTape, Tensor
 from mhssm.training import (DEFAULTS, METRICS_HEADER, TaskModel, evaluate,
                             load_config, train)
 
-from hooks import dtype_leaks, subprocess_env
+from hooks import dtype_leaks, fft_ssm_conv, subprocess_env
 from oracles import ScalarAdam
 
 DATA = Path(__file__).parent / "data"
@@ -376,8 +377,14 @@ class TestPerHeadCheckpoints:
     """Checkpoints from the per-head stage layout (see data/make_legacy_checkpoints.py)."""
 
     @pytest.mark.parametrize("gating", ["ihg", "glu"])
-    def test_evaluates_to_recorded_values(self, gating):
+    def test_evaluates_to_recorded_values(self, gating, monkeypatch):
+        # recorded while the model convolved by FFT: through that reference
+        # path they hold exactly, and through the chunked node within 1e-12
         want = json.loads((DATA / "legacy_evals.json").read_text())[gating]
+        report = evaluate(DATA / f"legacy_{gating}.bin", batches=2)
+        assert report["loss"] == pytest.approx(want["loss"], rel=1e-12)
+        assert report["accuracy"] == pytest.approx(want["accuracy"], rel=1e-12)
+        monkeypatch.setattr(blocks, "ssm_conv", fft_ssm_conv)
         report = evaluate(DATA / f"legacy_{gating}.bin", batches=2)
         assert report["loss"] == want["loss"]
         assert report["accuracy"] == want["accuracy"]
