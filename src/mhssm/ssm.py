@@ -29,10 +29,13 @@ taken in log space, and one batched complex matmul combines them (see
 `_damped_response`; S4D kernel computation, Gu et al. 2022, arXiv
 2206.11893).
 
-The logs log|abar| and arg(abar) are required fields of every
-`DiscreteSsm`: discretization yields them directly as dt times the
-continuous eigenvalue, and the chunked node and the kernel take their
-powers from them.
+Zero-order-hold discretization (`discretize`) is one tape node. It packs
+everything the execution paths read into the rows of one (6, channels,
+state) tensor: log|abar| and arg(abar), which it yields directly as dt times
+the continuous eigenvalue and from which the chunked node and the kernel
+take their powers; abar, for the scan and the spectral radius; and each
+mode's readout weight cb = c * bbar, since every path reads the input and
+readout vectors only through that product.
 """
 
 from __future__ import annotations
@@ -84,33 +87,26 @@ class DiagonalSsm(Module):
 
 
 class DiscreteSsm:
-    """Discrete transition/input obtained from a DiagonalSsm.
+    """A discretized system: the packed zero-order hold and the skip term.
 
-    ``logmag``/``angle`` are the polar log of the transition, log|abar| and
-    arg(abar), and are required: discretization produces them directly, and
-    the kernel takes its underflow-safe powers from them alone.
+    ``zoh`` is one (6, channels, state) tensor, the output of `discretize`.
+    Its rows are log|abar|, arg(abar), Re abar, Im abar, Re cb and Im cb,
+    where cb = c * bbar is each mode's readout weight. The convolution and
+    the kernel take their powers of abar from the two logs alone, so a
+    transition with abar = 0 (log|abar| = -inf) stays memoryless; the scan
+    reads abar and cb. ``d`` is the per-channel skip.
     """
 
-    __slots__ = ("state_dim", "channels", "abar_re", "abar_im",
-                 "bbar_re", "bbar_im", "c_re", "c_im", "d", "logmag", "angle")
+    __slots__ = ("zoh", "d", "channels", "state_dim")
 
-    def __init__(self, state_dim, channels, abar_re, abar_im, bbar_re, bbar_im,
-                 c_re, c_im, d, logmag, angle):
-        self.state_dim = state_dim
-        self.channels = channels
-        self.abar_re = abar_re
-        self.abar_im = abar_im
-        self.bbar_re = bbar_re
-        self.bbar_im = bbar_im
-        self.c_re = c_re
-        self.c_im = c_im
+    def __init__(self, zoh: Tensor, d: Tensor):
+        self.zoh = zoh
         self.d = d
-        self.logmag = logmag
-        self.angle = angle
+        _, self.channels, self.state_dim = zoh.shape
 
     def spectral_radius(self) -> float:
-        mags = np.hypot(self.abar_re.data, self.abar_im.data)
-        return float(mags.max())
+        _, _, abar_re, abar_im, _, _ = self.zoh.data
+        return float(np.hypot(abar_re, abar_im).max())
 
 
 def init_ssm_rng(state_dim: int, channels: int, rng: np.random.Generator,
@@ -152,31 +148,56 @@ def init_ssm(state_dim: int, channels: int, seed: int = 0,
 
 
 def discretize(ssm: DiagonalSsm) -> DiscreteSsm:
-    """Zero-order-hold discretization, exact for diagonal transitions.
+    """Zero-order-hold discretization, exact for diagonal transitions, as one node.
 
-    abar = exp(lam * dt); bbar = (abar - 1) / lam * b. Differentiable with
-    respect to every stored parameter.
+    abar = exp(lam * dt), bbar = (abar - 1) / lam * b and cb = c * bbar,
+    packed into the rows of `DiscreteSsm.zoh`. The forward is real
+    arithmetic in a fixed operation order; the backward maps the six row
+    gradients to the seven stored parameters in complex arithmetic, with
+    the gradient of a complex quantity z written as dL/dRe z + i dL/dIm z.
     """
-    lam_re = T.neg(T.exp(ssm.log_neg_re))
-    dt = T.reshape(T.exp(ssm.log_dt), (ssm.channels, 1))
-    logmag = T.mul(lam_re, dt)
-    angle = T.mul(ssm.lam_im, dt)
-    mag = T.exp(logmag)
-    abar_re = T.mul(mag, T.cos(angle))
-    abar_im = T.mul(mag, T.sin(angle))
+    inputs = (ssm.log_neg_re, ssm.lam_im, ssm.b_re, ssm.b_im, ssm.c_re, ssm.c_im, ssm.log_dt)
+    log_neg_re, lam_im, b_re, b_im, c_re, c_im, log_dt = (t.data for t in inputs)
+    lam_re = -np.exp(log_neg_re)
+    dt = np.exp(log_dt).reshape(ssm.channels, 1)
+    logmag = lam_re * dt
+    angle = lam_im * dt
+    mag = np.exp(logmag)
+    abar_re = mag * np.cos(angle)
+    abar_im = mag * np.sin(angle)
     # (abar - 1) / lam via multiplication with conj(lam)/|lam|^2
-    num_re = T.shift(abar_re, -1.0)
-    num_im = abar_im
-    den = T.add(T.mul(lam_re, lam_re), T.mul(ssm.lam_im, ssm.lam_im))
-    inv_re = T.div(lam_re, den)
-    inv_im = T.neg(T.div(ssm.lam_im, den))
-    t_re = T.sub(T.mul(num_re, inv_re), T.mul(num_im, inv_im))
-    t_im = T.add(T.mul(num_re, inv_im), T.mul(num_im, inv_re))
-    bbar_re = T.sub(T.mul(t_re, ssm.b_re), T.mul(t_im, ssm.b_im))
-    bbar_im = T.add(T.mul(t_re, ssm.b_im), T.mul(t_im, ssm.b_re))
-    return DiscreteSsm(ssm.state_dim, ssm.channels, abar_re, abar_im,
-                       bbar_re, bbar_im, ssm.c_re, ssm.c_im, ssm.d,
-                       logmag=logmag, angle=angle)
+    num_re = abar_re - 1.0
+    den = lam_re * lam_re + lam_im * lam_im
+    inv_re = lam_re / den
+    inv_im = -(lam_im / den)
+    t_re = num_re * inv_re - abar_im * inv_im
+    t_im = num_re * inv_im + abar_im * inv_re
+    bbar_re = t_re * b_re - t_im * b_im
+    bbar_im = t_re * b_im + t_im * b_re
+    zoh = Tensor._wrap(np.stack([logmag, angle, abar_re, abar_im,
+                                 c_re * bbar_re - c_im * bbar_im,
+                                 c_re * bbar_im + c_im * bbar_re]))
+
+    def bwd(g, acc):
+        lam = lam_re + 1j * lam_im
+        t = t_re + 1j * t_im                                    # bbar / b
+        g_cb = g[4] + 1j * g[5]
+        g_bbar = np.conj(c_re + 1j * c_im) * g_cb
+        g_t = np.conj(b_re + 1j * b_im) * g_bbar
+        # log abar = lam * dt feeds the logs, abar and t = (abar - 1) / lam
+        g_log = (g[0] + 1j * g[1]
+                 + np.conj(abar_re + 1j * abar_im) * (g[2] + 1j * g[3] + g_t / np.conj(lam)))
+        g_lam = dt * g_log - np.conj(t / lam) * g_t
+        g_c = np.conj(bbar_re + 1j * bbar_im) * g_cb
+        g_b = np.conj(t) * g_bbar
+        g_dt = (np.conj(lam) * g_log).real.sum(axis=1)
+        grads = (g_lam.real * lam_re, g_lam.imag, g_b.real, g_b.imag, g_c.real, g_c.imag,
+                 g_dt * dt[:, 0])
+        for param, grad in zip(inputs, grads):
+            acc(param, grad.astype(param.dtype, copy=False))
+
+    T.record_op(zoh, inputs, bwd)
+    return DiscreteSsm(zoh, ssm.d)
 
 
 _SSM_FIELDS = ("log_neg_re", "lam_im", "b_re", "b_im", "c_re", "c_im", "d", "log_dt")
@@ -205,57 +226,61 @@ def _check_channels(d: DiscreteSsm, u: SeqBatch):
 def ssm_scan(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
     """Exact sequential recurrence, zero initial state.
 
-    y_t = 2*Re(sum_n c_n x_{t,n}) + d*u_t with x_t = abar*x_{t-1} + bbar*u_t.
+    s_t = abar*s_(t-1) + u_t per mode and y_t = 2*Re(sum_n cb_n s_(t,n)) +
+    d*u_t. This is the system x_t = abar*x_(t-1) + bbar*u_t read out as
+    2*Re(sum_n c_n x_(t,n)), since x = bbar*s.
     """
     _check_channels(d, u)
     bsz, horizon, p = u.data.shape
     n = d.state_dim
-    x_re = None
-    x_im = None
-    c_re = T.reshape(d.c_re, (1, p, n))
-    c_im = T.reshape(d.c_im, (1, p, n))
+    abar_re, abar_im, cb_re, cb_im = (T.reshape(T.narrow(d.zoh, 0, row, 1), (p, n))
+                                      for row in (2, 3, 4, 5))
+    s_re = s_im = T.zeros((bsz, p, n), dtype=u.data.dtype)
     d_skip = T.reshape(d.d, (1, 1, p))
     ys = []
     for t in range(horizon):
         u_t = T.reshape(T.narrow(u.data, 1, t, 1), (bsz, p, 1))
-        drive_re = T.mul(d.bbar_re, u_t)
-        drive_im = T.mul(d.bbar_im, u_t)
-        if x_re is None:
-            x_re, x_im = drive_re, drive_im
-        else:
-            x_re_new = T.add(T.sub(T.mul(d.abar_re, x_re), T.mul(d.abar_im, x_im)), drive_re)
-            x_im = T.add(T.add(T.mul(d.abar_re, x_im), T.mul(d.abar_im, x_re)), drive_im)
-            x_re = x_re_new
-        proj = T.sub(T.mul(c_re, x_re), T.mul(c_im, x_im))
+        s_re, s_im = (T.add(T.sub(T.mul(abar_re, s_re), T.mul(abar_im, s_im)), u_t),
+                      T.add(T.mul(abar_re, s_im), T.mul(abar_im, s_re)))
+        proj = T.sub(T.mul(cb_re, s_re), T.mul(cb_im, s_im))
         ys.append(T.reshape(T.scale(T.tsum(proj, axis=-1), 2.0), (bsz, 1, p)))
     y = T.concat(ys, axis=1)
     y = T.add(y, T.mul(d_skip, u.data))
     return u.with_data(y)
 
 
-def _damped_response(logmag: Tensor, angle: Tensor, cb_re: Tensor, cb_im: Tensor,
-                     length: int) -> Tensor:
+def _zoh_grad(g_log: np.ndarray, g_cb: np.ndarray, dtype) -> np.ndarray:
+    """The packed gradient from complex ones (dL/dRe + i dL/dIm) for
+    log|abar| + i arg(abar) and for cb; the abar rows, unread, get zeros."""
+    zero = np.zeros(g_log.shape)
+    return np.stack([g_log.real, g_log.imag, zero, zero,
+                     g_cb.real, g_cb.imag]).astype(dtype, copy=False)
+
+
+def _damped_response(zoh: Tensor, length: int) -> Tensor:
     """K[c, k] = 2*Re(cb * exp((logmag + i*angle) * k)) summed over modes.
 
-    One fused node. Each tap is split as k = chunk*i + j with
-    chunk = ceil(sqrt(length)), so abar^k = abar^(chunk*i) * abar^j. Both
-    factors are taken in log space (linear in the exponent, so rounding does
-    not build up with k and a tap underflows only when its true value does),
-    and the mode sum for all taps is one batched matmul of (channels,
-    blocks, state) by (channels, state, chunk). The backward pass reuses the
-    two factors, so the node keeps O(channels * state * sqrt(length)) values.
+    One fused node on the packed rows of `discretize`. Each tap is split as
+    k = chunk*i + j with chunk = ceil(sqrt(length)), so abar^k =
+    abar^(chunk*i) * abar^j. Both factors are taken in log space (linear in
+    the exponent, so rounding does not build up with k and a tap underflows
+    only when its true value does), and the mode sum for all taps is one
+    batched matmul of (channels, blocks, state) by (channels, state, chunk).
+    The backward pass reuses the two factors, so the node keeps
+    O(channels * state * sqrt(length)) values.
     """
     chunk = math.isqrt(length - 1) + 1
     blocks = -(-length // chunk)
     block_taps = chunk * np.arange(blocks, dtype=np.float64)
     taps = np.arange(chunk, dtype=np.float64)
-    coarse = _log_powers(logmag.data, angle.data, block_taps)   # (p, n, blocks)
-    fine = _log_powers(logmag.data, angle.data, taps)           # (p, n, chunk)
-    cb = cb_re.data + 1j * cb_im.data
+    logmag, angle, _, _, cb_re, cb_im = zoh.data
+    cb = cb_re + 1j * cb_im
+    coarse = _log_powers(logmag, angle, block_taps)             # (p, n, blocks)
+    fine = _log_powers(logmag, angle, taps)                     # (p, n, chunk)
     # (p, blocks, n) @ (p, n, chunk): tap chunk*i + j of every channel
     blocked = np.matmul(np.swapaxes(cb[..., None] * coarse, 1, 2), fine)
     kernel = 2.0 * blocked.real.reshape(blocked.shape[0], -1)[:, :length]
-    out = Tensor._wrap(kernel.astype(logmag.dtype, copy=False))
+    out = Tensor._wrap(kernel.astype(zoh.dtype, copy=False))
 
     def bwd(g, acc):
         grid = np.zeros((g.shape[0], blocks * chunk))
@@ -270,12 +295,9 @@ def _damped_response(logmag: Tensor, angle: Tensor, cb_re: Tensor, cb_im: Tensor
         gz = (coarse_t * within).sum(axis=1)                    # sum_k g*z
         gzk = (coarse_t * (within_k + block_taps[:, None] * within)).sum(axis=1)
         w = cb * gzk                                            # sum_k g*cb*z*k
-        acc(cb_re, (2.0 * gz.real).astype(cb_re.dtype, copy=False))
-        acc(cb_im, (-2.0 * gz.imag).astype(cb_im.dtype, copy=False))
-        acc(logmag, (2.0 * w.real).astype(logmag.dtype, copy=False))
-        acc(angle, (-2.0 * w.imag).astype(angle.dtype, copy=False))
+        acc(zoh, _zoh_grad(2.0 * np.conj(w), 2.0 * np.conj(gz), zoh.dtype))
 
-    T.record_op(out, (logmag, angle, cb_re, cb_im), bwd)
+    T.record_op(out, (zoh,), bwd)
     return out
 
 
@@ -307,19 +329,11 @@ def _powers_through(logmag: np.ndarray, angle: np.ndarray, last: int) -> np.ndar
     return powers.reshape(logmag.shape + (-1,))[..., :last + 1]
 
 
-def _readout_weights(d: DiscreteSsm) -> tuple[Tensor, Tensor]:
-    """cb = c * bbar per mode, as a (re, im) pair of (channels, state) tensors."""
-    cb_re = T.sub(T.mul(d.c_re, d.bbar_re), T.mul(d.c_im, d.bbar_im))
-    cb_im = T.add(T.mul(d.c_re, d.bbar_im), T.mul(d.c_im, d.bbar_re))
-    return cb_re, cb_im
-
-
 def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
     """Impulse response K[c, k] = 2*Re(sum_n c_n abar_n^k bbar_n)."""
     if length < 1:
         raise ShapeError(f"kernel length must be >= 1, got {length}")
-    cb_re, cb_im = _readout_weights(d)
-    return _damped_response(d.logmag, d.angle, cb_re, cb_im, length)
+    return _damped_response(d.zoh, length)
 
 
 def _toeplitz_select(q: int) -> np.ndarray:
@@ -374,8 +388,7 @@ def _from_chunks(xc: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked_conv(u: Tensor, logmag: Tensor, angle: Tensor, cb_re: Tensor,
-                  cb_im: Tensor, skip: Tensor) -> Tensor:
+def _chunked_conv(u: Tensor, zoh: Tensor, skip: Tensor) -> Tensor:
     """The causal convolution of ``u`` with the system's kernel, plus ``skip * u``.
 
     One fused node computing what ``causal_conv_fft(u, materialize_kernel)``
@@ -404,15 +417,16 @@ def _chunked_conv(u: Tensor, logmag: Tensor, angle: Tensor, cb_re: Tensor,
     weights, and no spectrum; the chunked input is rebuilt from ``u``.
     """
     bsz, length, p = u.shape
-    n = logmag.shape[1]
+    n = zoh.shape[2]
     q = CHUNK
     chunks = -(-length // q)
     rows = bsz * chunks
     carried = rows - bsz          # rows of chunks 1.., which have a carried state
     dtype = u.dtype
     cdtype = np.result_type(dtype, np.complex64)
-    powers = _powers_through(logmag.data, angle.data, q)                 # (p, n, q+1)
-    cb = cb_re.data + 1j * cb_im.data
+    logmag, angle, _, _, cb_re, cb_im = zoh.data
+    cb = cb_re + 1j * cb_im
+    powers = _powers_through(logmag, angle, q)                           # (p, n, q+1)
     select = _toeplitz_select(q)
     taps = 2.0 * np.matmul(cb[:, None, :], powers[..., :q])[:, 0].real   # (p, q)
     taps[:, 0] += skip.data
@@ -483,12 +497,9 @@ def _chunked_conv(u: Tensor, logmag: Tensor, angle: Tensor, cb_re: Tensor,
                 + (g_w * np.conj(powers[..., 1:])).sum(axis=-1))
         w = (np.conj(powers) * g_pow * np.arange(q + 1)).sum(axis=-1)
         acc(skip, g_taps[:, 0].astype(skip.dtype, copy=False))
-        acc(cb_re, g_cb.real.astype(cb_re.dtype, copy=False))
-        acc(cb_im, g_cb.imag.astype(cb_im.dtype, copy=False))
-        acc(logmag, w.real.astype(logmag.dtype, copy=False))
-        acc(angle, w.imag.astype(angle.dtype, copy=False))
+        acc(zoh, _zoh_grad(w, g_cb, zoh.dtype))
 
-    T.record_op(out, (u, logmag, angle, cb_re, cb_im, skip), bwd)
+    T.record_op(out, (u, zoh, skip), bwd)
     return out
 
 
@@ -514,11 +525,15 @@ def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
     _check_channels(d, u)
     if u.length < 1:
         raise ShapeError(f"input length must be >= 1, got {u.length}")
-    cb_re, cb_im = _readout_weights(d)
-    return u.with_data(_chunked_conv(u.data, d.logmag, d.angle, cb_re, cb_im, d.d))
+    return u.with_data(_chunked_conv(u.data, d.zoh, d.d))
 
 
 def kernel_sum_bound(d: DiscreteSsm, length: int) -> np.ndarray:
-    """Per-channel bound 2*sum_k |K[k]| + |d| on the output magnitude."""
+    """Per-channel supremum of |y_t| over t < length and inputs with |u| <= 1.
+
+    y_t = sum_k K[k] u_(t-k) + d u_t, so the supremum is sum_(k>=1) |K[k]| +
+    |K[0] + d|, attained at the last step by u_(length-1-k) = sign(K[k])
+    (with d added at k = 0).
+    """
     kernel = materialize_kernel(d, length).data
-    return 2.0 * np.abs(kernel).sum(axis=1) + np.abs(d.d.data)
+    return np.abs(kernel[:, 1:]).sum(axis=1) + np.abs(kernel[:, 0] + d.d.data)

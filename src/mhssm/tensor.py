@@ -271,24 +271,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check(a, b, "div")
-    out = Tensor._wrap(a.data / b.data)
-
-    def bwd(g, acc):
-        acc(a, _unbroadcast(g / b.data, a.shape))
-        acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    record_op(out, (a, b), bwd)
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor._wrap(-a.data)
-    record_op(out, (a,), lambda g, acc: acc(a, -g))
-    return out
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar."""
     factor = float(factor)
@@ -301,24 +283,6 @@ def shift(a: Tensor, offset: float) -> Tensor:
     """Add a python scalar."""
     out = Tensor._wrap(a.data + float(offset))
     record_op(out, (a,), lambda g, acc: acc(a, g))
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.exp(a.data))
-    record_op(out, (a,), lambda g, acc: acc(a, g * out.data))
-    return out
-
-
-def sin(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.sin(a.data))
-    record_op(out, (a,), lambda g, acc: acc(a, g * np.cos(a.data)))
-    return out
-
-
-def cos(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.cos(a.data))
-    record_op(out, (a,), lambda g, acc: acc(a, -g * np.sin(a.data)))
     return out
 
 

@@ -2,8 +2,8 @@
 
 Each criterion function returns (passed, detail). The gradient checks compare
 analytic tape gradients against central finite differences; the dual-path
-check compares the FFT convolution against the sequential recurrence, which
-never touches the convolution code path.
+check compares the chunked convolution node against the sequential
+recurrence, which never touches the convolution code path.
 """
 
 from __future__ import annotations
@@ -105,17 +105,11 @@ def tensor_op_cases(seed: int):
 
     a = leaf((3, 4))
     b = leaf((3, 4))
-    pos = leaf((3, 4), offset=3.0)
     case("add", {"a": a, "b": b}, lambda ps: T.add(ps["a"], ps["b"]))
     case("sub", {"a": a, "b": b}, lambda ps: T.sub(ps["a"], ps["b"]))
     case("mul", {"a": a, "b": b}, lambda ps: T.mul(ps["a"], ps["b"]))
-    case("div", {"a": a, "b": pos}, lambda ps: T.div(ps["a"], ps["b"]))
-    case("neg", {"a": a}, lambda ps: T.neg(ps["a"]))
     case("scale", {"a": a}, lambda ps: T.scale(ps["a"], 1.7))
     case("shift", {"a": a}, lambda ps: T.shift(ps["a"], -0.3))
-    case("exp", {"a": a}, lambda ps: T.exp(ps["a"]))
-    case("sin", {"a": a}, lambda ps: T.sin(ps["a"]))
-    case("cos", {"a": a}, lambda ps: T.cos(ps["a"]))
     case("sigmoid", {"a": a}, lambda ps: T.sigmoid(ps["a"]))
     case("gelu", {"a": a}, lambda ps: T.gelu(ps["a"]))
 
@@ -182,6 +176,12 @@ def tensor_op_cases(seed: int):
                  discretize(DiagonalSsm(3, 2, **{k: v for k, v in ps.items() if k != "u"})),
                  SeqBatch(ps["u"], [steps])).data)
 
+    # the zero-order hold itself; b_im != 0, so every input's gradient is too
+    held = init_ssm_rng(3, 2, rng, "random_stable")
+    held.b_im = leaf((2, 3), scale_=0.5)
+    case("discretize", {k: v for k, v in held.named_params().items() if k != "d"},
+         lambda ps: discretize(DiagonalSsm(3, 2, d=held.d, **ps)).zoh)
+
     return cases
 
 
@@ -211,7 +211,7 @@ def toy_stateformer_layer(seed: int, dim=8) -> StateformerLayer:
 
 def criterion_scan_conv(n_systems: int = 100, state_dim: int = 64, channels: int = 8,
                         lengths=(8, 100, 1024), tol: float = 1e-8):
-    """Recurrence and FFT convolution agree on random systems."""
+    """Recurrence and chunked convolution agree on random systems."""
     rng = np.random.default_rng(20240)
     systems = [
         init_ssm_rng(state_dim, channels, rng,
@@ -302,9 +302,8 @@ def criterion_stability(n_inits: int = 50, adam_steps: int = 100,
         if (peak > bound).any():
             return False, f"init {i} violated the kernel-sum bound"
         kernel = np.abs(materialize_kernel(disc, long_horizon).data)
-        cb = np.hypot(disc.c_re.data * disc.bbar_re.data - disc.c_im.data * disc.bbar_im.data,
-                      disc.c_re.data * disc.bbar_im.data + disc.c_im.data * disc.bbar_re.data)
-        envelope = 2.0 * cb.sum(axis=1) * radius ** (long_horizon - 1)
+        _, _, _, _, cb_re, cb_im = disc.zoh.data
+        envelope = 2.0 * np.hypot(cb_re, cb_im).sum(axis=1) * radius ** (long_horizon - 1)
         if (kernel[:, -1] > envelope + 1e-300).any():
             return False, f"init {i} kernel tail exceeded its decay envelope"
     return True, f"{n_inits} inits stable through {adam_steps} optimizer steps"

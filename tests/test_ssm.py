@@ -7,7 +7,7 @@ from mhssm.errors import ConfigError, ShapeError
 from mhssm.seq import SeqBatch
 from mhssm.blocks import BidirMhSsmBlock, MhSsmBlockConfig
 from mhssm.ssm import (CHUNK, DiagonalSsm, DiscreteSsm,
-                       _chunked_conv, _readout_weights, discretize, init_ssm,
+                       _chunked_conv, discretize, init_ssm,
                        init_ssm_rng, kernel_sum_bound, materialize_kernel,
                        ssm_conv, ssm_scan, stack_systems)
 from mhssm.tensor import GradTape, Tensor
@@ -24,7 +24,24 @@ def make_batch(rng, length, channels, batch=1, lengths=None):
 
 def readout_weights(d):
     """cb = c * bbar per mode, as a complex array."""
-    return (d.c_re.data + 1j * d.c_im.data) * (d.bbar_re.data + 1j * d.bbar_im.data)
+    _, _, _, _, cb_re, cb_im = d.zoh.data
+    return cb_re + 1j * cb_im
+
+
+def transition(d):
+    """abar per mode, as a complex array."""
+    _, _, abar_re, abar_im, _, _ = d.zoh.data
+    return abar_re + 1j * abar_im
+
+
+def zoh_rows(logmag, angle, abar, cb):
+    """The (6, channels, states) rows `discretize` packs, from complex abar and cb."""
+    return np.stack([logmag, angle, abar.real, abar.imag, cb.real, cb.imag])
+
+
+def polar_rows(logmag, angle, cb):
+    """The packed rows of a system given by log|abar|, arg(abar) and cb."""
+    return zoh_rows(logmag, angle, np.exp(logmag + 1j * angle), cb)
 
 
 def manual_discrete(abar, bbar, c, d_skip):
@@ -32,14 +49,8 @@ def manual_discrete(abar, bbar, c, d_skip):
     abar, bbar, c = (np.atleast_2d(np.asarray(v, dtype=complex)) for v in (abar, bbar, c))
     with np.errstate(divide="ignore"):      # abar = 0 has log|abar| = -inf
         logmag = np.log(np.abs(abar))
-    return DiscreteSsm(
-        abar.shape[1], abar.shape[0],
-        Tensor(abar.real), Tensor(abar.imag),
-        Tensor(bbar.real), Tensor(bbar.imag),
-        Tensor(c.real), Tensor(c.imag),
-        Tensor(np.atleast_1d(np.asarray(d_skip, dtype=float))),
-        Tensor(logmag), Tensor(np.angle(abar)),
-    )
+    return DiscreteSsm(Tensor(zoh_rows(logmag, np.angle(abar), abar, c * bbar)),
+                       Tensor(np.atleast_1d(np.asarray(d_skip, dtype=float))))
 
 
 class TestInit:
@@ -90,9 +101,10 @@ class TestDiscretize:
             Tensor(np.full(1, np.log(np.log(2.0))), requires_grad=True),
         )
         d = discretize(ssm)
-        assert d.abar_re.data[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert d.abar_im.data[0, 0] == pytest.approx(0.0, abs=1e-15)
-        assert d.bbar_re.data[0, 0] == pytest.approx(0.5, abs=1e-15)
+        # c = 1, so cb = bbar
+        assert transition(d)[0, 0].real == pytest.approx(0.5, abs=1e-15)
+        assert transition(d)[0, 0].imag == pytest.approx(0.0, abs=1e-15)
+        assert readout_weights(d)[0, 0].real == pytest.approx(0.5, abs=1e-15)
 
     def test_small_step_taylor_limit(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -100,11 +112,11 @@ class TestDiscretize:
         ssm.log_dt = Tensor(np.full(2, np.log(1e-8)), requires_grad=True)
         d = discretize(ssm)
         lam = ssm.lam()
-        abar = d.abar_re.data + 1j * d.abar_im.data
-        bbar = d.bbar_re.data + 1j * d.bbar_im.data
-        # second-order remainders scale with |lam|^2 * dt^2 ~ 1e-15
-        assert np.abs(abar - (1.0 + lam * 1e-8)).max() < 1e-14
-        assert np.abs(bbar - 1e-8).max() < 1e-14
+        c = ssm.c_re.data + 1j * ssm.c_im.data
+        # second-order remainders scale with |lam|^2 * dt^2 ~ 1e-15; bbar ~ dt
+        # (b = 1) is checked through cb = c * bbar, with the bound times |c|
+        assert np.abs(transition(d) - (1.0 + lam * 1e-8)).max() < 1e-14
+        assert (np.abs(readout_weights(d) - c * 1e-8) < 1e-14 * np.abs(c)).all()
 
     def test_against_high_precision(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -113,18 +125,63 @@ class TestDiscretize:
         lam = ssm.lam()
         dt = np.exp(ssm.log_dt.data)
         b = ssm.b_re.data + 1j * ssm.b_im.data
+        c = ssm.c_re.data + 1j * ssm.c_im.data
+        abar, cb = transition(d), readout_weights(d)
         for p in range(2):
             for n in range(8):
                 abar_ref, bbar_ref = mp_zoh(lam[p, n], float(dt[p]), b[p, n])
-                got_a = d.abar_re.data[p, n] + 1j * d.abar_im.data[p, n]
-                got_b = d.bbar_re.data[p, n] + 1j * d.bbar_im.data[p, n]
-                assert abs(got_a - abar_ref) <= 1e-12
-                assert abs(got_b - bbar_ref) <= 1e-12
+                assert abs(abar[p, n] - abar_ref) <= 1e-12
+                # the 1e-12 bound on bbar, carried through cb = c * bbar
+                assert abs(cb[p, n] - c[p, n] * bbar_ref) <= 1e-12 * abs(c[p, n])
 
     def test_magnitudes_below_one(self):
         for seed in range(20):
             d = discretize(init_ssm(8, 4, seed=seed))
             assert d.spectral_radius() < 1.0
+
+
+def composed_zoh(ssm):
+    """The rows of `discretize` by the per-op composition it replaced: the
+    same real operations in the same order, written out in numpy."""
+    lam_re = -np.exp(ssm.log_neg_re.data)
+    lam_im = ssm.lam_im.data
+    dt = np.exp(ssm.log_dt.data).reshape(ssm.channels, 1)
+    logmag = lam_re * dt
+    angle = lam_im * dt
+    mag = np.exp(logmag)
+    abar_re = mag * np.cos(angle)
+    abar_im = mag * np.sin(angle)
+    num_re = abar_re + -1.0
+    num_im = abar_im
+    den = lam_re * lam_re + lam_im * lam_im
+    inv_re = lam_re / den
+    inv_im = -(lam_im / den)
+    t_re = num_re * inv_re - num_im * inv_im
+    t_im = num_re * inv_im + num_im * inv_re
+    bbar_re = t_re * ssm.b_re.data - t_im * ssm.b_im.data
+    bbar_im = t_re * ssm.b_im.data + t_im * ssm.b_re.data
+    c_re, c_im = ssm.c_re.data, ssm.c_im.data
+    return [logmag, angle, abar_re, abar_im,
+            c_re * bbar_re - c_im * bbar_im, c_re * bbar_im + c_im * bbar_re]
+
+
+class TestZohKeepsBits:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rows_match_composed_formulas(self, dtype):
+        rng = np.random.Generator(np.random.PCG64(30))
+        ssm = init_ssm_rng(16, 8, rng, "random_stable", dtype=dtype)
+        ssm.b_re = Tensor(rng.standard_normal((8, 16)), requires_grad=True, dtype=dtype)
+        ssm.b_im = Tensor(rng.standard_normal((8, 16)), requires_grad=True, dtype=dtype)
+        with GradTape() as tape:
+            zoh = discretize(ssm).zoh
+            loss = T.tsum(T.mul(zoh, Tensor(rng.standard_normal(zoh.shape), dtype=dtype)))
+        grads = tape.gradients(loss)
+        assert zoh.dtype == dtype and zoh.shape == (6, 8, 16)
+        for row, want in zip(zoh.data, composed_zoh(ssm)):
+            assert want.dtype == dtype
+            assert np.array_equal(row, want)
+        stored = [t for name, t in ssm.named_params().items() if name != "d"]
+        assert all(grads[t].dtype == dtype and grads[t].shape == t.shape for t in stored)
 
 
 class TestScan:
@@ -165,7 +222,7 @@ class TestKernel:
     def test_first_tap(self):
         d = discretize(init_ssm(8, 4, seed=5))
         k = materialize_kernel(d, 6).data
-        cb = (d.c_re.data + 1j * d.c_im.data) * (d.bbar_re.data + 1j * d.bbar_im.data)
+        cb = readout_weights(d)
         np.testing.assert_allclose(k[:, 0], 2.0 * cb.sum(axis=1).real, atol=1e-13)
 
     def test_single_mode_geometric(self):
@@ -194,7 +251,8 @@ class TestKernel:
         rng = np.random.Generator(np.random.PCG64(length))
         for scheme in ("s4d_lin", "random_stable"):
             d = discretize(init_ssm_rng(8, 2, rng, scheme))
-            logmag, angle, cb = d.logmag.data, d.angle.data, readout_weights(d)
+            logmag, angle, _, _, _, _ = d.zoh.data
+            cb = readout_weights(d)
             k = materialize_kernel(d, length).data
             ref = power_sum_kernel(logmag, angle, cb, length)
             scale = np.abs(ref).max(axis=1)
@@ -208,11 +266,7 @@ class TestKernel:
         logmag = rng.uniform(-5.5, -4.5, (2, 4))
         angle = rng.uniform(-np.pi, np.pi, (2, 4))
         cb = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        abar = np.exp(logmag + 1j * angle)
-        d = DiscreteSsm(4, 2, Tensor(abar.real), Tensor(abar.imag),
-                        Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 4))),
-                        Tensor(cb.real), Tensor(cb.imag), Tensor(np.zeros(2)),
-                        logmag=Tensor(logmag), angle=Tensor(angle))
+        d = DiscreteSsm(Tensor(polar_rows(logmag, angle, cb)), Tensor(np.zeros(2)))
         length = 4097
         k = materialize_kernel(d, length).data
         assert np.isfinite(k).all()
@@ -319,6 +373,18 @@ class TestBound:
         bound = kernel_sum_bound(d, length)
         assert (np.abs(y[0]).max(axis=0) <= bound).all()
 
+    def test_sign_input_attains_kernel_sum_bound(self):
+        # u_(L-1-k) = sign(K[k]), with d added at k = 0, drives the last
+        # output to sum_(k>=1) |K[k]| + |K[0] + d|: the bound is the supremum
+        d = discretize(init_ssm(8, 3, seed=5, scheme="random_stable"))
+        length = 200
+        kernel = materialize_kernel(d, length).data.copy()
+        kernel[:, 0] += d.d.data
+        u = np.sign(kernel[:, ::-1]).T[None]
+        y = ssm_conv(d, SeqBatch(Tensor(u), np.array([length]))).data.data
+        bound = kernel_sum_bound(d, length)
+        assert np.abs(y[0, -1] - bound).max() <= 1e-12 * bound.max()
+
 
 class TestFuse:
     def test_fused_equals_individual(self):
@@ -342,8 +408,7 @@ def fft_conv(d, u):
 
 
 def chunked_conv(d, u):
-    cb_re, cb_im = _readout_weights(d)
-    return _chunked_conv(u, d.logmag, d.angle, cb_re, cb_im, d.d)
+    return _chunked_conv(u, d.zoh, d.d)
 
 
 def output_and_grads(conv, make_discrete, leaves, u, weights):
@@ -370,20 +435,9 @@ def assert_paths_agree(make_discrete, leaves, u, weights, out_rtol=1e-13, grad_r
 
 def polar_system(logmag, angle, cb, d_skip):
     """Leaves of a discrete system given in polar form, and a builder for it."""
-    leaves = {"logmag": logmag, "angle": angle, "cb_re": cb.real, "cb_im": cb.imag,
-              "d": d_skip}
+    leaves = {"zoh": polar_rows(logmag, angle, cb), "d": d_skip}
     leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
-    p, n = logmag.shape
-    ones, zeros = Tensor(np.ones((p, n))), Tensor(np.zeros((p, n)))
-    abar = np.exp(logmag + 1j * angle)
-
-    def make():
-        # c = cb and bbar = 1, so the readout product is cb itself
-        return DiscreteSsm(n, p, Tensor(abar.real), Tensor(abar.imag), ones, zeros,
-                           leaves["cb_re"], leaves["cb_im"], leaves["d"],
-                           logmag=leaves["logmag"], angle=leaves["angle"])
-
-    return make, leaves
+    return lambda: DiscreteSsm(leaves["zoh"], leaves["d"]), leaves
 
 
 class TestChunkedConv:
@@ -422,7 +476,7 @@ class TestChunkedConv:
         gain = 2.0 * cb.sum(axis=1).real + d_skip
         np.testing.assert_allclose(y, u.data * gain, atol=1e-12)
         np.testing.assert_allclose(grads["u"], weights * gain, atol=1e-12)
-        assert (grads["logmag"] == 0.0).all()
+        assert (grads["zoh"][0] == 0.0).all()      # the log|abar| row
         assert_paths_agree(make, {**leaves, "u": u}, u, weights)
 
     def test_matches_scan_with_gradients(self):

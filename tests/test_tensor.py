@@ -350,8 +350,9 @@ class TestBackward:
         x = Tensor([1.5, -2.0], requires_grad=True)
         with GradTape() as tape:
             h = T.mul(x, x)
-            loss = T.tsum(T.add(T.exp(h), T.scale(h, 3.0)))
-        want = (np.exp(x.data ** 2) + 3.0) * 2.0 * x.data
+            loss = T.tsum(T.add(T.sigmoid(h), T.scale(h, 3.0)))
+        s = expit(x.data ** 2)
+        want = (s * (1.0 - s) + 3.0) * 2.0 * x.data
         np.testing.assert_allclose(tape.gradients(loss)[x], want, rtol=1e-15)
 
     @pytest.mark.parametrize("block", ["mh_ssm", "stateformer"])
@@ -461,5 +462,5 @@ class TestTensorType:
     def test_finite_outputs_for_finite_inputs(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((4, 8)) * 10)
-        for op in (T.sigmoid, T.gelu, T.exp, T.sin, T.cos):
+        for op in (T.sigmoid, T.gelu):
             assert np.isfinite(op(x).data).all()
