@@ -7,8 +7,7 @@ trainer for synthetic long-range tasks.
 """
 
 from . import tensor
-from .blocks import (BidirMhSsmBlock, DirectionalMhSsm, MhSsmBlockConfig,
-                     MhSsmStage, inter_head_gate)
+from .blocks import BidirMhSsmBlock, DirectionalMhSsm, MhSsmBlockConfig, MhSsmStage
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import Encoder, EncoderConfig, build_encoder, param_count, time_reduction
 from .errors import ConfigError, NumericsError, ShapeError
@@ -29,7 +28,7 @@ __all__ = [
     "IGNORE_INDEX", "LayerNorm", "Linear", "LrSchedule", "MhSsmBlockConfig",
     "MhSsmStage", "Module", "NumericsError", "SeqBatch", "ShapeError",
     "TaskSpec", "Tensor", "build_encoder", "clip_grad_norm",
-    "discretize", "evaluate", "generate_task", "init_ssm", "inter_head_gate",
+    "discretize", "evaluate", "generate_task", "init_ssm",
     "load_checkpoint", "load_config", "materialize_kernel", "param_count",
     "reverse_time", "save_checkpoint", "ssm_conv", "ssm_scan", "tensor",
     "time_reduction", "train",

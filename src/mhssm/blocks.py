@@ -35,7 +35,6 @@ class MhSsmBlockConfig:
     state_dim: int = 64
     gating: str = "ihg"
     dropout: float = 0.10
-    init_scheme: str = "s4d_lin"
 
     @property
     def head_dim(self) -> int:
@@ -58,18 +57,6 @@ class MhSsmBlockConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
-def inter_head_gate(y: Tensor) -> Tensor:
-    """The second half of the heads gates the first: a = y[:d/2] * sigmoid(y[d/2:]).
-
-    With heads as contiguous channel slices this is a_h = y_h * sigmoid(y_{h + H/2})
-    for every h < H/2, on the last axis of ``y``.
-    """
-    width = y.shape[-1]
-    if width % 2 != 0:
-        raise ConfigError(f"inter-head gating requires an even split, got width {width}")
-    return T.glu(y)
-
-
 class MhSsmStage(Module):
     """One project/process/gate/merge pass at a fixed width."""
 
@@ -81,10 +68,10 @@ class MhSsmStage(Module):
         self.in_proj = Linear(d, d, rng, dtype=dtype)
         # drawn head by head, so each head's channel slice keeps its own draw
         self.ssm = stack_systems([
-            init_ssm_rng(cfg.state_dim, hd, rng, cfg.init_scheme, dtype) for _ in range(h)
+            init_ssm_rng(cfg.state_dim, hd, rng, dtype=dtype) for _ in range(h)
         ])
         if cfg.gating == "glu":
-            # one (hd, 2hd) value/gate map per head, as a block-diagonal stack
+            # one (hd, 2hd) value/gate map per head: a grouped linear weight
             projs = [Linear(hd, 2 * hd, rng, dtype=dtype) for _ in range(h)]
             self.glu_w = Tensor(np.stack([p.w.data for p in projs]), requires_grad=True)
             self.glu_b = Tensor(np.stack([p.b.data for p in projs]), requires_grad=True)
@@ -95,16 +82,20 @@ class MhSsmStage(Module):
         return self.out_proj.w.shape[0]
 
     def _glu(self, y: Tensor) -> Tensor:
-        bsz, horizon, d = y.shape
-        h, hd = self.heads, d // self.heads
-        heads = T.transpose(T.reshape(y, (bsz * horizon, h, hd)), (1, 0, 2))
-        vg = T.add(T.matmul(heads, self.glu_w), T.reshape(self.glu_b, (h, 1, 2 * hd)))
-        return T.reshape(T.transpose(T.glu(vg), (1, 0, 2)), (bsz, horizon, d))
+        # each head's (value, gate) pair from its own map, then a glu per head
+        vg = T.linear(y, self.glu_w, self.glu_b)
+        per_head = T.reshape(vg, y.shape[:-1] + (self.heads, -1))
+        return T.reshape(T.glu(per_head), y.shape)
 
     def gate(self, y: Tensor) -> Tensor:
-        """Gate the whole-width system output; the result has gated_width() channels."""
+        """Gate the whole-width system output; the result has gated_width() channels.
+
+        Inter-head gating: the second half of the heads gates the first,
+        a_h = y_h * sigmoid(y_(h + H/2)) for h < H/2, which is a glu over the
+        whole width because heads are contiguous channel slices.
+        """
         if self.gating == "ihg":
-            return inter_head_gate(y)
+            return T.glu(y)
         if self.gating == "gelu":
             return T.gelu(y)
         return self._glu(y)

@@ -64,9 +64,9 @@ class EncoderConfig:
             return self.block_kind == "transformer"
         return self.positional
 
-    def block_config(self, dim: int | None = None) -> MhSsmBlockConfig:
+    def block_config(self) -> MhSsmBlockConfig:
         return MhSsmBlockConfig(
-            model_dim=dim or self.model_dim, heads=self.heads, stack=self.stack,
+            model_dim=self.model_dim, heads=self.heads, stack=self.stack,
             state_dim=self.state_dim, gating=self.gating, dropout=self.dropout,
         )
 
@@ -105,23 +105,18 @@ class EncoderConfig:
 # frontends
 
 
-def time_reduction(x: SeqBatch, factor: int = 2) -> SeqBatch:
-    """Splice groups of ``factor`` adjacent frames into one wider frame.
+def time_reduction(x: SeqBatch) -> SeqBatch:
+    """Splice each pair of adjacent frames into one frame of twice the width.
 
-    Odd tails are covered by zero padding; valid lengths become
-    ceil(length / factor).
+    An odd tail is covered by a zero frame; valid lengths become
+    ceil(length / 2).
     """
-    if factor < 1:
-        raise ConfigError(f"reduction factor must be >= 1, got {factor}")
     bsz, horizon, dim = x.data.shape
-    rem = (-horizon) % factor
     data = x.data
-    if rem:
-        data = T.concat([data, T.zeros((bsz, rem, dim), dtype=data.dtype)], axis=1)
-    new_len = (horizon + rem) // factor
-    data = T.reshape(data, (bsz, new_len, factor * dim))
-    lengths = -(-x.lengths // factor)
-    return SeqBatch(data, lengths)
+    if horizon % 2:
+        data = T.concat([data, T.zeros((bsz, 1, dim), dtype=data.dtype)], axis=1)
+    data = T.reshape(data, (bsz, -(-horizon // 2), 2 * dim))
+    return SeqBatch(data, -(-x.lengths // 2))
 
 
 class TimeReductionFrontend(Module):
@@ -207,7 +202,7 @@ class SelfAttentionBlock(Module):
         dh = x.shape[-1] // self.heads
         return T.transpose(T.reshape(x, (bsz, horizon, self.heads, dh)), (0, 2, 1, 3))
 
-    def attend(self, x: SeqBatch, collect: dict | None = None) -> Tensor:
+    def attend(self, x: SeqBatch) -> Tensor:
         """Attention branch on the normalized input (no residual)."""
         if (x.lengths == 0).any():
             raise ValueError("attention received a fully padded sequence")
@@ -223,18 +218,9 @@ class SelfAttentionBlock(Module):
         else:
             key_mask = (np.arange(horizon)[None, :] < x.lengths[:, None])[:, None, None, :]
             attn = T.softmax(scores, mask=key_mask)
-        if collect is not None:
-            collect["weights"] = attn.data
-            collect["values"] = v.data
         ctx = T.matmul(attn, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, horizon, dim))
         return self.wo(ctx)
-
-    def attention_weights(self, x: SeqBatch) -> np.ndarray:
-        """(batch, heads, query, key) attention weights, for verification."""
-        info: dict = {}
-        self.attend(x, collect=info)
-        return info["weights"]
 
     def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
         branch = T.dropout(self.attend(x), self.dropout, train_rng)

@@ -48,10 +48,8 @@ class Module:
 class Linear(Module):
     """Affine map on the last axis: y = x @ w + b."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 dtype=np.float64, std: float | None = None):
-        if std is None:
-            std = 1.0 / np.sqrt(in_dim)
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, dtype=np.float64):
+        std = 1.0 / np.sqrt(in_dim)
         self.w = Tensor(rng.normal(0.0, std, (in_dim, out_dim)), requires_grad=True, dtype=dtype)
         self.b = Tensor(np.zeros(out_dim), requires_grad=True, dtype=dtype)
 

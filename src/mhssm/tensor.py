@@ -21,9 +21,10 @@ A training step frees over a hundred megabytes of tape and takes them back on
 the next step. glibc's malloc serves arrays above its mmap threshold with
 fresh mappings and trims freed memory at the top of its heap back to the
 kernel, so every step would fault all of those pages in again. The first
-:class:`GradTape` to open therefore fixes the mmap threshold at 1 GiB and
-the trim threshold at 2**31 - 1 bytes through ``mallopt``, once per process,
-so freed step memory stays in the heap for the next step. Under any other C
+:class:`GradTape` to open (or, in a forward-only process, the first
+evaluation) therefore fixes the mmap threshold at 1 GiB and the trim
+threshold at 2**31 - 1 bytes through ``mallopt``, once per process, so freed
+step memory stays in the heap for the next step. Under any other C
 library, or off Linux, that call does nothing.
 
 Tensors are immutable once created and may be shared freely across threads.
@@ -377,23 +378,46 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``w`` is (in, out) and ``b`` is (out,). All leading axes of ``x`` fold
     into the rows of one 2-d product, the bias is added in place, and the
     backward pass takes dx, dw and db as one product or sum each.
+
+    With a (groups, in, out) weight and a (groups, out) bias, the last axis
+    of ``x`` holds ``groups`` consecutive ``in``-wide slices, and each maps
+    by its own weight and bias to the matching ``out``-wide output slice:
+    one batched product over strided views, written in the output's layout.
     """
-    if w.ndim != 2 or b.shape != (w.shape[1],):
+    if w.ndim not in (2, 3) or b.shape != w.shape[:-2] + w.shape[-1:]:
         raise ShapeError(
-            f"linear needs an (in, out) weight and (out,) bias, got {w.shape}/{b.shape}"
+            "linear needs an (in, out) weight and (out,) bias, or a (groups, in, out) "
+            f"weight and (groups, out) bias, got {w.shape}/{b.shape}"
         )
-    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
+    groups = w.shape[0] if w.ndim == 3 else 1
+    d_in, d_out = w.shape[-2:]
+    if x.ndim < 1 or x.shape[-1] != groups * d_in:
         raise ShapeError(f"linear input width differs from the weight: {x.shape} @ {w.shape}")
-    rows = np.matmul(x.data.reshape(-1, w.shape[0]), w.data)
+    if w.ndim == 2:
+        rows = np.matmul(x.data.reshape(-1, d_in), w.data)
+
+        def bwd(g, acc):
+            g2 = g.reshape(-1, d_out)
+            acc(x, np.matmul(g2, w.data.T).reshape(x.shape))
+            acc(w, np.matmul(x.data.reshape(-1, d_in).T, g2))
+            acc(b, g2.sum(axis=0))
+    else:
+        # (groups, rows, width) views of row-major (rows, groups, width) arrays
+        xg = x.data.reshape(-1, groups, d_in).transpose(1, 0, 2)
+        rows = np.empty((xg.shape[1], groups, d_out), dtype=np.result_type(x.data, w.data))
+        np.matmul(xg, w.data, out=rows.transpose(1, 0, 2))
+
+        def bwd(g, acc):
+            g3 = g.reshape(-1, groups, d_out)
+            gg = g3.transpose(1, 0, 2)
+            gx = np.empty(x.shape, dtype=np.result_type(g, w.data))
+            np.matmul(gg, w.data.transpose(0, 2, 1),
+                      out=gx.reshape(-1, groups, d_in).transpose(1, 0, 2))
+            acc(x, gx)
+            acc(w, np.matmul(xg.transpose(0, 2, 1), gg))
+            acc(b, g3.sum(axis=0))
     rows += b.data
-    out = Tensor._wrap(rows.reshape(x.shape[:-1] + (w.shape[1],)))
-
-    def bwd(g, acc):
-        g2 = g.reshape(-1, w.shape[1])
-        acc(x, np.matmul(g2, w.data.T).reshape(x.shape))
-        acc(w, np.matmul(x.data.reshape(-1, w.shape[0]).T, g2))
-        acc(b, g2.sum(axis=0))
-
+    out = Tensor._wrap(rows.reshape(x.shape[:-1] + (groups * d_out,)))
     record_op(out, (x, w, b), bwd)
     return out
 

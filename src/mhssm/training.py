@@ -15,6 +15,7 @@ Adam moments. The container bytes and ``checkpoint.VERSION`` are unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -277,11 +278,6 @@ def _restore_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[TaskModel
     return model, cfg
 
 
-def _check_eval_batches(batches: int) -> None:
-    if batches < 1:
-        raise ConfigError(f"evaluation needs at least one batch, got {batches}")
-
-
 def _eval_model(model: TaskModel, cfg: dict, batches: int) -> dict:
     """Deterministic, dropout-free evaluation on a held-out batch stream."""
     spec = model.spec
@@ -448,27 +444,26 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
 def evaluate(checkpoint_path, task=None, batches: int = 8) -> dict:
     """Deterministic accuracy/loss report for a stored model.
 
-    ``task`` optionally overrides the stored task (dict of TaskSpec fields);
-    the input width must stay compatible with the stored model.
+    ``task`` optionally overrides the stored task (dict of TaskSpec fields,
+    each checked like its config key, ``kind`` like ``task``); the input
+    width must stay compatible with the stored model. A forward-only process
+    keeps its heap as a training one does (see :mod:`mhssm.tensor`).
     """
-    _check_eval_batches(batches)
+    T._retain_heap()
+    if batches < 1:
+        raise ConfigError(f"evaluation needs at least one batch, got {batches}")
     arrays, meta = load_checkpoint(checkpoint_path)
     arrays = _upgrade_arrays(arrays)
     if meta.get("kind") != "mhssm-train-state":
         raise ConfigError(f"{checkpoint_path} is not a training checkpoint")
     model, cfg = _restore_model(meta, arrays)
     if task:
-        unknown = set(task) - {"kind", "seq_len", "vocab", "lag", "num_markers", "seed"}
+        unknown = set(task) - {f.name for f in dataclasses.fields(TaskSpec)}
         if unknown:
             raise ConfigError(f"unknown task keys: {sorted(unknown)}")
-        merged = TaskSpec(
-            kind=task.get("kind", model.spec.kind),
-            seq_len=task.get("seq_len", model.spec.seq_len),
-            vocab=task.get("vocab", model.spec.vocab),
-            lag=task.get("lag", model.spec.lag),
-            num_markers=task.get("num_markers", model.spec.num_markers),
-            seed=task.get("seed", model.spec.seed),
-        )
+        for key, value in task.items():
+            _check_value("task" if key == "kind" else key, value)
+        merged = dataclasses.replace(model.spec, **task)
         merged.validate()
         if merged.input_dim != model.spec.input_dim or merged.vocab != model.spec.vocab:
             raise ConfigError(
@@ -478,9 +473,5 @@ def evaluate(checkpoint_path, task=None, batches: int = 8) -> dict:
         model.spec = merged
     report = _eval_model(model, cfg, batches)
     report["checkpoint"] = str(checkpoint_path)
-    report["task"] = {
-        "kind": model.spec.kind, "seq_len": model.spec.seq_len,
-        "vocab": model.spec.vocab, "lag": model.spec.lag,
-        "num_markers": model.spec.num_markers, "seed": model.spec.seed,
-    }
+    report["task"] = dataclasses.asdict(model.spec)
     return report

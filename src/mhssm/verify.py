@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .blocks import BidirMhSsmBlock, MhSsmBlockConfig, MhSsmStage, inter_head_gate
+from .blocks import BidirMhSsmBlock, MhSsmBlockConfig, MhSsmStage
 from .encoder import (EncoderConfig, MultiScaleFrontend, StateformerLayer,
                       TimeReductionFrontend, build_encoder)
 from .nn import Module
@@ -182,6 +182,10 @@ def tensor_op_cases(seed: int):
     case("discretize", {k: v for k, v in held.named_params().items() if k != "d"},
          lambda ps: discretize(DiagonalSsm(3, 2, d=held.d, **ps)).zoh)
 
+    # three groups, each mapping its own 2-wide slice of the last axis to 3
+    case("linear_grouped", {"x": leaf((2, 3, 6)), "w": leaf((3, 2, 3)), "b": leaf((3, 3))},
+         lambda ps: T.linear(ps["x"], ps["w"], ps["b"]))
+
     return cases
 
 
@@ -314,16 +318,16 @@ def criterion_gating(head_counts=(2, 4, 8), dim_per_head: int = 6):
     rng = np.random.default_rng(4242)
     for heads in head_counts:
         dim = heads * dim_per_head
-        values = rng.standard_normal((2, 5, dim // 2))
-        gated = inter_head_gate(Tensor(np.concatenate([values, np.zeros_like(values)], -1)))
-        if np.abs(gated.data - 0.5 * values).max() > 1e-12:
-            return False, f"zero-gate half scaling violated at H={heads}"
-        gated = inter_head_gate(Tensor(np.concatenate([values, np.full_like(values, 20.0)], -1)))
-        if np.abs(gated.data - values).max() > 1e-8:
-            return False, f"saturated-gate identity violated at H={heads}"
         cfg = MhSsmBlockConfig(model_dim=dim, heads=heads, stack=1, state_dim=4,
                                gating="ihg", dropout=0.0)
         stage = MhSsmStage(cfg, np.random.default_rng(1))
+        values = rng.standard_normal((2, 5, dim // 2))
+        gated = stage.gate(Tensor(np.concatenate([values, np.zeros_like(values)], -1)))
+        if np.abs(gated.data - 0.5 * values).max() > 1e-12:
+            return False, f"zero-gate half scaling violated at H={heads}"
+        gated = stage.gate(Tensor(np.concatenate([values, np.full_like(values, 20.0)], -1)))
+        if np.abs(gated.data - values).max() > 1e-8:
+            return False, f"saturated-gate identity violated at H={heads}"
         if stage.gated_width() != dim // 2:
             return False, f"gated width {stage.gated_width()} != {dim // 2} at H={heads}"
         gated = stage.gate(Tensor(rng.standard_normal((1, 4, dim))))

@@ -1,10 +1,10 @@
 """Test-only substitutions that reduce a layer to a simpler one or swap in a
-reference path, a probe on the tape's node dtypes, and the environment for
-tests that start a fresh interpreter.
+reference path, probes on the tape's node dtypes and on attention weights,
+and the environment for tests that start a fresh interpreter.
 
 Each works through the layer's own parameters or attributes, or through the
-library's public ``record_op``, so the production code carries no switches
-for them.
+library's public ``record_op`` and ``softmax``, so the production code
+carries no switches for them.
 """
 
 import contextlib
@@ -89,6 +89,29 @@ def dtype_leaks(dtype):
         yield leaks
     finally:
         T.record_op = record_op
+
+
+def attention_weights(attn, x) -> np.ndarray:
+    """(batch, heads, query, key) weights of one ``attn.attend(x)`` call.
+
+    Wraps ``mhssm.tensor.softmax``, which ``attend`` calls once, for the
+    duration of that call and keeps what it returns.
+    """
+    kept = []
+    softmax = T.softmax
+
+    def keeping_softmax(*args, **kwargs):
+        out = softmax(*args, **kwargs)
+        kept.append(out.data)
+        return out
+
+    T.softmax = keeping_softmax
+    try:
+        attn.attend(x)
+    finally:
+        T.softmax = softmax
+    (weights,) = kept
+    return weights
 
 
 def subprocess_env(**extra) -> dict:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mhssm import tensor as T
-from mhssm.blocks import (BidirMhSsmBlock, DirectionalMhSsm, MhSsmBlockConfig,
-                          MhSsmStage, inter_head_gate)
+from mhssm.blocks import BidirMhSsmBlock, DirectionalMhSsm, MhSsmBlockConfig, MhSsmStage
 from mhssm.errors import ConfigError
 from mhssm.nn import Linear
 from mhssm.seq import SeqBatch, reverse_time
@@ -63,27 +62,28 @@ class TestHeadSplit:
             MhSsmStage(cfg_for(10, 4, gating="gelu"), np.random.default_rng(0))
 
 
+def ihg_gate(dim, heads):
+    """The gate of an inter-head gated stage of width ``dim``."""
+    return MhSsmStage(cfg_for(dim, heads), np.random.default_rng(0)).gate
+
+
 class TestInterHeadGate:
     def test_zero_gates_halve(self):
         rng = np.random.default_rng(4)
         values = rng.standard_normal((2, 3, 4))
-        gated = inter_head_gate(Tensor(np.concatenate([values, np.zeros((2, 3, 4))], -1)))
+        gated = ihg_gate(8, 2)(Tensor(np.concatenate([values, np.zeros((2, 3, 4))], -1)))
         np.testing.assert_array_equal(gated.data, 0.5 * values)
 
     def test_saturated_gates_identity(self):
         rng = np.random.default_rng(5)
         values = rng.standard_normal((1, 2, 3))
-        gated = inter_head_gate(Tensor(np.concatenate([values, np.full((1, 2, 3), 20.0)], -1)))
+        gated = ihg_gate(6, 2)(Tensor(np.concatenate([values, np.full((1, 2, 3), 20.0)], -1)))
         assert np.abs(gated.data - values).max() <= 1e-8
 
     def test_two_head_example(self):
         # head 0 = [1, 2] gated by head 1 = [0, 20]
-        gated = inter_head_gate(Tensor([[[1.0, 2.0, 0.0, 20.0]]]))
+        gated = ihg_gate(4, 2)(Tensor([[[1.0, 2.0, 0.0, 20.0]]]))
         np.testing.assert_allclose(gated.data[0, 0], [0.5, 2.0], atol=1e-8)
-
-    def test_odd_head_count_rejected(self):
-        with pytest.raises(ConfigError, match="even"):
-            inter_head_gate(Tensor(np.ones((1, 1, 3))))
 
 
 class TestStage:
@@ -125,20 +125,25 @@ class TestStage:
 
 
 class TestWholeWidthStage:
-    @pytest.mark.parametrize("gating,nodes", [("ihg", 5), ("gelu", 5), ("glu", 12)])
+    @pytest.mark.parametrize("gating,nodes", [("ihg", 5), ("gelu", 5), ("glu", 8)])
     def test_tape_nodes_per_stage(self, gating, nodes):
         # input projection 1, discretization 1, chunked convolution with skip
-        # 1, output projection 1, plus the gate: ihg 1, gelu 1, glu 8
-        # (reshape, transpose, matmul, bias reshape, add, glu, transpose, reshape)
+        # 1, output projection 1, plus the gate: ihg 1, gelu 1, glu 4
+        # (grouped linear, reshape, glu, reshape)
         stage = MhSsmStage(cfg_for(8, 2, gating=gating), np.random.default_rng(0))
         with GradTape() as tape:
             stage(Tensor(np.ones((2, 5, 8))), np.array([5, 5]))
         assert len(tape.nodes) == nodes
 
-    @pytest.mark.parametrize("block,nodes", [("mh_ssm", 68), ("stateformer", 106)])
-    def test_tape_nodes_per_default_step(self, block, nodes):
+    @pytest.mark.parametrize("block,gating,nodes", [
+        pytest.param("mh_ssm", "ihg", 68, id="mh_ssm-68"),
+        pytest.param("stateformer", "ihg", 106, id="stateformer-106"),
+        pytest.param("mh_ssm", "glu", 92, id="mh_ssm-glu-92"),
+        pytest.param("stateformer", "glu", 130, id="stateformer-glu-130"),
+    ])
+    def test_tape_nodes_per_default_step(self, block, gating, nodes):
         # the count does not depend on the batch size, so a batch of 2 will do
-        cfg = load_config({"block": block})
+        cfg = load_config({"block": block, "gating": gating})
         model = TaskModel(cfg)
         x, targets = generate_task(model.spec, 2, 0)
         with GradTape() as tape:

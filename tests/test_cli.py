@@ -103,6 +103,18 @@ def test_console_entry_point(cfg_file, tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("task", [
+    {"lag": "x"}, {"seq_len": 40.5}, {"seed": 1.5}, {"kind": "selective_copy", "num_markers": "2"},
+], ids=["lag-str", "seq_len-float", "seed-float", "num_markers-str"])
+def test_evaluate_with_bad_task_value_is_config_error(cfg_file, tmp_path, capsys, task):
+    out = tmp_path / "run"
+    main(["train", "--config", str(cfg_file), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--task", json.dumps(task), "--batches", "1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("batches", ["0", "-3"])
 def test_evaluate_without_batches_is_config_error(cfg_file, tmp_path, capsys, batches):
     out = tmp_path / "run"

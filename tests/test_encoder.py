@@ -11,7 +11,7 @@ from mhssm.errors import ConfigError
 from mhssm.seq import SeqBatch
 from mhssm.tensor import GradTape, Tensor
 
-from hooks import dtype_leaks
+from hooks import attention_weights, dtype_leaks
 from oracles import loop_attention_weights
 
 
@@ -114,14 +114,13 @@ class TestAttention:
         return SelfAttentionBlock(dim, heads, np.random.default_rng(seed))
 
     def test_single_position_returns_value_projection(self):
+        # the one key takes all the weight, so the branch is wo(wv(norm(x)))
         attn = self.make()
         x = seq(np.random.default_rng(12), 1, 8)
-        info = {}
-        attn.attend(x, collect=info)
-        np.testing.assert_allclose(info["weights"], np.ones((1, 2, 1, 1)), atol=1e-15)
-        h = attn.norm(x.data)
-        v = attn.wv(h).data.reshape(1, 1, 2, 4).transpose(0, 2, 1, 3)
-        np.testing.assert_allclose(info["values"], v, atol=1e-15)
+        np.testing.assert_allclose(attention_weights(attn, x), np.ones((1, 2, 1, 1)),
+                                   atol=1e-15)
+        want = attn.wo(attn.wv(attn.norm(x.data))).data
+        np.testing.assert_allclose(attn.attend(x).data, want, atol=1e-15)
 
     def test_permutation_equivariance(self):
         attn = self.make()
@@ -136,7 +135,7 @@ class TestAttention:
         attn = self.make()
         rng = np.random.default_rng(14)
         x = seq(rng, 7, 8, batch=2, lengths=[7, 4])
-        got = attn.attention_weights(x)
+        got = attention_weights(attn, x)
         h = attn.norm(x.data).data
         q = (h @ attn.wq.w.data + attn.wq.b.data).reshape(2, 7, 2, 4).transpose(0, 2, 1, 3)
         k = (h @ attn.wk.w.data + attn.wk.b.data).reshape(2, 7, 2, 4).transpose(0, 2, 1, 3)
@@ -152,7 +151,7 @@ class TestAttention:
     def test_masked_keys_get_zero_weight(self):
         attn = self.make()
         x = seq(np.random.default_rng(15), 6, 8, batch=1, lengths=[4])
-        w = attn.attention_weights(x)
+        w = attention_weights(attn, x)
         assert np.abs(w[..., 4:]).max() == 0.0
 
 

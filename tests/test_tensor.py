@@ -195,6 +195,40 @@ class TestFusedOps:
         with pytest.raises(ShapeError, match="bias"):
             T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grouped_linear_matches_per_group_products(self, dtype):
+        # three groups: slice h of width 4 maps through w[h] and b[h] to
+        # output slice h of width 6, bit for bit as its own contiguous product
+        rng = np.random.default_rng(23)
+        x, w, b, g = (rng.standard_normal(shape).astype(dtype)
+                      for shape in ((2, 5, 12), (3, 4, 6), (3, 6), (2, 5, 18)))
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        with GradTape() as tape:
+            out = T.linear(*leaves)
+            loss = T.tsum(T.mul(out, Tensor(g)))
+        gx, gw, gb = (tape.gradients(loss)[t] for t in leaves)
+        assert out.dtype == gx.dtype == gw.dtype == gb.dtype == dtype
+        for h in range(3):
+            xs = np.ascontiguousarray(x[..., 4 * h:4 * h + 4]).reshape(10, 4)
+            gs = np.ascontiguousarray(g[..., 6 * h:6 * h + 6]).reshape(10, 6)
+            want = xs @ w[h]
+            want += b[h]
+            assert np.array_equal(out.data[..., 6 * h:6 * h + 6].reshape(10, 6), want)
+            assert np.array_equal(gx[..., 4 * h:4 * h + 4].reshape(10, 4), gs @ w[h].T)
+            assert np.array_equal(gw[h], xs.T @ gs)
+            assert np.array_equal(gb[h], gs.sum(axis=0))
+
+    def test_grouped_linear_shape_errors(self):
+        w, b = Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="width"):
+            T.linear(Tensor(np.zeros((5, 7))), w, b)
+        for bias in ((4,), (3, 5), (4, 3)):
+            with pytest.raises(ShapeError, match="bias"):
+                T.linear(Tensor(np.zeros((5, 6))), w, Tensor(np.zeros(bias)))
+        for weight in ((6,), (1, 3, 2, 4)):
+            with pytest.raises(ShapeError, match="groups"):
+                T.linear(Tensor(np.zeros((5, 6))), Tensor(np.zeros(weight)), b)
+
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 8)])
     def test_glu_matches_mul_narrow_sigmoid(self, shape):
         y = Tensor(np.random.default_rng(21).standard_normal(shape) * 3.0, requires_grad=True)

@@ -444,3 +444,32 @@ def test_warm_training_steps_take_no_page_faults():
     assert proc.returncode == 0, proc.stderr
     faults = json.loads(proc.stdout.splitlines()[-1])
     assert all(n < 1000 for n in faults[2:]), f"minor page faults per step: {faults}"
+
+
+# Five one-batch evaluations of a stored default-config model in a fresh
+# process that never opens a tape; prints the minor page faults each took.
+_EVAL_FAULT_SCRIPT = """
+import json, resource, sys
+from mhssm.training import evaluate
+
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluate(sys.argv[1], batches=1)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap policy is glibc-only")
+def test_warm_evaluations_take_no_page_faults(tmp_path):
+    # evaluation sets the heap policy itself: without it every default-config
+    # forward after the first takes about 16,000 minor faults; with it, about 10
+    ckpt = train({"steps": 0, "eval_batches": 1}, out_dir=tmp_path)["checkpoint_path"]
+    env = subprocess_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                         MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _EVAL_FAULT_SCRIPT, ckpt], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.splitlines()[-1])
+    assert all(n < 1000 for n in faults[1:]), f"minor page faults per evaluation: {faults}"
