@@ -1,14 +1,17 @@
-"""Full sequence encoders: frontends, block schedule, parameter accounting.
+"""Full sequence encoders: one frontend, one layer schedule, parameter accounting.
 
-Three residual layer kinds share the same pre-norm skeleton:
+Every layer runs the same pre-norm residual blocks in the same order,
+[bidirectional multi-head SSM, self-attention, feed-forward], and the block
+kind says which of the first two it keeps:
 
-* ``transformer``:  [self-attention, feed-forward]
-* ``stateformer``:  [bidirectional multi-head SSM, self-attention, feed-forward]
-* ``mh_ssm``:       [bidirectional multi-head SSM, feed-forward]
+* ``transformer``:  attention and feed-forward (no SSM block)
+* ``stateformer``:  all three
+* ``mh_ssm``:       SSM and feed-forward (the SSM block takes attention's place)
 
-The two subsampling frontends emit ``model_dim`` features at a quarter of the
-input frame rate; the ``linear`` frontend keeps the frame rate for token
-tasks.
+The frontend projects the input frames. The ``linear`` kind stops there and
+keeps the frame rate for token tasks; ``tr`` and ``ms`` run two rounds of
+[SSM blocks, frame splice] (none per round for ``tr``, two for ``ms``) and so
+emit ``model_dim`` features at a quarter of the input frame rate.
 """
 
 from __future__ import annotations
@@ -85,9 +88,9 @@ class EncoderConfig:
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
         if self.input_dim < 1 or self.num_layers < 0:
             raise ConfigError("input_dim must be >= 1 and num_layers >= 0")
-        if self.frontend in ("tr", "ms"):
-            if self.model_dim % 4 != 0:
-                raise ConfigError("subsampling frontends need model_dim divisible by 4")
+        if self.frontend != "linear" and self.model_dim % 4 != 0:
+            raise ConfigError("subsampling frontends need model_dim divisible by 4")
+        if self.frontend == "ms":
             self.fe_block_config(self.model_dim // 4).validate()
             self.fe_block_config(self.model_dim // 2).validate()
         if self.block_kind in ("transformer", "stateformer"):
@@ -119,60 +122,40 @@ def time_reduction(x: SeqBatch) -> SeqBatch:
     return SeqBatch(data, -(-x.lengths // 2))
 
 
-class TimeReductionFrontend(Module):
-    """Linear projection to model_dim/4 followed by two frame splices."""
-
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.input_dim = cfg.input_dim
-        self.proj = Linear(cfg.input_dim, cfg.model_dim // 4, rng, dtype=cfg.np_dtype)
-
-    def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
-        if x.dim != self.input_dim:
-            raise ConfigError(f"frontend expects {self.input_dim}-dim input, got {x.dim}")
-        h = x.with_data(self.proj(x.data)).rezero()
-        return time_reduction(time_reduction(h))
-
-
 class MultiScaleFrontend(Module):
-    """Residual multi-head SSM blocks interleaved with frame splices.
+    """The frontend of every kind: a projection, then two subsampling rounds.
 
-    With both block lists emptied it is the plain time-reduction frontend.
+    ``linear`` projects to ``model_dim`` and stops there. ``tr`` and ``ms``
+    project to ``model_dim/4`` and run two rounds of [residual multi-head
+    SSM blocks, frame splice]; ``ms`` has two blocks per round, ``tr`` none.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         self.input_dim = cfg.input_dim
-        quarter, half = cfg.model_dim // 4, cfg.model_dim // 2
-        self.proj = Linear(cfg.input_dim, quarter, rng, dtype=cfg.np_dtype)
+        self.subsample = cfg.frontend != "linear"
+        width = cfg.model_dim // 4 if self.subsample else cfg.model_dim
+        self.proj = Linear(cfg.input_dim, width, rng, dtype=cfg.np_dtype)
+        per_round = 2 if cfg.frontend == "ms" else 0
         self.blocks_lo = [
-            BidirMhSsmBlock(cfg.fe_block_config(quarter), rng, cfg.np_dtype) for _ in range(2)
+            BidirMhSsmBlock(cfg.fe_block_config(width), rng, cfg.np_dtype)
+            for _ in range(per_round)
         ]
         self.blocks_hi = [
-            BidirMhSsmBlock(cfg.fe_block_config(half), rng, cfg.np_dtype) for _ in range(2)
+            BidirMhSsmBlock(cfg.fe_block_config(2 * width), rng, cfg.np_dtype)
+            for _ in range(per_round)
         ]
 
     def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
         if x.dim != self.input_dim:
             raise ConfigError(f"frontend expects {self.input_dim}-dim input, got {x.dim}")
         h = x.with_data(self.proj(x.data)).rezero()
-        for block in self.blocks_lo:
-            h = block(h, train_rng)
-        h = time_reduction(h)
-        for block in self.blocks_hi:
-            h = block(h, train_rng)
-        return time_reduction(h)
-
-
-class LinearFrontend(Module):
-    """Projection to model_dim with no subsampling (token tasks)."""
-
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.input_dim = cfg.input_dim
-        self.proj = Linear(cfg.input_dim, cfg.model_dim, rng, dtype=cfg.np_dtype)
-
-    def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
-        if x.dim != self.input_dim:
-            raise ConfigError(f"frontend expects {self.input_dim}-dim input, got {x.dim}")
-        return x.with_data(self.proj(x.data)).rezero()
+        if not self.subsample:
+            return h
+        for blocks in (self.blocks_lo, self.blocks_hi):
+            for block in blocks:
+                h = block(h, train_rng)
+            h = time_reduction(h)
+        return h
 
 
 # ---------------------------------------------------------------------------
@@ -243,53 +226,28 @@ class FeedForwardBlock(Module):
         return x.with_data(T.add(x.data, branch)).rezero()
 
 
-class TransformerLayer(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.attn = SelfAttentionBlock(cfg.model_dim, cfg.attn_heads, rng,
-                                       cfg.dropout, cfg.np_dtype)
-        self.ffn = FeedForwardBlock(cfg.model_dim, cfg.ffn_dim, rng,
-                                    cfg.dropout, cfg.np_dtype)
+class EncoderLayer(Module):
+    """One layer of the block schedule: [ssm_block], [attn], ffn, in that order.
 
-    def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
-        return self.ffn(self.attn(x, train_rng), train_rng)
-
-
-class StateformerLayer(Module):
-    """Transformer layer with a bidirectional SSM residual block in front.
-
-    With ``ssm_block`` replaced by the identity the layer is exactly its
-    inner transformer layer.
+    ``transformer`` has no ``ssm_block`` and ``mh_ssm`` no ``attn``. With
+    ``ssm_block`` replaced by the identity a ``stateformer`` layer is exactly
+    ``ffn(attn(x))``, a transformer layer.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.ssm_block = BidirMhSsmBlock(cfg.block_config(), rng, cfg.np_dtype)
-        self.inner = TransformerLayer(cfg, rng)
-
-    def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
-        return self.inner(self.ssm_block(x, train_rng), train_rng)
-
-
-class MhSsmLayer(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.ssm_block = BidirMhSsmBlock(cfg.block_config(), rng, cfg.np_dtype)
+        if cfg.block_kind != "transformer":
+            self.ssm_block = BidirMhSsmBlock(cfg.block_config(), rng, cfg.np_dtype)
+        if cfg.block_kind != "mh_ssm":
+            self.attn = SelfAttentionBlock(cfg.model_dim, cfg.attn_heads, rng,
+                                           cfg.dropout, cfg.np_dtype)
         self.ffn = FeedForwardBlock(cfg.model_dim, cfg.ffn_dim, rng,
                                     cfg.dropout, cfg.np_dtype)
 
     def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
-        return self.ffn(self.ssm_block(x, train_rng), train_rng)
-
-
-_LAYERS = {
-    "transformer": TransformerLayer,
-    "stateformer": StateformerLayer,
-    "mh_ssm": MhSsmLayer,
-}
-
-_FRONTENDS = {
-    "tr": TimeReductionFrontend,
-    "ms": MultiScaleFrontend,
-    "linear": LinearFrontend,
-}
+        for name in ("ssm_block", "attn", "ffn"):
+            if hasattr(self, name):
+                x = getattr(self, name)(x, train_rng)
+        return x
 
 
 class Encoder(Module):
@@ -299,8 +257,8 @@ class Encoder(Module):
         cfg.validate()
         self.cfg = cfg
         rng = np.random.Generator(np.random.PCG64(seed))
-        self.frontend = _FRONTENDS[cfg.frontend](cfg, rng)
-        self.layers = [_LAYERS[cfg.block_kind](cfg, rng) for _ in range(cfg.num_layers)]
+        self.frontend = MultiScaleFrontend(cfg, rng)
+        self.layers = [EncoderLayer(cfg, rng) for _ in range(cfg.num_layers)]
         self.final_norm = LayerNorm(cfg.model_dim, dtype=cfg.np_dtype)
 
     def __call__(self, x: SeqBatch, train_rng: np.random.Generator | None = None) -> SeqBatch:

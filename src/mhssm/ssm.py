@@ -269,14 +269,10 @@ def _damped_response(zoh: Tensor, length: int) -> Tensor:
     The backward pass reuses the two factors, so the node keeps
     O(channels * state * sqrt(length)) values.
     """
-    chunk = math.isqrt(length - 1) + 1
-    blocks = -(-length // chunk)
-    block_taps = chunk * np.arange(blocks, dtype=np.float64)
-    taps = np.arange(chunk, dtype=np.float64)
     logmag, angle, _, _, cb_re, cb_im = zoh.data
     cb = cb_re + 1j * cb_im
-    coarse = _log_powers(logmag, angle, block_taps)             # (p, n, blocks)
-    fine = _log_powers(logmag, angle, taps)                     # (p, n, chunk)
+    block_taps, taps, coarse, fine = _split_powers(logmag, angle, length)
+    blocks, chunk = block_taps.size, taps.size
     # (p, blocks, n) @ (p, n, chunk): tap chunk*i + j of every channel
     blocked = np.matmul(np.swapaxes(cb[..., None] * coarse, 1, 2), fine)
     kernel = 2.0 * blocked.real.reshape(blocked.shape[0], -1)[:, :length]
@@ -313,18 +309,28 @@ def _log_powers(logmag: np.ndarray, angle: np.ndarray, taps: np.ndarray) -> np.n
     return mag * (np.cos(phase) + 1j * np.sin(phase))
 
 
+def _split_powers(logmag: np.ndarray, angle: np.ndarray, count: int):
+    """The sqrt split of the powers abar^0..abar^(count-1).
+
+    With s = ceil(sqrt(count)), power k = s*i + j is abar^(s*i) * abar^j.
+    Returns the coarse taps s*i, the fine taps j < s, and their log powers,
+    (p, n, blocks) and (p, n, s).
+    """
+    step = math.isqrt(count - 1) + 1
+    block_taps = step * np.arange(-(-count // step), dtype=np.float64)
+    taps = np.arange(step, dtype=np.float64)
+    return (block_taps, taps, _log_powers(logmag, angle, block_taps),
+            _log_powers(logmag, angle, taps))
+
+
 def _powers_through(logmag: np.ndarray, angle: np.ndarray, last: int) -> np.ndarray:
     """abar^0..abar^last as (p, n, last+1), from about 2*sqrt(last) log powers.
 
-    abar^(s*i + j) = abar^(s*i) * abar^j with s = ceil(sqrt(last + 1)): each
-    power is one complex product of two `_log_powers` values, so only those
-    take exp, cos and sin (at 64 channels, 16 states and 33 powers: 0.7 ms
-    instead of 2.2 ms).
+    Each power is one complex product of the two `_split_powers` factors,
+    so only those take exp, cos and sin (at 64 channels, 16 states and 33
+    powers: 0.7 ms instead of 2.2 ms).
     """
-    step = math.isqrt(last) + 1
-    blocks = -(-(last + 1) // step)
-    coarse = _log_powers(logmag, angle, step * np.arange(blocks, dtype=np.float64))
-    fine = _log_powers(logmag, angle, np.arange(step, dtype=np.float64))
+    _, _, coarse, fine = _split_powers(logmag, angle, last + 1)
     powers = coarse[..., :, None] * fine[..., None, :]
     return powers.reshape(logmag.shape + (-1,))[..., :last + 1]
 

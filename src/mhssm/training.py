@@ -7,10 +7,12 @@ model parameters, optimizer moments, and the dropout generator state, so a
 resumed run reproduces the uninterrupted one bit for bit.
 
 Checkpoints written when every head of a stage had its own parameter arrays
-(``stages.j.ssms.<h>.<field>``, ``glu_proj.<h>.w``/``.b``) still load and
-resume: right after loading, their arrays are merged into the whole-width
-names (``stages.j.ssm.<field>``, ``glu_w``/``glu_b``) for the model and both
-Adam moments. The container bytes and ``checkpoint.VERSION`` are unchanged.
+(``stages.j.ssms.<h>.<field>``, ``glu_proj.<h>.w``/``.b``) or when stateformer
+layers nested attention and feed-forward under ``layers.i.inner.`` still load
+and resume: right after loading, their arrays are merged into the whole-width
+names (``stages.j.ssm.<field>``, ``glu_w``/``glu_b``) and renamed to
+``layers.i.{attn,ffn}.``, for the model and both Adam moments. The container
+bytes and ``checkpoint.VERSION`` are unchanged.
 """
 
 from __future__ import annotations
@@ -230,20 +232,24 @@ def _save_state(path, model: TaskModel, opt: Adam, cfg: dict, step: int,
 # per-head names of the stage layout before heads were whole-width slices
 _LEGACY_SSM = re.compile(r"^(.*\.stages\.\d+\.)ssms\.(\d+)\.(\w+)$")
 _LEGACY_GLU = re.compile(r"^(.*\.stages\.\d+\.)glu_proj\.(\d+)\.([wb])$")
+# stateformer layers that nested their transformer blocks under ``inner``
+_LEGACY_INNER = re.compile(r"^(.*\.layers\.\d+\.)inner\.")
 
 
 def _upgrade_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Merge per-head stage arrays of older checkpoints into whole-width ones.
+    """Rename the arrays of older checkpoints to the current layout.
 
     ``<stage>.ssms.<h>.<field>`` arrays concatenate on the channel axis into
     ``<stage>.ssm.<field>``; ``<stage>.glu_proj.<h>.w``/``.b`` stack into
-    ``<stage>.glu_w``/``glu_b``. Applies under any prefix (model and Adam
-    moments alike); current names pass through untouched, and a merged array
-    takes the place of its first head.
+    ``<stage>.glu_w``/``glu_b``; ``layers.<i>.inner.`` becomes
+    ``layers.<i>.``. Applies under any prefix (model and Adam moments alike);
+    current names pass through untouched, and a merged array takes the place
+    of its first head.
     """
     out: dict = {}
     heads: dict[str, dict[int, np.ndarray]] = {}
     for key, arr in arrays.items():
+        key = _LEGACY_INNER.sub(r"\1", key)
         if m := _LEGACY_SSM.match(key):
             name, join = f"{m[1]}ssm.{m[3]}", np.concatenate
         elif m := _LEGACY_GLU.match(key):
@@ -258,8 +264,37 @@ def _upgrade_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return out
 
 
-def _restore_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[TaskModel, dict]:
-    cfg = load_config(meta.get("config", {}))
+def _load_train_state(path) -> tuple[dict, dict, dict]:
+    """The upgraded arrays, checked config and checked metadata of a
+    training checkpoint.
+
+    Raises :class:`ConfigError` unless the metadata holds a config object
+    that passes :func:`load_config`, integer ``step`` and ``adam_steps`` of
+    at least 0, and a PCG64 state as ``dropout_rng``.
+    """
+    arrays, meta = load_checkpoint(path)
+    if meta.get("kind") != "mhssm-train-state":
+        raise ConfigError(f"{path} is not a training checkpoint")
+    for key in ("config", "step", "adam_steps", "dropout_rng"):
+        if key not in meta:
+            raise ConfigError(f"{path}: checkpoint metadata lacks {key!r}")
+    if not isinstance(meta["config"], dict):
+        raise ConfigError(f"{path}: checkpoint metadata 'config' is not a JSON object")
+    cfg = load_config(meta["config"])
+    for key in ("step", "adam_steps"):
+        value = meta[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ConfigError(
+                f"{path}: checkpoint metadata {key!r} must be an integer >= 0, got {value!r}")
+    try:
+        np.random.PCG64(0).state = meta["dropout_rng"]
+    except (TypeError, ValueError, KeyError, OverflowError):
+        raise ConfigError(
+            f"{path}: checkpoint metadata 'dropout_rng' is not a PCG64 state") from None
+    return _upgrade_arrays(arrays), cfg, meta
+
+
+def _restore_model(cfg: dict, arrays: dict[str, np.ndarray]) -> TaskModel:
     model = TaskModel(cfg)
     params = model.named_params()
     updates = {}
@@ -275,7 +310,7 @@ def _restore_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[TaskModel
             )
         updates[name] = Tensor(arr, requires_grad=True, dtype=tensor.dtype)
     model.set_params(updates)
-    return model, cfg
+    return model
 
 
 def _eval_model(model: TaskModel, cfg: dict, batches: int) -> dict:
@@ -346,11 +381,7 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     opt = Adam()
     start_step = 0
     if resume is not None:
-        arrays, meta = load_checkpoint(resume)
-        arrays = _upgrade_arrays(arrays)
-        if meta.get("kind") != "mhssm-train-state":
-            raise ConfigError(f"{resume} is not a training checkpoint")
-        stored_cfg = load_config(meta["config"])
+        arrays, stored_cfg, meta = _load_train_state(resume)
         # loop controls may change across a resume; model/task/optimizer may not
         loop_keys = ("steps", "out", "eval_every", "eval_batches", "target_acc",
                      "checkpoint_every")
@@ -366,9 +397,9 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
         for key in loop_keys:
             stored_cfg[key] = cfg[key]
         cfg = stored_cfg
-        model, _ = _restore_model(meta, arrays)
+        model = _restore_model(cfg, arrays)
         opt.load_state(arrays, meta["adam_steps"])
-        start_step = int(meta["step"])
+        start_step = meta["step"]
         dropout_rng = np.random.default_rng(cfg["seed"] + 1)
         dropout_rng.bit_generator.state = meta["dropout_rng"]
     else:
@@ -452,11 +483,8 @@ def evaluate(checkpoint_path, task=None, batches: int = 8) -> dict:
     T._retain_heap()
     if batches < 1:
         raise ConfigError(f"evaluation needs at least one batch, got {batches}")
-    arrays, meta = load_checkpoint(checkpoint_path)
-    arrays = _upgrade_arrays(arrays)
-    if meta.get("kind") != "mhssm-train-state":
-        raise ConfigError(f"{checkpoint_path} is not a training checkpoint")
-    model, cfg = _restore_model(meta, arrays)
+    arrays, cfg, _ = _load_train_state(checkpoint_path)
+    model = _restore_model(cfg, arrays)
     if task:
         unknown = set(task) - {f.name for f in dataclasses.fields(TaskSpec)}
         if unknown:

@@ -8,6 +8,7 @@ recurrence, which never touches the convolution code path.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 import time
 from pathlib import Path
@@ -16,8 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import BidirMhSsmBlock, MhSsmBlockConfig, MhSsmStage
-from .encoder import (EncoderConfig, MultiScaleFrontend, StateformerLayer,
-                      TimeReductionFrontend, build_encoder)
+from .encoder import EncoderConfig, EncoderLayer, MultiScaleFrontend, build_encoder
 from .nn import Module
 from .optim import Adam
 from .seq import SeqBatch
@@ -200,13 +200,13 @@ def toy_bidir_block(seed: int, dim=8, heads=2, stack=2, state_dim=4) -> BidirMhS
     return BidirMhSsmBlock(cfg, rng)
 
 
-def toy_stateformer_layer(seed: int, dim=8) -> StateformerLayer:
+def toy_stateformer_layer(seed: int, dim=8) -> EncoderLayer:
     cfg = EncoderConfig(frontend="linear", input_dim=dim, model_dim=dim,
                         num_layers=1, block_kind="stateformer", attn_heads=2,
                         ffn_dim=16, heads=2, stack=2, state_dim=4, gating="ihg",
                         dropout=0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    return StateformerLayer(cfg, rng)
+    return EncoderLayer(cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +340,8 @@ def criterion_frontends(lengths=(99, 100, 101, 102)):
     """Both frontends subsample 4x to the model width; splicing is local."""
     cfg = EncoderConfig(frontend="tr", input_dim=80, model_dim=512, num_layers=0)
     rng = np.random.default_rng(31)
-    tr = TimeReductionFrontend(cfg, np.random.default_rng(5))
-    ms = MultiScaleFrontend(cfg, np.random.default_rng(6))
+    tr = MultiScaleFrontend(cfg, np.random.default_rng(5))
+    ms = MultiScaleFrontend(dataclasses.replace(cfg, frontend="ms"), np.random.default_rng(6))
     for horizon in lengths:
         x = SeqBatch(Tensor(rng.standard_normal((2, horizon, 80))),
                      np.array([horizon, max(1, horizon - 7)]))
@@ -373,14 +373,14 @@ def criterion_reductions():
     x = SeqBatch(Tensor(rng.standard_normal((2, 10, 8))), np.array([10, 7]))
     layer.ssm_block = lambda h, train_rng=None: h
     a = layer(x).data.data
-    b = layer.inner(x).data.data
+    b = layer.ffn(layer.attn(x)).data.data
     if not np.array_equal(a, b):
         return False, "stateformer with skipped SSM branch differs from its transformer core"
 
     cfg = EncoderConfig(frontend="ms", input_dim=80, model_dim=64, num_layers=0,
                         fe_heads=2, fe_stack=1, fe_state_dim=4)
     ms = MultiScaleFrontend(cfg, np.random.default_rng(9))
-    tr = TimeReductionFrontend(cfg, np.random.default_rng(10))
+    tr = MultiScaleFrontend(dataclasses.replace(cfg, frontend="tr"), np.random.default_rng(10))
     tr.proj.w = Tensor(ms.proj.w.data.copy(), requires_grad=True)
     tr.proj.b = Tensor(ms.proj.b.data.copy(), requires_grad=True)
     ms.blocks_lo = ms.blocks_hi = []

@@ -1,17 +1,28 @@
-"""Write the per-head-layout checkpoints that test_train.py loads.
+"""Write the old-layout checkpoints that test_train.py loads.
 
-Run it from this directory against the ``src`` of commit 5bf665d, the last
-one whose stages kept one parameter set per head:
+Each file is written by the last commit whose models had its layout. Run the
+script from this directory against that commit's ``src``, naming the cases
+to write:
 
-    PYTHONPATH=<checkout of 5bf665d>/src python make_legacy_checkpoints.py
+    PYTHONPATH=<checkout of 5bf665d>/src python make_legacy_checkpoints.py ihg glu
+    PYTHONPATH=<checkout of 717c816>/src python make_legacy_checkpoints.py stateformer
 
-It trains one tiny ``ihg`` and one tiny ``glu`` model, keeps each final
-checkpoint as ``legacy_<gating>.bin`` and records that commit's
-``evaluate(..., batches=2)`` loss and accuracy in ``legacy_evals.json``.
+* ``legacy_ihg.bin`` and ``legacy_glu.bin`` come from commit 5bf665d, the last
+  one whose stages kept one parameter set per head: one tiny ``mh_ssm`` model
+  per gating.
+* ``legacy_stateformer.bin`` comes from commit 717c816, the last one whose
+  stateformer layers nested attention and feed-forward under ``inner``: one
+  tiny ``stateformer`` model.
+
+Each named case trains its model, keeps the final checkpoint as
+``legacy_<case>.bin`` and records that commit's ``evaluate(..., batches=2)``
+loss and accuracy under the case's name in ``legacy_evals.json``. Files and
+entries of cases not named are left as they are.
 """
 
 import json
 import shutil
+import sys
 from pathlib import Path
 
 from mhssm.training import evaluate, train
@@ -24,19 +35,29 @@ BASE = {
     "eval_batches": 2, "seed": 5,
 }
 
+CASES = {
+    "ihg": {"gating": "ihg"},
+    "glu": {"gating": "glu"},
+    "stateformer": {"block": "stateformer"},
+}
 
-def main():
-    evals = {}
-    for gating in ("ihg", "glu"):
-        run = Path(f"run_{gating}")
-        result = train(dict(BASE, gating=gating, out=run.name))
-        target = Path(f"legacy_{gating}.bin")
+
+def main(cases):
+    evals_path = Path("legacy_evals.json")
+    evals = json.loads(evals_path.read_text()) if evals_path.exists() else {}
+    for case in cases:
+        run = Path(f"run_{case}")
+        result = train(dict(BASE, **CASES[case], out=run.name))
+        target = Path(f"legacy_{case}.bin")
         shutil.copyfile(result["checkpoint_path"], target)
         shutil.rmtree(run)
         report = evaluate(target.name, batches=2)
-        evals[gating] = {"loss": report["loss"], "accuracy": report["accuracy"]}
-    Path("legacy_evals.json").write_text(json.dumps(evals, indent=2) + "\n")
+        evals[case] = {"loss": report["loss"], "accuracy": report["accuracy"]}
+    evals_path.write_text(json.dumps(evals, indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    unknown = set(sys.argv[1:]) - set(CASES)
+    if unknown or len(sys.argv) < 2:
+        sys.exit(f"usage: make_legacy_checkpoints.py CASE... with CASE in {sorted(CASES)}")
+    main(sys.argv[1:])

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from mhssm.checkpoint import load_checkpoint, save_checkpoint
 from mhssm.cli import main
+from mhssm.training import train
 
 from hooks import subprocess_env
 
@@ -213,3 +215,51 @@ def test_train_with_negative_seed_flag_fails_before_output(cfg_file, tmp_path, c
     assert main(["train", "--config", str(cfg_file), "--out", str(out), "--seed", "-1"]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("meta") / "run"
+    train(dict(CFG), out_dir=out)
+    return out / "checkpoint.bin"
+
+
+_DROP = object()
+
+
+def _with_meta(src, dst, **changes):
+    """Copy a checkpoint with metadata keys replaced, or dropped for _DROP."""
+    arrays, meta = load_checkpoint(src)
+    for key, value in changes.items():
+        if value is _DROP:
+            del meta[key]
+        else:
+            meta[key] = value
+    save_checkpoint(dst, arrays, meta)
+    return dst
+
+
+@pytest.mark.parametrize("key,value", [
+    ("config", _DROP), ("step", _DROP), ("adam_steps", _DROP), ("dropout_rng", _DROP),
+    ("dropout_rng", [1, 2]), ("dropout_rng", {"bit_generator": "PCG64", "state": 5}),
+    ("config", [1, 2]), ("step", "4"),
+], ids=["no-config", "no-step", "no-adam_steps", "no-dropout_rng", "dropout_rng-list",
+        "dropout_rng-bad-state", "config-list", "step-str"])
+def test_resume_with_malformed_metadata_is_config_error(trained_checkpoint, cfg_file,
+                                                        tmp_path, capsys, key, value):
+    bad = _with_meta(trained_checkpoint, tmp_path / "bad.bin", **{key: value})
+    code = main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "more"),
+                 "--resume", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("value", [_DROP, [1, 2], "delayed_echo"],
+                         ids=["no-config", "config-list", "config-str"])
+def test_evaluate_with_malformed_config_is_config_error(trained_checkpoint, tmp_path,
+                                                        capsys, value):
+    bad = _with_meta(trained_checkpoint, tmp_path / "bad.bin", config=value)
+    assert main(["evaluate", "--checkpoint", str(bad), "--batches", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'config'" in err

@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mhssm import tensor as T
 from mhssm.checkpoint import load_checkpoint, save_checkpoint
-from mhssm.encoder import (EncoderConfig, MultiScaleFrontend,
-                           SelfAttentionBlock, StateformerLayer,
-                           TimeReductionFrontend, build_encoder, param_count,
+from mhssm.encoder import (EncoderConfig, EncoderLayer, MultiScaleFrontend,
+                           SelfAttentionBlock, build_encoder, param_count,
                            time_reduction)
 from mhssm.errors import ConfigError
 from mhssm.seq import SeqBatch
@@ -50,7 +51,7 @@ class TestTimeReduction:
 class TestTrFrontend:
     def make(self):
         cfg = EncoderConfig(frontend="tr", input_dim=80, model_dim=512, num_layers=0)
-        return TimeReductionFrontend(cfg, np.random.default_rng(1))
+        return MultiScaleFrontend(cfg, np.random.default_rng(1))
 
     def test_length_100(self):
         out = self.make()(seq(np.random.default_rng(2), 100, 80))
@@ -89,7 +90,8 @@ class TestMsFrontend:
         cfg = EncoderConfig(frontend="ms", input_dim=80, model_dim=128, num_layers=0,
                             fe_heads=2, fe_stack=1, fe_state_dim=4)
         ms = MultiScaleFrontend(cfg, np.random.default_rng(8))
-        tr = TimeReductionFrontend(cfg, np.random.default_rng(9))
+        tr = MultiScaleFrontend(dataclasses.replace(cfg, frontend="tr"),
+                                np.random.default_rng(9))
         tr.proj.w = Tensor(ms.proj.w.data.copy(), requires_grad=True)
         tr.proj.b = Tensor(ms.proj.b.data.copy(), requires_grad=True)
         ms.blocks_lo = ms.blocks_hi = []
@@ -163,10 +165,11 @@ class TestLayers:
                              gating="ihg", dropout=0.0)
 
     def test_stateformer_with_zeroed_branch_is_transformer(self):
-        layer = StateformerLayer(self.enc_cfg("stateformer"), np.random.default_rng(16))
+        layer = EncoderLayer(self.enc_cfg("stateformer"), np.random.default_rng(16))
         layer.ssm_block = lambda h, train_rng=None: h
         x = seq(np.random.default_rng(17), 9, 16, batch=2, lengths=[9, 5])
-        np.testing.assert_array_equal(layer(x).data.data, layer.inner(x).data.data)
+        np.testing.assert_array_equal(layer(x).data.data,
+                                      layer.ffn(layer.attn(x)).data.data)
 
     def test_shape_through_sixteen_layers(self):
         cfg = self.enc_cfg("stateformer", layers=16)
@@ -247,6 +250,18 @@ class TestParamCount:
                             stack=1, state_dim=4, fe_heads=2, fe_stack=1,
                             fe_state_dim=4)
         assert param_count(cfg)["total"] == build_encoder(cfg, seed=0).num_params()
+
+    @pytest.mark.parametrize("model_dim,fe_heads", [(8, 4), (16, 3)])
+    def test_tr_ignores_frontend_block_settings(self, model_dim, fe_heads):
+        # tr runs no frontend blocks, so fe_* settings no block of that width
+        # could take are not its concern
+        cfg = EncoderConfig(frontend="tr", input_dim=6, model_dim=model_dim,
+                            num_layers=1, heads=2, stack=1, state_dim=4,
+                            ffn_dim=16, fe_heads=fe_heads)
+        enc = build_encoder(cfg, seed=0)
+        out = enc(seq(np.random.default_rng(1), 9, 6))
+        assert out.data.shape == (1, 3, model_dim)
+        assert param_count(cfg)["total"] == enc.num_params()
 
     def test_desk_scale_closed_form(self):
         # hand-derived: linear frontend 8->16, one two-head single-stack block

@@ -373,8 +373,10 @@ class TestTrainLoop:
         assert upticks <= 0.1 * ma[0]
 
 
-class TestPerHeadCheckpoints:
-    """Checkpoints from the per-head stage layout (see data/make_legacy_checkpoints.py)."""
+class TestLegacyCheckpoints:
+    """Checkpoints from the per-head stage layout (``ihg``, ``glu``) and from
+    stateformer layers that nested attention and feed-forward under
+    ``inner`` (``stateformer``); see data/make_legacy_checkpoints.py."""
 
     @pytest.mark.parametrize("gating", ["ihg", "glu"])
     def test_evaluates_to_recorded_values(self, gating, monkeypatch):
@@ -389,15 +391,21 @@ class TestPerHeadCheckpoints:
         assert report["loss"] == want["loss"]
         assert report["accuracy"] == want["accuracy"]
 
-    @pytest.mark.parametrize("gating", ["ihg", "glu"])
-    def test_resumes_with_merged_names(self, gating, tmp_path):
+    def test_stateformer_evaluates_to_recorded_values_exactly(self):
+        want = json.loads((DATA / "legacy_evals.json").read_text())["stateformer"]
+        report = evaluate(DATA / "legacy_stateformer.bin", batches=2)
+        assert report["loss"] == want["loss"]
+        assert report["accuracy"] == want["accuracy"]
+
+    @pytest.mark.parametrize("case", ["ihg", "glu", "stateformer"])
+    def test_resumes_with_merged_names(self, case, tmp_path):
         result = train({"steps": 8}, out_dir=tmp_path / "more",
-                       resume=DATA / f"legacy_{gating}.bin")
+                       resume=DATA / f"legacy_{case}.bin")
         assert [h["step"] for h in result["history"]] == [7, 8]
         assert np.isfinite(result["final_eval"]["loss"])
         arrays, _ = mhssm.load_checkpoint(result["checkpoint_path"])
         model = {k[len("model."):] for k in arrays if k.startswith("model.")}
-        assert not any(".ssms." in k or ".glu_proj." in k for k in model)
+        assert not any(".ssms." in k or ".glu_proj." in k or ".inner." in k for k in model)
         for moment in ("adam.m.", "adam.v."):
             assert {k[len(moment):] for k in arrays if k.startswith(moment)} == model
 
