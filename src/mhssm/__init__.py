@@ -14,8 +14,8 @@ from .errors import ConfigError, NumericsError, ShapeError
 from .nn import LayerNorm, Linear, Module
 from .optim import Adam, LrSchedule, clip_grad_norm
 from .seq import SeqBatch, reverse_time
-from .ssm import (DiagonalSsm, DiscreteSsm, discretize, init_ssm,
-                  materialize_kernel, ssm_conv, ssm_scan)
+from .ssm import (DiagonalSsm, DiscreteSsm, discretize, materialize_kernel,
+                  ssm_conv, ssm_scan)
 from .tasks import IGNORE_INDEX, TaskSpec, generate_task
 from .tensor import GradTape, Tensor
 from .training import DEFAULTS, evaluate, load_config, train
@@ -28,7 +28,7 @@ __all__ = [
     "IGNORE_INDEX", "LayerNorm", "Linear", "LrSchedule", "MhSsmBlockConfig",
     "MhSsmStage", "Module", "NumericsError", "SeqBatch", "ShapeError",
     "TaskSpec", "Tensor", "build_encoder", "clip_grad_norm",
-    "discretize", "evaluate", "generate_task", "init_ssm",
+    "discretize", "evaluate", "generate_task",
     "load_checkpoint", "load_config", "materialize_kernel", "param_count",
     "reverse_time", "save_checkpoint", "ssm_conv", "ssm_scan", "tensor",
     "time_reduction", "train",

@@ -81,10 +81,6 @@ class DiagonalSsm(Module):
         self.d = d
         self.log_dt = log_dt
 
-    def lam(self) -> np.ndarray:
-        """Continuous eigenvalues as a complex array (inspection only)."""
-        return -np.exp(self.log_neg_re.data) + 1j * self.lam_im.data
-
 
 class DiscreteSsm:
     """A discretized system: the packed zero-order hold and the skip term.
@@ -111,7 +107,12 @@ class DiscreteSsm:
 
 def init_ssm_rng(state_dim: int, channels: int, rng: np.random.Generator,
                  scheme: str = "s4d_lin", dtype=np.float64) -> DiagonalSsm:
-    """Draw one system from a shared generator (see :func:`init_ssm`)."""
+    """Draw one system's parameters from ``rng``.
+
+    ``s4d_lin`` puts eigenvalue k of every channel at -1/2 + i*pi*k;
+    ``random_stable`` draws them with real part in [-1, -0.1] and imaginary
+    part in [-pi, pi]. Step sizes are log-uniform in [DT_MIN, DT_MAX].
+    """
     if state_dim < 1 or channels < 1:
         raise ConfigError(f"state_dim and channels must be >= 1, got {state_dim}, {channels}")
     if scheme not in INIT_SCHEMES:
@@ -138,13 +139,6 @@ def init_ssm_rng(state_dim: int, channels: int, rng: np.random.Generator,
 
     return DiagonalSsm(n, p, param(log_neg_re), param(lam_im), param(b_re),
                        param(b_im), param(c_re), param(c_im), param(d), param(log_dt))
-
-
-def init_ssm(state_dim: int, channels: int, seed: int = 0,
-             scheme: str = "s4d_lin", dtype=np.float64) -> DiagonalSsm:
-    """Initialize a diagonal system; identical parameters for identical seeds."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return init_ssm_rng(state_dim, channels, rng, scheme, dtype)
 
 
 def discretize(ssm: DiagonalSsm) -> DiscreteSsm:
@@ -177,6 +171,7 @@ def discretize(ssm: DiagonalSsm) -> DiscreteSsm:
     zoh = Tensor._wrap(np.stack([logmag, angle, abar_re, abar_im,
                                  c_re * bbar_re - c_im * bbar_im,
                                  c_re * bbar_im + c_im * bbar_re]))
+    keys = [(t.key, t.dtype) for t in inputs]
 
     def bwd(g, acc):
         lam = lam_re + 1j * lam_im
@@ -193,8 +188,8 @@ def discretize(ssm: DiagonalSsm) -> DiscreteSsm:
         g_dt = (np.conj(lam) * g_log).real.sum(axis=1)
         grads = (g_lam.real * lam_re, g_lam.imag, g_b.real, g_b.imag, g_c.real, g_c.imag,
                  g_dt * dt[:, 0])
-        for param, grad in zip(inputs, grads):
-            acc(param, grad.astype(param.dtype, copy=False))
+        for (key, dtype), grad in zip(keys, grads):
+            acc(key, grad.astype(dtype, copy=False))
 
     T.record_op(zoh, inputs, bwd)
     return DiscreteSsm(zoh, ssm.d)
@@ -277,6 +272,7 @@ def _damped_response(zoh: Tensor, length: int) -> Tensor:
     blocked = np.matmul(np.swapaxes(cb[..., None] * coarse, 1, 2), fine)
     kernel = 2.0 * blocked.real.reshape(blocked.shape[0], -1)[:, :length]
     out = Tensor._wrap(kernel.astype(zoh.dtype, copy=False))
+    key, dtype = zoh.key, zoh.dtype
 
     def bwd(g, acc):
         grid = np.zeros((g.shape[0], blocks * chunk))
@@ -291,7 +287,7 @@ def _damped_response(zoh: Tensor, length: int) -> Tensor:
         gz = (coarse_t * within).sum(axis=1)                    # sum_k g*z
         gzk = (coarse_t * (within_k + block_taps[:, None] * within)).sum(axis=1)
         w = cb * gzk                                            # sum_k g*cb*z*k
-        acc(zoh, _zoh_grad(2.0 * np.conj(w), 2.0 * np.conj(gz), zoh.dtype))
+        acc(key, _zoh_grad(2.0 * np.conj(w), 2.0 * np.conj(gz), dtype))
 
     T.record_op(out, (zoh,), bwd)
     return out
@@ -464,6 +460,8 @@ def _chunked_conv(u: Tensor, zoh: Tensor, skip: Tensor) -> Tensor:
     yc = np.matmul(uc, w_toe)
     yc[:, bsz:] += np.matmul(flat_states[:, :carried], w_out)
     out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y))
+    u_data, u_key, zoh_key, zoh_dtype = u.data, u.key, zoh.key, zoh.dtype
+    skip_key, skip_dtype = skip.key, skip.dtype
 
     def bwd(g, acc):
         gu = np.empty((bsz, length, p), dtype=dtype)           # first, as above
@@ -482,12 +480,12 @@ def _chunked_conv(u: Tensor, zoh: Tensor, skip: Tensor) -> Tensor:
 
         gc_u = np.matmul(gc, np.swapaxes(w_toe, 1, 2))
         gc_u[:, :carried] += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
-        acc(u, _from_chunks(gc_u.reshape(p, chunks, bsz, q), gu))
+        acc(u_key, _from_chunks(gc_u.reshape(p, chunks, bsz, q), gu))
         del gc_u
 
-        # rebuilt rather than kept: the tape already holds the input, and a
+        # rebuilt rather than kept: the node already holds the input, and a
         # kept copy raised peak RSS over default-config training steps by 7%
-        uc_t = np.swapaxes(_to_chunks(u.data, chunks, dtype).reshape(p, rows, q), 1, 2)
+        uc_t = np.swapaxes(_to_chunks(u_data, chunks, dtype).reshape(p, rows, q), 1, 2)
         g_taps = np.matmul(uc_t, gc).reshape(p, q * q) @ select          # (p, q)
         g_pow = np.zeros(powers.shape, dtype=np.complex128)              # (p, n, q+1)
         g_pow[..., :q] = 2.0 * np.conj(cb)[..., None] * g_taps[:, None, :]
@@ -502,8 +500,8 @@ def _chunked_conv(u: Tensor, zoh: Tensor, skip: Tensor) -> Tensor:
         g_cb = (2.0 * (g_taps[:, None, :] * np.conj(powers[..., :q])).sum(axis=-1)
                 + (g_w * np.conj(powers[..., 1:])).sum(axis=-1))
         w = (np.conj(powers) * g_pow * np.arange(q + 1)).sum(axis=-1)
-        acc(skip, g_taps[:, 0].astype(skip.dtype, copy=False))
-        acc(zoh, _zoh_grad(w, g_cb, zoh.dtype))
+        acc(skip_key, g_taps[:, 0].astype(skip_dtype, copy=False))
+        acc(zoh_key, _zoh_grad(w, g_cb, zoh_dtype))
 
     T.record_op(out, (u, zoh, skip), bwd)
     return out

@@ -6,16 +6,22 @@ Values are numpy arrays in float64 (the test/reference precision) or float32
 explicit. Operations record onto the innermost active :class:`GradTape`; with
 no tape active they are plain numpy computations.
 
-A tape keeps only what the reverse sweep still reads: each node's saved
-activations, and during the sweep the gradients of tensors not yet
-replayed. An intermediate tensor's gradient is dropped as soon as the node
-that produced it has run its backward. The hottest composites (affine map,
-sigmoid gate, convolution plus skip) are single nodes that store their
-result once.
+A tape keeps only what the reverse sweep still reads. Every tensor carries a
+``key`` from a process-wide counter that never repeats, and the tape routes
+gradients by key, so it holds no tensor: each node keeps its output's key
+and a backward closure that captures its inputs' keys and shapes plus the
+arrays its rule reads, never a whole input tensor. A residual sum, a concat
+or reversal input or the gate half of a glu input is therefore freed as soon
+as the forward pass drops it. The sweep pops each node as it replays it, so
+its saved activations go as it goes, and an intermediate tensor's gradient
+is dropped as soon as the node that produced it has run its backward; a
+tape is swept once. The hottest composites (affine map, sigmoid gate,
+convolution plus skip) are single nodes that store their result once.
 
-The elementwise rules ``gelu``, ``glu`` and ``layer_norm`` build each result
-in one preallocated buffer with ``out=`` and in-place operators, in the same
-operation order as the plain expressions, so their values keep every bit.
+The elementwise rules ``gelu``, ``glu``, ``layer_norm`` and ``softmax`` build
+each result in one preallocated buffer with ``out=`` and in-place operators,
+in the same operation order as the plain expressions, so their values keep
+every bit.
 
 A training step frees over a hundred megabytes of tape and takes them back on
 the next step. glibc's malloc serves arrays above its mmap threshold with
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import platform
 import sys
@@ -62,6 +69,9 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 1 << 30
 _TRIM_THRESHOLD_BYTES = 2**31 - 1
 
+# tape keys: unlike id(), never reused after a tensor is freed
+_next_key = itertools.count().__next__
+
 
 @functools.cache
 def _retain_heap() -> None:
@@ -78,7 +88,7 @@ def _retain_heap() -> None:
 class Tensor:
     """Immutable dense array, optionally marked as a trainable leaf."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.array(data, dtype=dtype)
@@ -87,6 +97,7 @@ class Tensor:
         arr.setflags(write=False)
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.key = _next_key()
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -95,6 +106,7 @@ class Tensor:
         arr.setflags(write=False)
         t.data = arr
         t.requires_grad = False
+        t.key = _next_key()
         return t
 
     @property
@@ -126,10 +138,10 @@ def zeros(shape, dtype=np.float64) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("output", "backward")
+    __slots__ = ("key", "backward")
 
-    def __init__(self, output: Tensor, backward: Callable):
-        self.output = output
+    def __init__(self, key: int, backward: Callable):
+        self.key = key
         self.backward = backward
 
 
@@ -139,18 +151,23 @@ _TAPES: list["GradTape"] = []
 class GradTape:
     """Ordered record of operations supporting exact-reverse replay.
 
-    Forward activations are saved eagerly inside each node's backward
-    closure. Gradient accumulation is additive: a tensor consumed by k
-    operations receives the sum of k partial adjoints. The reverse sweep
-    takes each node's output gradient out of its table before replaying the
-    node, so at any moment only the parameter gradients and the frontier of
-    not-yet-replayed tensors are alive.
+    Each node holds its output's key and a backward closure that saved the
+    forward arrays its rule reads; the tape holds no intermediate tensor,
+    only the trainable leaves it saw. Gradients are routed by key and
+    accumulate additively: a tensor consumed by k operations receives the
+    sum of k partial adjoints. The reverse sweep pops each node before
+    replaying it and takes the node's output gradient out of its table, so
+    at any moment only the parameter gradients, the frontier of
+    not-yet-replayed tensors and the activations of unreplayed nodes are
+    alive. A tape is swept once: a second :meth:`gradients` call raises
+    ``ValueError``.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._output_ids: set[int] = set()
+        self._output_keys: set[int] = set()
         self._params: dict[int, Tensor] = {}
+        self._swept = False
 
     def __enter__(self) -> "GradTape":
         _retain_heap()
@@ -164,9 +181,9 @@ class GradTape:
     def _record(self, output: Tensor, inputs: Sequence[Tensor], backward: Callable):
         for t in inputs:
             if t.requires_grad:
-                self._params[id(t)] = t
-        self.nodes.append(_Node(output, backward))
-        self._output_ids.add(id(output))
+                self._params[t.key] = t
+        self.nodes.append(_Node(output.key, backward))
+        self._output_keys.add(output.key)
 
     @property
     def parameters(self) -> list[Tensor]:
@@ -174,25 +191,32 @@ class GradTape:
         return list(self._params.values())
 
     def gradients(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Gradient of a recorded scalar loss for every trainable leaf."""
+        """Gradient of a recorded scalar loss for every trainable leaf.
+
+        Consumes the tape: its nodes, and the activations they saved, are
+        released as the sweep replays them.
+        """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-        if id(loss) not in self._output_ids:
+        if self._swept:
+            raise ValueError("this tape was already swept; record the step again")
+        if loss.key not in self._output_keys:
             raise ValueError("loss was not recorded on this tape")
-        grads: dict[int, np.ndarray] = {
-            id(loss): np.ones_like(loss.data)
-        }
+        self._swept = True
+        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
 
-        def accumulate(t: Tensor, g: np.ndarray):
-            key = id(t)
+        def accumulate(t: Tensor | int, g: np.ndarray):
+            key = t if type(t) is int else t.key
             prev = grads.get(key)
             grads[key] = g if prev is None else prev + g
 
-        for node in reversed(self.nodes):
-            g = grads.pop(id(node.output), None)
-            if g is None:
-                continue
-            node.backward(g, accumulate)
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
+            g = grads.pop(node.key, None)
+            if g is not None:
+                node.backward(g, accumulate)
+            del node, g
         return {
             t: grads[key] for key, t in self._params.items() if key in grads
         }
@@ -206,11 +230,23 @@ def record_op(output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable):
     """Record a custom operation on the active tape, if any.
 
     ``backward_fn(grad_out, accumulate)`` must call ``accumulate(t, g)`` for
-    each differentiable input ``t`` with ``g`` shaped like ``t``.
+    each differentiable input ``t``, given as the tensor or its ``key``,
+    with ``g`` shaped like ``t``. It should capture the inputs' keys and
+    the arrays it reads rather than the input tensors, so that the tape
+    frees what no backward rule reads.
     """
     tape = _active()
     if tape is not None:
         tape._record(output, inputs, backward_fn)
+
+
+def _differentiable(t: Tensor) -> bool:
+    """Whether a gradient can reach ``t``: a trainable leaf, or an output
+    recorded on the active tape."""
+    if t.requires_grad:
+        return True
+    tape = _active()
+    return tape is not None and t.key in tape._output_keys
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -239,10 +275,11 @@ def _broadcast_check(a: Tensor, b: Tensor, op: str):
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "add")
     out = Tensor._wrap(a.data + b.data)
+    a_key, a_shape, b_key, b_shape = a.key, a.shape, b.key, b.shape
 
     def bwd(g, acc):
-        acc(a, _unbroadcast(g, a.shape))
-        acc(b, _unbroadcast(g, b.shape))
+        acc(a_key, _unbroadcast(g, a_shape))
+        acc(b_key, _unbroadcast(g, b_shape))
 
     record_op(out, (a, b), bwd)
     return out
@@ -251,22 +288,31 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "sub")
     out = Tensor._wrap(a.data - b.data)
+    a_key, a_shape, b_key, b_shape = a.key, a.shape, b.key, b.shape
 
     def bwd(g, acc):
-        acc(a, _unbroadcast(g, a.shape))
-        acc(b, _unbroadcast(-g, b.shape))
+        acc(a_key, _unbroadcast(g, a_shape))
+        acc(b_key, _unbroadcast(-g, b_shape))
 
     record_op(out, (a, b), bwd)
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; an operand no gradient can reach (a constant,
+    such as a padding mask) gets none, and the other operand is not kept
+    for it."""
     _broadcast_check(a, b, "mul")
     out = Tensor._wrap(a.data * b.data)
+    a_key, a_shape, b_key, b_shape = a.key, a.shape, b.key, b.shape
+    b_data = b.data if _differentiable(a) else None
+    a_data = a.data if _differentiable(b) else None
 
     def bwd(g, acc):
-        acc(a, _unbroadcast(g * b.data, a.shape))
-        acc(b, _unbroadcast(g * a.data, b.shape))
+        if b_data is not None:
+            acc(a_key, _unbroadcast(g * b_data, a_shape))
+        if a_data is not None:
+            acc(b_key, _unbroadcast(g * a_data, b_shape))
 
     record_op(out, (a, b), bwd)
     return out
@@ -276,21 +322,24 @@ def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar."""
     factor = float(factor)
     out = Tensor._wrap(a.data * factor)
-    record_op(out, (a,), lambda g, acc: acc(a, g * factor))
+    key = a.key
+    record_op(out, (a,), lambda g, acc: acc(key, g * factor))
     return out
 
 
 def shift(a: Tensor, offset: float) -> Tensor:
     """Add a python scalar."""
     out = Tensor._wrap(a.data + float(offset))
-    record_op(out, (a,), lambda g, acc: acc(a, g))
+    key = a.key
+    record_op(out, (a,), lambda g, acc: acc(key, g))
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _expit(a.data)
     out = Tensor._wrap(s)
-    record_op(out, (a,), lambda g, acc: acc(a, g * s * (1.0 - s)))
+    key = a.key
+    record_op(out, (a,), lambda g, acc: acc(key, g * s * (1.0 - s)))
     return out
 
 
@@ -303,6 +352,7 @@ def gelu(a: Tensor) -> Tensor:
     phi_cdf += 1.0
     phi_cdf *= 0.5
     out = Tensor._wrap(x * phi_cdf)
+    key = a.key
 
     def bwd(g, acc):
         # g * (phi_cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi)
@@ -313,7 +363,7 @@ def gelu(a: Tensor) -> Tensor:
         gx *= x
         gx += phi_cdf
         gx *= g
-        acc(a, gx)
+        acc(key, gx)
 
     record_op(out, (a,), bwd)
     return out
@@ -322,20 +372,25 @@ def gelu(a: Tensor) -> Tensor:
 def glu(y: Tensor) -> Tensor:
     """Gated linear unit on the last axis: y[..., :h] * sigmoid(y[..., h:]).
 
-    One node: it keeps the sigmoid and reads the value half straight from
-    ``y``, where the composition ``mul(narrow, sigmoid(narrow))`` would keep
-    both halves, the sigmoid and the product.
+    One node: on a tape it keeps the sigmoid and a copy of the value half,
+    where the composition ``mul(narrow, sigmoid(narrow))`` would keep both
+    halves, the sigmoid and the product. A view of the value half would
+    keep all of ``y`` alive; with no tape active nothing is kept, so
+    nothing is copied.
     """
     width = y.shape[-1]
     if width % 2 != 0:
         raise ShapeError(f"glu needs an even last axis, got width {width}")
     half = width // 2
     value = y.data[..., :half]
+    if _active() is not None:
+        value = value.copy()
     s = _expit(y.data[..., half:])
     out = Tensor._wrap(value * s)
+    key, shape = y.key, y.shape
 
     def bwd(g, acc):
-        gy = np.empty(y.shape, dtype=np.result_type(g, s))
+        gy = np.empty(shape, dtype=np.result_type(g, s))
         g_value, g_gate = gy[..., :half], gy[..., half:]
         # g * value * s * (1 - s), with 1 - s parked in the value half
         np.subtract(1.0, s, out=g_value)
@@ -343,7 +398,7 @@ def glu(y: Tensor) -> Tensor:
         g_gate *= s
         g_gate *= g_value
         np.multiply(g, s, out=g_value)
-        acc(y, gy)
+        acc(key, gy)
 
     record_op(out, (y,), bwd)
     return out
@@ -363,10 +418,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul batch dimensions do not align: {a.shape} @ {b.shape}") from None
     out = Tensor._wrap(out_data)
+    a_data, a_key, a_shape = a.data, a.key, a.shape
+    b_data, b_key, b_shape = b.data, b.key, b.shape
 
     def bwd(g, acc):
-        acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        acc(a_key, _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+        acc(b_key, _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
 
     record_op(out, (a, b), bwd)
     return out
@@ -393,29 +450,31 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     d_in, d_out = w.shape[-2:]
     if x.ndim < 1 or x.shape[-1] != groups * d_in:
         raise ShapeError(f"linear input width differs from the weight: {x.shape} @ {w.shape}")
+    x_data, w_data = x.data, w.data
+    x_key, x_shape, w_key, b_key = x.key, x.shape, w.key, b.key
     if w.ndim == 2:
-        rows = np.matmul(x.data.reshape(-1, d_in), w.data)
+        rows = np.matmul(x_data.reshape(-1, d_in), w_data)
 
         def bwd(g, acc):
             g2 = g.reshape(-1, d_out)
-            acc(x, np.matmul(g2, w.data.T).reshape(x.shape))
-            acc(w, np.matmul(x.data.reshape(-1, d_in).T, g2))
-            acc(b, g2.sum(axis=0))
+            acc(x_key, np.matmul(g2, w_data.T).reshape(x_shape))
+            acc(w_key, np.matmul(x_data.reshape(-1, d_in).T, g2))
+            acc(b_key, g2.sum(axis=0))
     else:
         # (groups, rows, width) views of row-major (rows, groups, width) arrays
-        xg = x.data.reshape(-1, groups, d_in).transpose(1, 0, 2)
-        rows = np.empty((xg.shape[1], groups, d_out), dtype=np.result_type(x.data, w.data))
-        np.matmul(xg, w.data, out=rows.transpose(1, 0, 2))
+        xg = x_data.reshape(-1, groups, d_in).transpose(1, 0, 2)
+        rows = np.empty((xg.shape[1], groups, d_out), dtype=np.result_type(x_data, w_data))
+        np.matmul(xg, w_data, out=rows.transpose(1, 0, 2))
 
         def bwd(g, acc):
             g3 = g.reshape(-1, groups, d_out)
             gg = g3.transpose(1, 0, 2)
-            gx = np.empty(x.shape, dtype=np.result_type(g, w.data))
-            np.matmul(gg, w.data.transpose(0, 2, 1),
+            gx = np.empty(x_shape, dtype=np.result_type(g, w_data))
+            np.matmul(gg, w_data.transpose(0, 2, 1),
                       out=gx.reshape(-1, groups, d_in).transpose(1, 0, 2))
-            acc(x, gx)
-            acc(w, np.matmul(xg.transpose(0, 2, 1), gg))
-            acc(b, g3.sum(axis=0))
+            acc(x_key, gx)
+            acc(w_key, np.matmul(xg.transpose(0, 2, 1), gg))
+            acc(b_key, g3.sum(axis=0))
     rows += b.data
     out = Tensor._wrap(rows.reshape(x.shape[:-1] + (groups * d_out,)))
     record_op(out, (x, w, b), bwd)
@@ -424,7 +483,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor._wrap(a.data.reshape(shape))
-    record_op(out, (a,), lambda g, acc: acc(a, g.reshape(a.shape)))
+    key, a_shape = a.key, a.shape
+    record_op(out, (a,), lambda g, acc: acc(key, g.reshape(a_shape)))
     return out
 
 
@@ -432,7 +492,8 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = Tensor._wrap(np.transpose(a.data, axes))
-    record_op(out, (a,), lambda g, acc: acc(a, np.transpose(g, inv)))
+    key = a.key
+    record_op(out, (a,), lambda g, acc: acc(key, np.transpose(g, inv)))
     return out
 
 
@@ -442,11 +503,12 @@ def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
     idx[axis] = slice(start, start + size)
     idx = tuple(idx)
     out = Tensor._wrap(np.ascontiguousarray(a.data[idx]))
+    key, shape = a.key, a.shape
 
     def bwd(g, acc):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(shape, dtype=g.dtype)
         full[idx] = g
-        acc(a, full)
+        acc(key, full)
 
     record_op(out, (a,), bwd)
     return out
@@ -455,14 +517,14 @@ def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = list(tensors)
     out = Tensor._wrap(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    keys = [t.key for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def bwd(g, acc):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for key, lo, hi in zip(keys, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            acc(t, g[tuple(idx)])
+            acc(key, g[tuple(idx)])
 
     record_op(out, tuple(tensors), bwd)
     return out
@@ -470,14 +532,15 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor._wrap(a.data.sum(axis=axis, keepdims=keepdims))
+    key, shape = a.key, a.shape
 
     def bwd(g, acc):
         if axis is None:
-            acc(a, np.broadcast_to(g, a.shape).copy())
+            acc(key, np.broadcast_to(g, shape).copy())
             return
         if not keepdims:
             g = np.expand_dims(g, axis)
-        acc(a, np.broadcast_to(g, a.shape).copy())
+        acc(key, np.broadcast_to(g, shape).copy())
 
     record_op(out, (a,), bwd)
     return out
@@ -491,15 +554,16 @@ def reverse_within(a: Tensor, lengths) -> Tensor:
     """
     bsz, horizon = a.shape[0], a.shape[1]
     lengths = np.asarray(lengths, dtype=np.int64).reshape(bsz, 1)
+    key = a.key
     if (lengths == horizon).all():
         out = Tensor._wrap(np.ascontiguousarray(a.data[:, ::-1]))
-        record_op(out, (a,), lambda g, acc: acc(a, np.ascontiguousarray(g[:, ::-1])))
+        record_op(out, (a,), lambda g, acc: acc(key, np.ascontiguousarray(g[:, ::-1])))
         return out
     t = np.arange(horizon, dtype=np.int64)[None, :]
     idx = np.where(t < lengths, lengths - 1 - t, t)
     take_idx = idx.reshape(bsz, horizon, *([1] * (a.ndim - 2)))
     out = Tensor._wrap(np.take_along_axis(a.data, take_idx, axis=1))
-    record_op(out, (a,), lambda g, acc: acc(a, np.take_along_axis(g, take_idx, axis=1)))
+    record_op(out, (a,), lambda g, acc: acc(key, np.take_along_axis(g, take_idx, axis=1)))
     return out
 
 
@@ -526,21 +590,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     np.multiply(xhat, gain.data, out=buf)
     buf += bias.data
     out = Tensor._wrap(buf)
+    gain_data, x_key, gain_key, bias_key = gain.data, x.key, gain.key, bias.key
 
     def bwd(g, acc):
         lead = tuple(range(g.ndim - 1))
         buf = g * xhat
-        acc(gain, buf.sum(axis=lead))
-        acc(bias, g.sum(axis=lead))
+        acc(gain_key, buf.sum(axis=lead))
+        acc(bias_key, g.sum(axis=lead))
         # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain
-        gx = g * gain.data
+        gx = g * gain_data
         np.multiply(gx, xhat, out=buf)
         proj = buf.mean(axis=-1, keepdims=True)
         np.multiply(xhat, proj, out=buf)
         gx -= gx.mean(axis=-1, keepdims=True)
         gx -= buf
         gx *= inv
-        acc(x, gx)
+        acc(x_key, gx)
 
     record_op(out, (x, gain, bias), bwd)
     return out
@@ -550,24 +615,30 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Numerically stabilized softmax over the last axis.
 
     ``mask`` is a boolean array broadcastable to ``x``; False entries come
-    out exactly 0. A row with no True entry is an error.
+    out exactly 0, as exp(-inf - max). A row with no True entry is an error.
+    The shift, exponential and normalization run in place in one buffer.
     """
     if mask is None:
-        z = x.data
-        m = z.max(axis=-1, keepdims=True)
-        e = np.exp(z - m)
+        m = x.data.max(axis=-1, keepdims=True)
+        s = x.data - m
     else:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         if not mask.any(axis=-1).all():
             raise ValueError("softmax: at least one row is fully masked")
-        z = np.where(mask, x.data, -np.inf)
-        m = z.max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(z - m), 0.0)
-    s = e / e.sum(axis=-1, keepdims=True)
+        s = np.where(mask, x.data, -np.inf)
+        s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor._wrap(s)
+    key = x.key
 
     def bwd(g, acc):
-        acc(x, s * (g - (g * s).sum(axis=-1, keepdims=True)))
+        # s * (g - sum(g * s)), built in one buffer
+        gx = g * s
+        proj = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, proj, out=gx)
+        gx *= s
+        acc(key, gx)
 
     record_op(out, (x,), bwd)
     return out
@@ -597,13 +668,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -
     picked = np.take_along_axis(logp, safe_targets[..., None], axis=-1)[..., 0]
     loss_val = -(picked * valid).sum() / n_valid
     out = Tensor._wrap(np.asarray(loss_val, dtype=logits.dtype))
+    key = logits.key
 
     def bwd(g, acc):
         p = e / denom
         onehot = np.zeros_like(p)
         np.put_along_axis(onehot, safe_targets[..., None], 1.0, axis=-1)
         gx = (p - onehot) * valid[..., None] * (float(g) / n_valid)
-        acc(logits, gx)
+        acc(key, gx)
 
     record_op(out, (logits,), bwd)
     return out
@@ -624,7 +696,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
         return x
     keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
     out = Tensor._wrap(x.data * keep)
-    record_op(out, (x,), lambda g, acc: acc(x, g * keep))
+    key = x.key
+    record_op(out, (x,), lambda g, acc: acc(key, g * keep))
     return out
 
 
@@ -662,16 +735,18 @@ def causal_conv_fft(u: Tensor, kernel: Tensor, skip: Tensor) -> Tensor:
     y = np.ascontiguousarray(y.transpose(0, 2, 1)).astype(u.dtype, copy=False)
     y += skip.data * u.data
     out = Tensor._wrap(y)
+    u_data, skip_data = u.data, skip.data
+    u_key, kernel_key, skip_key, kernel_dtype = u.key, kernel.key, skip.key, kernel.dtype
 
     def bwd(g, acc):
         gf = np.fft.rfft(np.ascontiguousarray(g.transpose(0, 2, 1)), n=m, axis=-1)
         gu = np.fft.irfft(gf * np.conj(kf), n=m, axis=-1)[:, :, :length]
-        gu = np.ascontiguousarray(gu.transpose(0, 2, 1)).astype(u.dtype, copy=False)
-        gu += g * skip.data
-        acc(u, gu)
+        gu = np.ascontiguousarray(gu.transpose(0, 2, 1)).astype(u_data.dtype, copy=False)
+        gu += g * skip_data
+        acc(u_key, gu)
         gk = np.fft.irfft((gf * np.conj(uf)).sum(axis=0), n=m, axis=-1)[:, :taps]
-        acc(kernel, gk.astype(kernel.dtype, copy=False))
-        acc(skip, (g * u.data).sum(axis=(0, 1)))
+        acc(kernel_key, gk.astype(kernel_dtype, copy=False))
+        acc(skip_key, (g * u_data).sum(axis=(0, 1)))
 
     record_op(out, (u, kernel, skip), bwd)
     return out

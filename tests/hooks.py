@@ -1,6 +1,7 @@
 """Test-only substitutions that reduce a layer to a simpler one or swap in a
 reference path, probes on the tape's node dtypes and on attention weights,
-and the environment for tests that start a fresh interpreter.
+seeded systems with their continuous eigenvalues, and the environment for
+tests that start a fresh interpreter.
 
 Each works through the layer's own parameters or attributes, or through the
 library's public ``record_op`` and ``softmax``, so the production code
@@ -17,7 +18,7 @@ import numpy as np
 import mhssm
 from mhssm import tensor as T
 from mhssm.nn import Linear
-from mhssm.ssm import materialize_kernel
+from mhssm.ssm import DiagonalSsm, init_ssm_rng, materialize_kernel
 from mhssm.tensor import Tensor
 
 
@@ -42,6 +43,19 @@ def set_identity_ssm(*stages):
             "c_im": Tensor(np.zeros(shape), requires_grad=True),
             "d": Tensor(np.ones(channels), requires_grad=True),
         })
+
+
+def init_ssm(state_dim: int, channels: int, seed: int = 0,
+             scheme: str = "s4d_lin", dtype=np.float64) -> DiagonalSsm:
+    """A diagonal system drawn from its own seed; identical seeds give
+    identical parameters."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return init_ssm_rng(state_dim, channels, rng, scheme, dtype)
+
+
+def eigenvalues(ssm: DiagonalSsm) -> np.ndarray:
+    """The system's continuous eigenvalues as a complex array."""
+    return -np.exp(ssm.log_neg_re.data) + 1j * ssm.lam_im.data
 
 
 def fft_ssm_conv(d, u):

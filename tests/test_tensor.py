@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ from scipy.special import erf, expit
 
 from mhssm import tensor as T
 from mhssm.errors import ShapeError
+from mhssm.tasks import IGNORE_INDEX, generate_task
 from mhssm.tensor import GradTape, Tensor
+from mhssm.training import TaskModel, load_config
 
 from oracles import direct_linear_conv, mp_sigmoid, mp_softmax, naive_matmul
 
@@ -206,7 +211,8 @@ class TestFusedOps:
         with GradTape() as tape:
             out = T.linear(*leaves)
             loss = T.tsum(T.mul(out, Tensor(g)))
-        gx, gw, gb = (tape.gradients(loss)[t] for t in leaves)
+        grads = tape.gradients(loss)
+        gx, gw, gb = (grads[t] for t in leaves)
         assert out.dtype == gx.dtype == gw.dtype == gb.dtype == dtype
         for h in range(3):
             xs = np.ascontiguousarray(x[..., 4 * h:4 * h + 4]).reshape(10, 4)
@@ -260,8 +266,9 @@ class TestFusedOps:
             np.testing.assert_array_equal(g, r)
 
 
-# gelu, glu and layer_norm as plain numpy expressions, the operation order
-# the buffered rules must keep; (output, input gradients) for upstream g
+# gelu, glu, softmax and layer_norm as plain numpy expressions, the
+# operation order the buffered rules must keep; (output, input gradients)
+# for upstream g
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -281,6 +288,16 @@ def _glu_reference(y, g):
     return value * s, [gy]
 
 
+def _softmax_reference(x, mask, g):
+    if mask is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    else:
+        z = np.where(mask, x, -np.inf)
+        e = np.where(mask, np.exp(z - z.max(axis=-1, keepdims=True)), 0.0)
+    s = e / e.sum(axis=-1, keepdims=True)
+    return s, [s * (g - (g * s).sum(axis=-1, keepdims=True))]
+
+
 def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
     xc = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
@@ -293,7 +310,8 @@ def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
 
 
 class TestBufferedRulesKeepBits:
-    """gelu, glu and layer_norm against their plain numpy expressions, bit for bit."""
+    """gelu, glu, layer_norm and softmax against their plain numpy
+    expressions, bit for bit."""
 
     @staticmethod
     def _run(op, arrays, out_shape, dtype):
@@ -335,6 +353,17 @@ class TestBufferedRulesKeepBits:
         got, got_grads, g = self._run(lambda a, b, c: T.layer_norm(a, b, c, 1e-5),
                                       [x, gain, bias], x.shape, dtype)
         self._check(got, got_grads, *_layer_norm_reference(x, gain, bias, g), dtype)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_softmax(self, dtype, masked):
+        # (batch, heads, query, key) scores; rows 1 and 2 pad their last keys
+        x = (np.random.default_rng(35).standard_normal((3, 2, 7, 7)) * 3.0).astype(dtype)
+        mask = None
+        if masked:
+            mask = (np.arange(7) < np.array([7, 4, 1])[:, None])[:, None, None, :]
+        got, got_grads, g = self._run(lambda a: T.softmax(a, mask), [x], x.shape, dtype)
+        self._check(got, got_grads, *_softmax_reference(x, mask, g), dtype)
 
 
 class TestBackward:
@@ -391,26 +420,98 @@ class TestBackward:
 
     @pytest.mark.parametrize("block", ["mh_ssm", "stateformer"])
     def test_backward_peak_stays_near_forward_memory(self, block):
-        # numpy reports its buffers to tracemalloc; the reverse sweep drops
-        # each intermediate gradient once replayed, so its peak stays close
-        # to what the forward pass left on the tape
-        import tracemalloc
-
-        from mhssm.tasks import IGNORE_INDEX, generate_task
-        from mhssm.training import TaskModel, load_config
-        model = TaskModel(load_config({"block": block}))
-        x, targets = generate_task(model.spec, 4, 0)
-        tracemalloc.start()
-        try:
-            with GradTape() as tape:
-                loss = T.cross_entropy(model(x), targets, IGNORE_INDEX)
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            tape.gradients(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # the reverse sweep drops each intermediate gradient once replayed,
+        # so its peak stays close to what the forward pass left on the tape
+        held, peak = _step_memory({"block": block}, batch=4)
         assert peak <= 1.25 * held, f"backward peak {peak / held:.2f}x the forward's memory"
+
+
+def _step_memory(overrides: dict, batch: int) -> tuple[int, int]:
+    """Bytes held after a training step's forward pass, and the peak of its
+    reverse sweep, as tracemalloc sees numpy's buffers."""
+    model = TaskModel(load_config(overrides))
+    x, targets = generate_task(model.spec, batch, 0)
+    tracemalloc.start()
+    try:
+        with GradTape() as tape:
+            loss = T.cross_entropy(model(x), targets, IGNORE_INDEX)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.gradients(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+class TestTapeRelease:
+    """The tape keeps only what backward rules read, and the sweep frees it
+    as it replays."""
+
+    def test_second_sweep_is_refused(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradTape() as tape:
+            loss = T.tsum(T.mul(x, x))
+        tape.gradients(loss)
+        with pytest.raises(ValueError, match="already swept"):
+            tape.gradients(loss)
+
+    def test_gradients_exact_when_ids_are_reused(self):
+        # each round drops a recorded intermediate and a constant, so CPython
+        # hands their memory, and with it their id()s, to the next tensors
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        ids = []
+        with GradTape() as tape:
+            total = T.tsum(T.mul(x, x))
+            for k in range(1, 200):
+                h = T.scale(x, float(k))
+                half = Tensor(np.full(3, 0.5))
+                ids += [id(h), id(half)]
+                total = T.add(total, T.tsum(T.mul(h, half)))
+        assert len(set(ids)) < len(ids)
+        want = 2.0 * x.data + 0.5 * sum(range(1, 200))
+        np.testing.assert_array_equal(tape.gradients(total)[x], want)
+
+    def test_residual_sums_are_freed_while_the_tape_lives(self, monkeypatch):
+        # the default mh_ssm forward adds only residual branches: two blocks
+        # per layer, two layers; no backward rule reads a sum
+        model = TaskModel(load_config({}))
+        x, targets = generate_task(model.spec, 2, 0)
+        sums = []
+        add = T.add
+
+        def watched_add(a, b):
+            out = add(a, b)
+            sums.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "add", watched_add)
+        with GradTape() as tape:
+            loss = T.cross_entropy(model(x), targets, IGNORE_INDEX)
+        gc.collect()
+        assert len(sums) == 4
+        assert [r() is None for r in sums] == [True] * 4
+        assert tape.gradients(loss)
+
+    def test_mul_by_a_constant_keeps_no_other_operand(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        with GradTape() as tape:
+            h = T.scale(x, 2.0)
+            kept = weakref.ref(h.data)
+            out = T.mul(h, Tensor(np.array([[1.0], [1.0], [0.0], [0.0]])))
+            del h
+            gc.collect()
+            assert kept() is None
+            loss = T.tsum(out)
+        want = np.array([[2.0] * 3] * 2 + [[0.0] * 3] * 2)
+        np.testing.assert_array_equal(tape.gradients(loss)[x], want)
+
+    @pytest.mark.parametrize("gating", ["ihg", "glu"])
+    def test_sweep_peak_stays_within_five_percent_of_held_memory(self, gating):
+        # each node's activations go when it replays, so the sweep's
+        # gradients mostly reuse what it frees
+        held, peak = _step_memory({"block": "mh_ssm", "gating": gating}, batch=4)
+        assert peak <= 1.05 * held, f"sweep peak {peak / held:.3f}x the held memory"
 
 
 @pytest.mark.parametrize("seed", range(10))
