@@ -81,28 +81,26 @@ class MhSsmStage(Module):
     def gated_width(self) -> int:
         return self.out_proj.w.shape[0]
 
-    def _glu(self, y: Tensor) -> Tensor:
-        # each head's (value, gate) pair from its own map, then a glu per head
+    def merge(self, y: Tensor) -> Tensor:
+        """Gate the whole-width system output and project it back to model_dim.
+
+        Each gate and ``out_proj`` run as one node. Inter-head gating: the
+        second half of the heads gates the first, a_h = y_h * sigmoid(y_(h + H/2))
+        for h < H/2, which is a glu over the whole width because heads are
+        contiguous channel slices. The per-head glu maps each head to its own
+        (value, gate) pair and gates it on a (..., heads, 2 * head_dim) view.
+        """
+        w, b = self.out_proj.w, self.out_proj.b
+        if self.gating == "ihg":
+            return T.glu_linear(y, w, b)
+        if self.gating == "gelu":
+            return T.gelu_linear(y, w, b)
         vg = T.linear(y, self.glu_w, self.glu_b)
         per_head = T.reshape(vg, y.shape[:-1] + (self.heads, -1))
-        return T.reshape(T.glu(per_head), y.shape)
-
-    def gate(self, y: Tensor) -> Tensor:
-        """Gate the whole-width system output; the result has gated_width() channels.
-
-        Inter-head gating: the second half of the heads gates the first,
-        a_h = y_h * sigmoid(y_(h + H/2)) for h < H/2, which is a glu over the
-        whole width because heads are contiguous channel slices.
-        """
-        if self.gating == "ihg":
-            return T.glu(y)
-        if self.gating == "gelu":
-            return T.gelu(y)
-        return self._glu(y)
+        return T.glu_linear(per_head, w, b, in_axes=2)
 
     def __call__(self, x: Tensor, lengths) -> Tensor:
-        y = ssm_conv(discretize(self.ssm), SeqBatch(self.in_proj(x), lengths)).data
-        return self.out_proj(self.gate(y))
+        return self.merge(ssm_conv(discretize(self.ssm), SeqBatch(self.in_proj(x), lengths)).data)
 
 
 class DirectionalMhSsm(Module):
@@ -142,6 +140,6 @@ class BidirMhSsmBlock(Module):
         return T.concat([forward, backward], axis=-1)
 
     def __call__(self, x: SeqBatch, train_rng: np.random.Generator | None = None) -> SeqBatch:
-        branch = self.out_proj(T.gelu(self.concat_halves(x)))
+        branch = T.gelu_linear(self.concat_halves(x), self.out_proj.w, self.out_proj.b)
         branch = T.dropout(branch, self.dropout, train_rng)
         return x.with_data(T.add(x.data, branch)).rezero()

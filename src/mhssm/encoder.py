@@ -221,7 +221,7 @@ class FeedForwardBlock(Module):
         self.dropout = dropout
 
     def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
-        branch = self.lin2(T.gelu(self.lin1(self.norm(x.data))))
+        branch = T.gelu_linear(self.lin1(self.norm(x.data)), self.lin2.w, self.lin2.b)
         branch = T.dropout(branch, self.dropout, train_rng)
         return x.with_data(T.add(x.data, branch)).rezero()
 

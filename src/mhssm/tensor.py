@@ -15,13 +15,19 @@ or reversal input or the gate half of a glu input is therefore freed as soon
 as the forward pass drops it. The sweep pops each node as it replays it, so
 its saved activations go as it goes, and an intermediate tensor's gradient
 is dropped as soon as the node that produced it has run its backward; a
-tape is swept once. The hottest composites (affine map, sigmoid gate,
-convolution plus skip) are single nodes that store their result once.
+tape is swept once. The hottest composites (affine map, gelu or glu
+followed by the affine map that reads it, convolution plus skip) are single
+nodes that store their result once. An activation's output is one multiply
+away from the inputs its own rule keeps, so ``gelu_linear`` and
+``glu_linear`` keep those inputs and rebuild the output in the backward for
+the weight gradient instead of holding it.
 
-The elementwise rules ``gelu``, ``glu``, ``layer_norm`` and ``softmax`` build
-each result in one preallocated buffer with ``out=`` and in-place operators,
-in the same operation order as the plain expressions, so their values keep
-every bit.
+The elementwise rules of ``gelu_linear``, ``glu_linear``, ``layer_norm`` and
+``softmax`` build each result in one preallocated buffer with ``out=`` and
+in-place operators, in the same operation order as the plain expressions,
+so their values keep every bit; ``gelu_linear`` applies its rule to the
+activation's gradient in place, a block of rows at a time, so its backward
+never holds a second full-size temporary.
 
 A training step frees over a hundred megabytes of tape and takes them back on
 the next step. glibc's malloc serves arrays above its mmap threshold with
@@ -68,6 +74,11 @@ _M_MMAP_THRESHOLD = -3
 # activations are 16 MiB), so they come from the heap, not from mmap
 _MMAP_THRESHOLD_BYTES = 1 << 30
 _TRIM_THRESHOLD_BYTES = 2**31 - 1
+
+# values per block of gelu_linear's backward rule, the size of
+# ssm._TILE_VALUES: a block's temporary stays in cache and is never
+# full-size
+_BLOCK_VALUES = 16384
 
 # tape keys: unlike id(), never reused after a tensor is freed
 _next_key = itertools.count().__next__
@@ -335,75 +346,6 @@ def shift(a: Tensor, offset: float) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _expit(a.data)
-    out = Tensor._wrap(s)
-    key = a.key
-    record_op(out, (a,), lambda g, acc: acc(key, g * s * (1.0 - s)))
-    return out
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian-CDF gelu: x * Phi(x), with Phi computed through erf."""
-    x = a.data
-    # phi_cdf = 0.5 * (1 + erf(x / sqrt 2)), built in its own buffer
-    phi_cdf = x * _INV_SQRT2
-    _erf(phi_cdf, out=phi_cdf)
-    phi_cdf += 1.0
-    phi_cdf *= 0.5
-    out = Tensor._wrap(x * phi_cdf)
-    key = a.key
-
-    def bwd(g, acc):
-        # g * (phi_cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi)
-        gx = np.multiply(x, -0.5)
-        gx *= x
-        np.exp(gx, out=gx)
-        gx *= _INV_SQRT_2PI
-        gx *= x
-        gx += phi_cdf
-        gx *= g
-        acc(key, gx)
-
-    record_op(out, (a,), bwd)
-    return out
-
-
-def glu(y: Tensor) -> Tensor:
-    """Gated linear unit on the last axis: y[..., :h] * sigmoid(y[..., h:]).
-
-    One node: on a tape it keeps the sigmoid and a copy of the value half,
-    where the composition ``mul(narrow, sigmoid(narrow))`` would keep both
-    halves, the sigmoid and the product. A view of the value half would
-    keep all of ``y`` alive; with no tape active nothing is kept, so
-    nothing is copied.
-    """
-    width = y.shape[-1]
-    if width % 2 != 0:
-        raise ShapeError(f"glu needs an even last axis, got width {width}")
-    half = width // 2
-    value = y.data[..., :half]
-    if _active() is not None:
-        value = value.copy()
-    s = _expit(y.data[..., half:])
-    out = Tensor._wrap(value * s)
-    key, shape = y.key, y.shape
-
-    def bwd(g, acc):
-        gy = np.empty(shape, dtype=np.result_type(g, s))
-        g_value, g_gate = gy[..., :half], gy[..., half:]
-        # g * value * s * (1 - s), with 1 - s parked in the value half
-        np.subtract(1.0, s, out=g_value)
-        np.multiply(g, value, out=g_gate)
-        g_gate *= s
-        g_gate *= g_value
-        np.multiply(g, s, out=g_value)
-        acc(key, gy)
-
-    record_op(out, (y,), bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and structure
 
@@ -478,6 +420,115 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     rows += b.data
     out = Tensor._wrap(rows.reshape(x.shape[:-1] + (groups * d_out,)))
     record_op(out, (x, w, b), bwd)
+    return out
+
+
+def _dense_dims(op: str, width: int, w: Tensor, b: Tensor) -> tuple[int, int]:
+    """(in, out) of an (in, out) weight and (out,) bias that read ``width``
+    input features."""
+    if w.ndim != 2 or b.shape != w.shape[-1:]:
+        raise ShapeError(
+            f"{op} needs an (in, out) weight and (out,) bias, got {w.shape}/{b.shape}"
+        )
+    if width != w.shape[0]:
+        raise ShapeError(f"{op} input width {width} differs from the weight: {w.shape}")
+    return w.shape
+
+
+def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Gaussian-CDF gelu, then the affine map on the last axis, as one node:
+    (x * Phi(x)) @ w + b, with Phi computed through erf.
+
+    ``w`` is (in, out) and ``b`` is (out,). The node keeps ``x`` and Phi(x),
+    not the gelu output: its backward rebuilds that output for dw and frees
+    it, takes the output's gradient through w^T, and turns that buffer into
+    dx in place, a block of rows at a time. Each value and gradient is the
+    same product, in the same order, as gelu then ``linear``.
+    """
+    d_in, d_out = _dense_dims("gelu_linear", x.shape[-1] if x.ndim else 0, w, b)
+    x_data = x.data
+    # phi_cdf = 0.5 * (1 + erf(x / sqrt 2)), built in its own buffer
+    phi_cdf = x_data * _INV_SQRT2
+    _erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
+    rows = np.matmul((x_data * phi_cdf).reshape(-1, d_in), w.data)
+    rows += b.data
+    out = Tensor._wrap(rows.reshape(x.shape[:-1] + (d_out,)))
+    w_data, x_key, x_shape, w_key, b_key = w.data, x.key, x.shape, w.key, b.key
+
+    def bwd(g, acc):
+        g2 = g.reshape(-1, d_out)
+        x2, phi2 = x_data.reshape(-1, d_in), phi_cdf.reshape(-1, d_in)
+        acc(w_key, np.matmul((x2 * phi2).T, g2))
+        acc(b_key, g2.sum(axis=0))
+        gx = np.matmul(g2, w_data.T)
+        step = max(1, _BLOCK_VALUES // d_in)
+        for lo in range(0, len(gx), step):
+            blk = slice(lo, lo + step)
+            # gelu'(x) = phi_cdf + x * pdf, pdf = exp(-x^2 / 2) / sqrt(2 pi)
+            xb = x2[blk]
+            slope = np.multiply(xb, -0.5)
+            slope *= xb
+            np.exp(slope, out=slope)
+            slope *= _INV_SQRT_2PI
+            slope *= xb
+            slope += phi2[blk]
+            gx_blk = gx[blk]
+            gx_blk *= slope
+        acc(x_key, gx.reshape(x_shape))
+
+    record_op(out, (x, w, b), bwd)
+    return out
+
+
+def glu_linear(y: Tensor, w: Tensor, b: Tensor, in_axes: int = 1) -> Tensor:
+    """Gated linear unit on the last axis, then an affine map, as one node:
+    glu(y) @ w + b, with glu(y) = y[..., :h] * sigmoid(y[..., h:]).
+
+    The map reads the glu output's last ``in_axes`` axes as its input: with
+    ``in_axes=2``, a (..., heads, 2 * width) view gates each head by its own
+    half and the map reads all heads * width gated values. ``w`` is
+    (in, out) and ``b`` is (out,). On a tape the node keeps the sigmoid and
+    a copy of the value half (a view would keep all of ``y`` alive), not the
+    glu output: its backward rebuilds that output for dw and frees it, then
+    takes its gradient through w^T and builds dy from that. With no tape
+    active nothing is kept, so nothing is copied. Each value and gradient is
+    the same product, in the same order, as glu then ``linear``.
+    """
+    width = y.shape[-1] if y.ndim else 1
+    if width % 2 != 0:
+        raise ShapeError(f"glu needs an even last axis, got width {width}")
+    if not 1 <= in_axes <= y.ndim:
+        raise ShapeError(f"glu_linear: in_axes {in_axes} out of range for {y.shape}")
+    half = width // 2
+    feats = math.prod(y.shape[y.ndim - in_axes:-1]) * half
+    d_in, d_out = _dense_dims("glu_linear", feats, w, b)
+    value = y.data[..., :half]
+    if _active() is not None:
+        value = value.copy()
+    s = _expit(y.data[..., half:])
+    rows = np.matmul((value * s).reshape(-1, d_in), w.data)
+    rows += b.data
+    out = Tensor._wrap(rows.reshape(y.shape[:y.ndim - in_axes] + (d_out,)))
+    w_data, y_key, y_shape, w_key, b_key = w.data, y.key, y.shape, w.key, b.key
+
+    def bwd(g, acc):
+        g2 = g.reshape(-1, d_out)
+        acc(w_key, np.matmul((value * s).reshape(-1, d_in).T, g2))
+        acc(b_key, g2.sum(axis=0))
+        g_act = np.matmul(g2, w_data.T).reshape(s.shape)
+        gy = np.empty(y_shape, dtype=np.result_type(g_act, s))
+        g_value, g_gate = gy[..., :half], gy[..., half:]
+        # g * value * s * (1 - s), with 1 - s parked in the value half
+        np.subtract(1.0, s, out=g_value)
+        np.multiply(g_act, value, out=g_gate)
+        g_gate *= s
+        g_gate *= g_value
+        np.multiply(g_act, s, out=g_value)
+        acc(y_key, gy)
+
+    record_op(out, (y, w, b), bwd)
     return out
 
 

@@ -308,6 +308,8 @@ def _restore_model(cfg: dict, arrays: dict[str, np.ndarray]) -> TaskModel:
                 f"checkpoint/config mismatch for {name!r}: "
                 f"stored {arr.shape}, expected {tensor.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"checkpoint parameter {name!r} holds a non-finite value")
         updates[name] = Tensor(arr, requires_grad=True, dtype=tensor.dtype)
     model.set_params(updates)
     return model

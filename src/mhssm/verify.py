@@ -110,8 +110,6 @@ def tensor_op_cases(seed: int):
     case("mul", {"a": a, "b": b}, lambda ps: T.mul(ps["a"], ps["b"]))
     case("scale", {"a": a}, lambda ps: T.scale(ps["a"], 1.7))
     case("shift", {"a": a}, lambda ps: T.shift(ps["a"], -0.3))
-    case("sigmoid", {"a": a}, lambda ps: T.sigmoid(ps["a"]))
-    case("gelu", {"a": a}, lambda ps: T.gelu(ps["a"]))
 
     m1 = leaf((3, 4))
     m2 = leaf((4, 2))
@@ -121,8 +119,6 @@ def tensor_op_cases(seed: int):
     case("add_broadcast", {"a": mb, "b": leaf((4,))}, lambda ps: T.add(ps["a"], ps["b"]))
     case("linear", {"x": mb, "w": m2, "b": leaf((2,))},
          lambda ps: T.linear(ps["x"], ps["w"], ps["b"]))
-    case("glu", {"a": mb}, lambda ps: T.glu(ps["a"]))
-
     case("reshape", {"a": a}, lambda ps: T.reshape(ps["a"], (4, 3)))
     case("transpose", {"a": mb}, lambda ps: T.transpose(ps["a"], (2, 0, 1)))
     case("narrow", {"a": mb}, lambda ps: T.narrow(ps["a"], 2, 1, 2))
@@ -185,6 +181,16 @@ def tensor_op_cases(seed: int):
     # three groups, each mapping its own 2-wide slice of the last axis to 3
     case("linear_grouped", {"x": leaf((2, 3, 6)), "w": leaf((3, 2, 3)), "b": leaf((3, 3))},
          lambda ps: T.linear(ps["x"], ps["w"], ps["b"]))
+
+    # each activation, then the affine map, as one node: gelu, glu across
+    # the last axis, and the per-head glu, two heads of width 2 on a
+    # (..., heads, 4) view
+    case("gelu_linear", {"x": leaf((2, 3, 4)), "w": leaf((4, 2)), "b": leaf((2,))},
+         lambda ps: T.gelu_linear(ps["x"], ps["w"], ps["b"]))
+    case("glu_linear", {"y": leaf((2, 3, 8)), "w": leaf((4, 2)), "b": leaf((2,))},
+         lambda ps: T.glu_linear(ps["y"], ps["w"], ps["b"]))
+    case("glu_linear_per_head", {"y": leaf((2, 3, 2, 4)), "w": leaf((4, 2)), "b": leaf((2,))},
+         lambda ps: T.glu_linear(ps["y"], ps["w"], ps["b"], in_axes=2))
 
     return cases
 
@@ -321,16 +327,21 @@ def criterion_gating(head_counts=(2, 4, 8), dim_per_head: int = 6):
         cfg = MhSsmBlockConfig(model_dim=dim, heads=heads, stack=1, state_dim=4,
                                gating="ihg", dropout=0.0)
         stage = MhSsmStage(cfg, np.random.default_rng(1))
+        # an identity out_proj: merge() then returns the gate's output exactly
+        stage.out_proj.set_params({
+            "w": Tensor(np.eye(dim // 2), requires_grad=True),
+            "b": Tensor(np.zeros(dim // 2), requires_grad=True),
+        })
         values = rng.standard_normal((2, 5, dim // 2))
-        gated = stage.gate(Tensor(np.concatenate([values, np.zeros_like(values)], -1)))
+        gated = stage.merge(Tensor(np.concatenate([values, np.zeros_like(values)], -1)))
         if np.abs(gated.data - 0.5 * values).max() > 1e-12:
             return False, f"zero-gate half scaling violated at H={heads}"
-        gated = stage.gate(Tensor(np.concatenate([values, np.full_like(values, 20.0)], -1)))
+        gated = stage.merge(Tensor(np.concatenate([values, np.full_like(values, 20.0)], -1)))
         if np.abs(gated.data - values).max() > 1e-8:
             return False, f"saturated-gate identity violated at H={heads}"
         if stage.gated_width() != dim // 2:
             return False, f"gated width {stage.gated_width()} != {dim // 2} at H={heads}"
-        gated = stage.gate(Tensor(rng.standard_normal((1, 4, dim))))
+        gated = stage.merge(Tensor(rng.standard_normal((1, 4, dim))))
         if gated.shape[-1] != dim // 2:
             return False, f"runtime gated width {gated.shape[-1]} != {dim // 2}"
     return True, f"identities hold for H in {tuple(head_counts)}"

@@ -63,8 +63,12 @@ class TestHeadSplit:
 
 
 def ihg_gate(dim, heads):
-    """The gate of an inter-head gated stage of width ``dim``."""
-    return MhSsmStage(cfg_for(dim, heads), np.random.default_rng(0)).gate
+    """The gate of an inter-head gated stage of width ``dim``: its gate and
+    out_proj node, with an identity out_proj that passes the gate's output
+    through exactly."""
+    stage = MhSsmStage(cfg_for(dim, heads), np.random.default_rng(0))
+    stage.out_proj = identity_linear(dim // 2)
+    return stage.merge
 
 
 class TestInterHeadGate:
@@ -125,21 +129,22 @@ class TestStage:
 
 
 class TestWholeWidthStage:
-    @pytest.mark.parametrize("gating,nodes", [("ihg", 5), ("gelu", 5), ("glu", 8)])
+    @pytest.mark.parametrize("gating,nodes", [("ihg", 4), ("gelu", 4), ("glu", 6)])
     def test_tape_nodes_per_stage(self, gating, nodes):
         # input projection 1, discretization 1, chunked convolution with skip
-        # 1, output projection 1, plus the gate: ihg 1, gelu 1, glu 4
-        # (grouped linear, reshape, glu, reshape)
+        # 1, gate and output projection 1; the per-head glu adds its grouped
+        # linear and the reshape to (..., heads, 2 * head_dim)
         stage = MhSsmStage(cfg_for(8, 2, gating=gating), np.random.default_rng(0))
         with GradTape() as tape:
             stage(Tensor(np.ones((2, 5, 8))), np.array([5, 5]))
         assert len(tape.nodes) == nodes
 
     @pytest.mark.parametrize("block,gating,nodes", [
-        pytest.param("mh_ssm", "ihg", 68, id="mh_ssm-68"),
-        pytest.param("stateformer", "ihg", 106, id="stateformer-106"),
-        pytest.param("mh_ssm", "glu", 92, id="mh_ssm-glu-92"),
-        pytest.param("stateformer", "glu", 130, id="stateformer-glu-130"),
+        pytest.param("mh_ssm", "ihg", 56, id="mh_ssm-56"),
+        pytest.param("stateformer", "ihg", 94, id="stateformer-94"),
+        pytest.param("mh_ssm", "glu", 72, id="mh_ssm-glu-72"),
+        pytest.param("stateformer", "glu", 110, id="stateformer-glu-110"),
+        pytest.param("transformer", "ihg", 51, id="transformer-51"),
     ])
     def test_tape_nodes_per_default_step(self, block, gating, nodes):
         # the count does not depend on the batch size, so a batch of 2 will do
@@ -178,7 +183,8 @@ class TestWholeWidthStage:
         for h in range(3):
             vg = y[..., 4 * h:4 * h + 4] @ stage.glu_w.data[h] + stage.glu_b.data[h]
             want.append(vg[..., :4] / (1.0 + np.exp(-vg[..., 4:])))
-        got = stage.gate(Tensor(y)).data
+        stage.out_proj = identity_linear(12)
+        got = stage.merge(Tensor(y)).data
         assert np.abs(got - np.concatenate(want, axis=-1)).max() <= 1e-14
 
 

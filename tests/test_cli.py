@@ -263,3 +263,25 @@ def test_evaluate_with_malformed_config_is_config_error(trained_checkpoint, tmp_
     assert main(["evaluate", "--checkpoint", str(bad), "--batches", "1"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "'config'" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "inf"])
+def test_non_finite_parameter_is_config_error(trained_checkpoint, cfg_file, tmp_path,
+                                              capsys, value):
+    # a corrupt weight is refused on load, before any batch runs; evaluating
+    # it used to exit 0 and print "loss": NaN, which is not JSON
+    arrays, meta = load_checkpoint(trained_checkpoint)
+    w = arrays["model.readout.w"].copy()
+    w.flat[3] = value
+    arrays["model.readout.w"] = w
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, arrays, meta)
+    assert main(["evaluate", "--checkpoint", str(bad), "--batches", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "'readout.w'" in captured.err
+    more = tmp_path / "more"
+    assert main(["train", "--config", str(cfg_file), "--out", str(more),
+                 "--resume", str(bad)]) == 1
+    assert "'readout.w'" in capsys.readouterr().err
+    assert not (more / "metrics.csv").exists()

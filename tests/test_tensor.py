@@ -52,16 +52,27 @@ class TestMatmul:
         np.testing.assert_allclose(got, a @ b, atol=1e-15)
 
 
+def _identity_map(width):
+    """(w, b) of an affine map that passes ``width`` features through exactly."""
+    return Tensor(np.eye(width)), Tensor(np.zeros(width))
+
+
+def _sigmoid(xs):
+    """sigmoid(xs) through glu_linear: a unit value gated by ``xs``."""
+    y = np.stack([np.ones_like(xs), xs], axis=-1)
+    return T.glu_linear(Tensor(y), *_identity_map(1)).data[..., 0]
+
+
 class TestPointwise:
     def test_sigmoid_symmetry(self):
-        assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
+        assert _sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_gelu_at_zero(self):
-        assert T.gelu(Tensor([0.0])).data[0] == 0.0
+        assert T.gelu_linear(Tensor([[0.0]]), *_identity_map(1)).data[0, 0] == 0.0
 
     def test_sigmoid_matches_high_precision(self):
         xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        got = T.sigmoid(Tensor(xs)).data
+        got = _sigmoid(xs)
         for x, g in zip(xs, got):
             assert abs(g - SIGMOID_TABLE[x]) <= 1e-12
             assert abs(g - mp_sigmoid(x)) <= 1e-12
@@ -169,6 +180,16 @@ class TestCausalConvFft:
                               Tensor(np.zeros(3)))
 
 
+def _sigmoid_node(a):
+    """The logistic function as its own tape node, for the composition that
+    glu_linear replaces."""
+    s = expit(a.data)
+    out = Tensor(s)
+    key = a.key
+    T.record_op(out, (a,), lambda g, acc: acc(key, g * s * (1.0 - s)))
+    return out
+
+
 def _taped(build, leaves):
     """Output data and leaf gradients of sum(build(*leaves) * w) for a fixed w."""
     with GradTape() as tape:
@@ -237,18 +258,41 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 8)])
     def test_glu_matches_mul_narrow_sigmoid(self, shape):
-        y = Tensor(np.random.default_rng(21).standard_normal(shape) * 3.0, requires_grad=True)
+        rng = np.random.default_rng(21)
         half = shape[-1] // 2
-        got, got_g = _taped(T.glu, [y])
+        leaves = [Tensor(rng.standard_normal(shape) * 3.0, requires_grad=True),
+                  Tensor(rng.standard_normal((half, 5)), requires_grad=True),
+                  Tensor(rng.standard_normal(5), requires_grad=True)]
+        got, got_g = _taped(T.glu_linear, leaves)
         want, want_g = _taped(
-            lambda t: T.mul(T.narrow(t, -1, 0, half), T.sigmoid(T.narrow(t, -1, half, half))),
-            [y])
+            lambda y, w, b: T.linear(
+                T.mul(T.narrow(y, -1, 0, half), _sigmoid_node(T.narrow(y, -1, half, half))),
+                w, b),
+            leaves)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_g[0], want_g[0])
+        for g, r in zip(got_g, want_g):
+            np.testing.assert_array_equal(g, r)
 
     def test_glu_odd_width(self):
         with pytest.raises(ShapeError, match="even"):
-            T.glu(Tensor(np.ones((2, 3))))
+            T.glu_linear(Tensor(np.ones((2, 3))), *_identity_map(1))
+
+    def test_activation_linear_shape_errors(self):
+        w, b = _identity_map(4)
+        with pytest.raises(ShapeError, match="width"):
+            T.gelu_linear(Tensor(np.zeros((2, 3))), w, b)
+        with pytest.raises(ShapeError, match="width"):
+            T.glu_linear(Tensor(np.zeros((2, 6))), w, b)
+        with pytest.raises(ShapeError, match="width"):
+            T.glu_linear(Tensor(np.zeros((2, 2, 4))), w, b)
+        with pytest.raises(ShapeError, match="bias"):
+            T.gelu_linear(Tensor(np.zeros((2, 4))), w, Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="bias"):
+            T.glu_linear(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 4, 4))), b)
+        with pytest.raises(ShapeError, match="in_axes"):
+            T.glu_linear(Tensor(np.zeros((2, 8))), w, b, in_axes=3)
+        # heads * width read as one input only when asked for
+        assert T.glu_linear(Tensor(np.zeros((3, 2, 4))), w, b, in_axes=2).shape == (3, 4)
 
     def test_conv_skip_matches_conv_plus_mul(self):
         rng = np.random.default_rng(22)
@@ -266,26 +310,36 @@ class TestFusedOps:
             np.testing.assert_array_equal(g, r)
 
 
-# gelu, glu, softmax and layer_norm as plain numpy expressions, the
-# operation order the buffered rules must keep; (output, input gradients)
-# for upstream g
+# gelu and glu followed by an affine map, softmax and layer_norm as plain
+# numpy expressions, the operation order the buffered rules must keep;
+# (output, input gradients) for upstream g
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu_reference(x, g):
+def _affine_reference(a, w, b, g):
+    """a @ w + b over the trailing axes of ``a`` that hold w's input width;
+    (output, [gradient of a, dw, db])."""
+    a2, g2 = a.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
+    return (a2 @ w + b).reshape(g.shape), [(g2 @ w.T).reshape(a.shape), a2.T @ g2,
+                                           g2.sum(axis=0)]
+
+
+def _gelu_linear_reference(x, w, b, g):
     phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return x * phi_cdf, [g * (phi_cdf + x * pdf)]
+    out, (ga, gw, gb) = _affine_reference(x * phi_cdf, w, b, g)
+    return out, [ga * (phi_cdf + x * pdf), gw, gb]
 
 
-def _glu_reference(y, g):
+def _glu_linear_reference(y, w, b, g):
     half = y.shape[-1] // 2
     value, s = y[..., :half], expit(y[..., half:])
-    gy = np.empty(y.shape, dtype=np.result_type(g, s))
-    gy[..., :half] = g * s
-    gy[..., half:] = g * value * s * (1.0 - s)
-    return value * s, [gy]
+    out, (ga, gw, gb) = _affine_reference(value * s, w, b, g)
+    gy = np.empty(y.shape, dtype=np.result_type(ga, s))
+    gy[..., :half] = ga * s
+    gy[..., half:] = ga * value * s * (1.0 - s)
+    return out, [gy, gw, gb]
 
 
 def _softmax_reference(x, mask, g):
@@ -310,8 +364,8 @@ def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
 
 
 class TestBufferedRulesKeepBits:
-    """gelu, glu, layer_norm and softmax against their plain numpy
-    expressions, bit for bit."""
+    """gelu and glu followed by an affine map, layer_norm and softmax against
+    their plain numpy expressions, bit for bit."""
 
     @staticmethod
     def _run(op, arrays, out_shape, dtype):
@@ -332,17 +386,38 @@ class TestBufferedRulesKeepBits:
             assert a.dtype == dtype
             assert np.array_equal(a, b)
 
+    @staticmethod
+    def _affine(rng, d_in, d_out, dtype):
+        return (rng.standard_normal((d_in, d_out)).astype(dtype),
+                rng.standard_normal(d_out).astype(dtype))
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gelu(self, dtype):
-        x = (np.random.default_rng(32).standard_normal((3, 16, 24)) * 3.0).astype(dtype)
-        got, got_grads, g = self._run(T.gelu, [x], x.shape, dtype)
-        self._check(got, got_grads, *_gelu_reference(x, g), dtype)
+        # 900 rows of 24: the backward's rule runs in two blocks, the second
+        # one partial
+        rng = np.random.default_rng(32)
+        x = (rng.standard_normal((3, 300, 24)) * 3.0).astype(dtype)
+        w, b = self._affine(rng, 24, 10, dtype)
+        got, got_grads, g = self._run(T.gelu_linear, [x, w, b], (3, 300, 10), dtype)
+        self._check(got, got_grads, *_gelu_linear_reference(x, w, b, g), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_glu(self, dtype):
-        y = (np.random.default_rng(33).standard_normal((3, 16, 24)) * 3.0).astype(dtype)
-        got, got_grads, g = self._run(T.glu, [y], (3, 16, 12), dtype)
-        self._check(got, got_grads, *_glu_reference(y, g), dtype)
+        rng = np.random.default_rng(33)
+        y = (rng.standard_normal((3, 16, 24)) * 3.0).astype(dtype)
+        w, b = self._affine(rng, 12, 10, dtype)
+        got, got_grads, g = self._run(T.glu_linear, [y, w, b], (3, 16, 10), dtype)
+        self._check(got, got_grads, *_glu_linear_reference(y, w, b, g), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_glu_per_head(self, dtype):
+        # four heads of width 3 on a (..., heads, 6) view; the map reads all 12
+        rng = np.random.default_rng(36)
+        y = (rng.standard_normal((3, 16, 4, 6)) * 3.0).astype(dtype)
+        w, b = self._affine(rng, 12, 10, dtype)
+        got, got_grads, g = self._run(lambda *t: T.glu_linear(*t, in_axes=2), [y, w, b],
+                                      (3, 16, 10), dtype)
+        self._check(got, got_grads, *_glu_linear_reference(y, w, b, g), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_layer_norm(self, dtype):
@@ -413,9 +488,8 @@ class TestBackward:
         x = Tensor([1.5, -2.0], requires_grad=True)
         with GradTape() as tape:
             h = T.mul(x, x)
-            loss = T.tsum(T.add(T.sigmoid(h), T.scale(h, 3.0)))
-        s = expit(x.data ** 2)
-        want = (s * (1.0 - s) + 3.0) * 2.0 * x.data
+            loss = T.tsum(T.add(T.mul(h, h), T.scale(h, 3.0)))
+        want = (2.0 * x.data ** 2 + 3.0) * 2.0 * x.data
         np.testing.assert_allclose(tape.gradients(loss)[x], want, rtol=1e-15)
 
     @pytest.mark.parametrize("block", ["mh_ssm", "stateformer"])
@@ -506,6 +580,15 @@ class TestTapeRelease:
         want = np.array([[2.0] * 3] * 2 + [[0.0] * 3] * 2)
         np.testing.assert_array_equal(tape.gradients(loss)[x], want)
 
+    @pytest.mark.parametrize("gating,mib", [("ihg", 53), ("glu", 61)])
+    def test_forward_keeps_no_activation_output(self, gating, mib):
+        # each gelu or glu runs with the affine map that reads it as one node,
+        # which keeps the activation's inputs but not its output: 51.8 MiB
+        # (ihg) and 59.8 MiB (glu) held, against 59.8 and 69.8 when each
+        # linear kept its activated input
+        held, _ = _step_memory({"block": "mh_ssm", "gating": gating}, batch=4)
+        assert held <= mib * 2**20, f"{held / 2**20:.1f} MiB held after the forward pass"
+
     @pytest.mark.parametrize("gating", ["ihg", "glu"])
     def test_sweep_peak_stays_within_five_percent_of_held_memory(self, gating):
         # each node's activations go when it replays, so the sweep's
@@ -521,6 +604,31 @@ def test_every_op_matches_finite_differences(seed):
         err = max_grad_error(apply, params)
         assert err <= 1.0, f"{name} gradient error {err:.3f}x tolerance at seed {seed}"
 
+
+
+def _node_kinds(record) -> set[str]:
+    """The kinds of the nodes ``record()`` puts on a tape: the function that
+    made each node's backward closure (``linear.<locals>.bwd`` is a
+    ``linear``)."""
+    with GradTape() as tape:
+        record()
+    return {node.backward.__qualname__.split(".<locals>.")[0] for node in tape.nodes}
+
+
+def test_finite_differences_cover_every_node_kind_of_a_step():
+    # the self-check's op cases must record every kind of node a default
+    # training step records, so each backward rule has its own FD check
+    from mhssm.verify import tensor_op_cases
+    covered = set()
+    for _, apply, params in tensor_op_cases(0):
+        covered |= _node_kinds(lambda: apply(params))
+    for block, gating in [("mh_ssm", "ihg"), ("mh_ssm", "glu"), ("mh_ssm", "gelu"),
+                          ("stateformer", "ihg"), ("stateformer", "glu"),
+                          ("stateformer", "gelu"), ("transformer", "ihg")]:
+        model = TaskModel(load_config({"block": block, "gating": gating}))
+        x, targets = generate_task(model.spec, 2, 0)
+        kinds = _node_kinds(lambda: T.cross_entropy(model(x), targets, IGNORE_INDEX))
+        assert kinds <= covered, f"{block}/{gating}: no FD case records {sorted(kinds - covered)}"
 
 class TestDropout:
     def test_identity_when_disabled(self):
@@ -597,5 +705,5 @@ class TestTensorType:
     def test_finite_outputs_for_finite_inputs(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((4, 8)) * 10)
-        for op in (T.sigmoid, T.gelu):
-            assert np.isfinite(op(x).data).all()
+        for out in (T.gelu_linear(x, *_identity_map(8)), T.glu_linear(x, *_identity_map(4))):
+            assert np.isfinite(out.data).all()
