@@ -19,7 +19,7 @@ from . import tensor as T
 from .errors import ConfigError
 from .nn import LayerNorm, Linear, Module
 from .seq import SeqBatch, reverse_time
-from .ssm import discretize, init_ssm_rng, ssm_conv, stack_systems
+from .ssm import discretize, init_ssm_rng, ssm_conv_projected, stack_systems
 from .tensor import Tensor
 
 GATINGS = ("ihg", "glu", "gelu")
@@ -58,7 +58,13 @@ class MhSsmBlockConfig:
 
 
 class MhSsmStage(Module):
-    """One project/process/gate/merge pass at a fixed width."""
+    """One project/process/gate/merge pass at a fixed width.
+
+    The input projection ``in_proj`` and the system run as one
+    `ssm_conv_projected` node, which keeps the stage input but not the
+    projection, so a stage holds its input once; the gate and ``out_proj``
+    run as one more node (`merge`).
+    """
 
     def __init__(self, cfg: MhSsmBlockConfig, rng: np.random.Generator, dtype=np.float64):
         cfg.validate()
@@ -100,7 +106,9 @@ class MhSsmStage(Module):
         return T.glu_linear(per_head, w, b, in_axes=2)
 
     def __call__(self, x: Tensor, lengths) -> Tensor:
-        return self.merge(ssm_conv(discretize(self.ssm), SeqBatch(self.in_proj(x), lengths)).data)
+        proj = self.in_proj
+        return self.merge(ssm_conv_projected(discretize(self.ssm), SeqBatch(x, lengths),
+                                             proj.w, proj.b).data)
 
 
 class DirectionalMhSsm(Module):

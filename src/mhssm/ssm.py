@@ -18,7 +18,10 @@ chunked state passing (Dao & Gu 2024, arXiv 2405.21060). Small GEMMs act
 inside chunks of CHUNK = 32 steps and the n-mode state is carried between
 them, O(L * (Q + 4n)) work per channel, with no kernel and no transform
 (per-node timings in the `ssm_conv` docstring). CHUNK = 32 beat 16 and 64 at
-(1, 8192), (32, 512) and (8, 800) alike.
+(1, 8192), (32, 512) and (8, 800) alike. `ssm_conv_projected` runs the same
+node with a stage's input projection folded in. The node keeps only its
+input and small per-channel weights; its backward rebuilds the projection,
+the chunked input and the chunk states.
 
 The impulse response itself (`materialize_kernel`) serves
 `kernel_sum_bound`, the self-check and the tests, which convolve it by FFT
@@ -40,6 +43,7 @@ readout vectors only through that product.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -338,14 +342,18 @@ def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
     return _damped_response(d.zoh, length)
 
 
+@functools.cache
 def _toeplitz_select(q: int) -> np.ndarray:
     """(q*q, q) 0/1 matrix mapping tap k to the entries (s, t) with t - s = k.
 
     ``taps @ select.T`` builds the lower-triangular Toeplitz matrix of the
-    first q taps; ``matrix.reshape(q*q) @ select`` sums its diagonals.
+    first q taps; ``matrix.reshape(q*q) @ select`` sums its diagonals. Built
+    once per q and shared by every call, so it is read-only.
     """
     lag = np.arange(q)[None, :] - np.arange(q)[:, None]        # (s, t) -> t - s
-    return (lag.reshape(-1, 1) == np.arange(q)).astype(np.float64)
+    select = (lag.reshape(-1, 1) == np.arange(q)).astype(np.float64)
+    select.flags.writeable = False
+    return select
 
 
 def _chunk_tiles(bsz: int, length: int, p: int):
@@ -390,24 +398,55 @@ def _from_chunks(xc: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked_conv(u: Tensor, zoh: Tensor, skip: Tensor) -> Tensor:
-    """The causal convolution of ``u`` with the system's kernel, plus ``skip * u``.
+def _project(x: np.ndarray, w: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
+    """u = x @ w + b as `T.linear` computes it (one 2-d product, the bias
+    added in place), or ``x`` itself without a weight."""
+    if w is None:
+        return x
+    u = np.matmul(x.reshape(-1, w.shape[0]), w)
+    u += b
+    return u.reshape(x.shape[:-1] + w.shape[1:])
 
-    One fused node computing what ``causal_conv_fft(u, materialize_kernel)``
-    does, without the L-tap kernel or any transform (chunked state passing,
-    Dao & Gu 2024, arXiv 2405.21060). Time is cut into chunks of Q = CHUNK
-    steps, the last one zero-padded; z = abar, and the powers z^0..z^Q
-    come from log space (`_powers_through`), so abar = 0 stays memoryless.
-    Chunks are laid out chunk-major, (channels, chunks, batch, Q), so each
-    chunk's rows are one contiguous block.
+
+def _chunk_states(uc: np.ndarray, w_end: np.ndarray, z_q: np.ndarray, chunks: int):
+    """The states carried between the chunks of ``uc`` (channels, chunks*batch, Q).
+
+    One array, as a (channels, chunks*batch, 2n) real view and a (channels,
+    chunks, batch, n) complex view, whose chunk i holds S_(i+1), the state
+    entering chunk i+1: first E_i = sum_s z^(Q-1-s) u_s as one GEMM, then
+    in place S_i = z^Q S_(i-1) + E_(i-1), a loop over chunks on contiguous
+    (channels, batch*n) blocks.
+    """
+    p, bsz, n = z_q.shape
+    flat = np.matmul(uc, w_end)
+    states = flat.view(z_q.dtype).reshape(p, chunks, bsz, n)
+    carry = np.empty_like(z_q)
+    for i in range(1, chunks - 1):
+        np.multiply(z_q, states[:, i - 1], out=carry)
+        states[:, i] += carry
+    return flat, states
+
+
+def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
+                  b: Tensor | None = None) -> Tensor:
+    """The causal convolution of u with the system's kernel, plus ``skip * u``.
+
+    u is ``x``, or with an (in, channels) weight ``w`` and (channels,) bias
+    ``b`` the input projection u = x @ w + b, computed as `T.linear`
+    computes it. One fused node computing what ``causal_conv_fft(u,
+    materialize_kernel)`` does, without the L-tap kernel or any transform
+    (chunked state passing, Dao & Gu 2024, arXiv 2405.21060). Time is cut
+    into chunks of Q = CHUNK steps, the last one zero-padded; z = abar, and
+    the powers z^0..z^Q come from log space (`_powers_through`), so abar = 0
+    stays memoryless. Chunks are laid out chunk-major, (channels, chunks,
+    batch, Q), so each chunk's rows are one contiguous block.
 
     * Within a chunk the output is the chunk times the lower-triangular
       Toeplitz matrix of taps 0..Q-1, with the skip on its diagonal, and the
       chunk's end state is E = sum_s z^(Q-1-s) u_s: two batched GEMMs over
       (channels, chunks*batch, Q).
-    * The state entering chunk i is S_i = z^Q S_(i-1) + E_(i-1), S_0 = 0, a
-      loop over chunks on contiguous (channels, batch*n) blocks that
-      overwrites E_(i-1) with S_i in place.
+    * The state entering chunk i is S_i = z^Q S_(i-1) + E_(i-1), S_0 = 0
+      (`_chunk_states`).
     * A third GEMM adds the carried state's output Re(S_i @ 2 cb z^(t+1)) at
       step t of chunk i >= 1, as a real GEMM over interleaved (re, im)
       columns.
@@ -415,25 +454,34 @@ def _chunked_conv(u: Tensor, zoh: Tensor, skip: Tensor) -> Tensor:
     The backward pass runs the transposed GEMMs and the reverse recurrence
     H_i = dS_i + conj(z^Q) H_(i+1), sums the Toeplitz weight gradient along
     its diagonals, and maps every power gradient to the logs through
-    d z^k / d log z = k z^k. The node keeps the states and the small
-    weights, and no spectrum; the chunked input is rebuilt from ``u``.
+    d z^k / d log z = k z^k. With a projection it ends with `T.linear`'s
+    rule on u's gradient gu: dx = gu @ w^T, dw = x^T @ gu, db = sum gu.
+    Every value and gradient is the same product, in the same order, as
+    `T.linear` followed by the node without a projection.
+
+    The node keeps ``x`` and the small per-channel weights (powers, the
+    three GEMM weights and z^Q), and no spectrum. It does not keep u, the
+    chunked input or the chunk states: the backward rebuilds them with the
+    forward's GEMMs and carry loop, one (batch*length, in) @ (in, channels)
+    GEMM and one state pass more per call (recomputation in reverse mode,
+    Chen et al. 2016, arXiv 1604.06174). So a stage holds its input once
+    rather than three times over.
     """
-    bsz, length, p = u.shape
-    n = zoh.shape[2]
+    bsz, length = x.shape[:2]
+    p, n = zoh.shape[1:]
     q = CHUNK
     chunks = -(-length // q)
     rows = bsz * chunks
     carried = rows - bsz          # rows of chunks 1.., which have a carried state
-    dtype = u.dtype
+    dtype = x.dtype if w is None else np.result_type(x.dtype, w.dtype)
     cdtype = np.result_type(dtype, np.complex64)
     logmag, angle, _, _, cb_re, cb_im = zoh.data
     cb = cb_re + 1j * cb_im
     powers = _powers_through(logmag, angle, q)                           # (p, n, q+1)
-    select = _toeplitz_select(q)
     taps = 2.0 * np.matmul(cb[:, None, :], powers[..., :q])[:, 0].real   # (p, q)
     taps[:, 0] += skip.data
     # (p, q, q): row s holds tap t - s of the output at step t
-    w_toe = (taps @ select.T).reshape(p, q, q).astype(dtype, copy=False)
+    w_toe = (taps @ _toeplitz_select(q).T).reshape(p, q, q).astype(dtype, copy=False)
     # (p, q, 2n): row s holds z^(q-1-s), columns interleaved (re, im)
     w_end = np.ascontiguousarray(np.swapaxes(powers[..., q - 1::-1], 1, 2), dtype=cdtype)
     w_end = w_end.view(dtype)
@@ -444,28 +492,42 @@ def _chunked_conv(u: Tensor, zoh: Tensor, skip: Tensor) -> Tensor:
     # z^Q per (channel, batch row, mode), so the carry's inner loop spans
     # batch*n contiguous values
     z_q = np.repeat(powers[:, None, :, q].astype(cdtype), bsz, axis=1)
+    x_data, x_key, x_shape = x.data, x.key, x.shape
+    w_data, b_data = (None, None) if w is None else (w.data, b.data)
 
-    # the arrays that outlive the call come before the temporaries, so the
-    # space the temporaries free is reused; in the other order the heap
-    # fragmented and peak RSS on `asr_stateformer` rose by 7%
+    def chunked_input():
+        # u goes as soon as its chunked copy exists
+        return _to_chunks(_project(x_data, w_data, b_data), chunks, dtype).reshape(p, rows, q)
+
+    # the output outlives the call, so it comes before the temporaries and
+    # reuses none of their space; in the other order the heap fragmented
+    # and peak RSS on `asr_stateformer` rose by 7%
     y = np.empty((bsz, length, p), dtype=dtype)
-    flat_states = np.empty((p, rows, 2 * n), dtype=dtype)
-    uc = _to_chunks(u.data, chunks, dtype).reshape(p, rows, q)
-    # E_i, then in place: states[:, i] = S_(i+1), the state entering chunk i+1
-    states = np.matmul(uc, w_end, out=flat_states).view(cdtype).reshape(p, chunks, bsz, n)
-    carry = np.empty((p, bsz, n), dtype=cdtype)
-    for i in range(1, chunks - 1):
-        np.multiply(z_q, states[:, i - 1], out=carry)
-        states[:, i] += carry
+    uc = chunked_input()
+    flat_states, _ = _chunk_states(uc, w_end, z_q, chunks)
     yc = np.matmul(uc, w_toe)
     yc[:, bsz:] += np.matmul(flat_states[:, :carried], w_out)
+    del uc, flat_states
     out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y))
-    u_data, u_key, zoh_key, zoh_dtype = u.data, u.key, zoh.key, zoh.dtype
+    zoh_key, zoh_dtype = zoh.key, zoh.dtype
     skip_key, skip_dtype = skip.key, skip.dtype
+    # in the order `T.linear` and then the node would see them: the tape
+    # lists parameters in first-seen order, and the global gradient norm
+    # sums them in that order
+    inputs = (x, zoh, skip) if w is None else (x, w, b, zoh, skip)
+    w_key, b_key = (None, None) if w is None else (w.key, b.key)
 
     def bwd(g, acc):
-        gu = np.empty((bsz, length, p), dtype=dtype)           # first, as above
+        # every term that reads the rebuilt input or states comes first, so
+        # each goes before the next full-size gradient buffer is made
+        uc = chunked_input()
+        flat_states, states = _chunk_states(uc, w_end, z_q, chunks)
         gc = _to_chunks(g, chunks, dtype).reshape(p, rows, q)
+        uc_t = np.swapaxes(uc, 1, 2)
+        g_taps = np.matmul(uc_t, gc).reshape(p, q * q) @ _toeplitz_select(q)   # (p, q)
+        # conj of d Re(S W) / d W for W = 2 cb z^(t+1), as (p, n, q)
+        g_w = 2.0 * np.conj(np.swapaxes(np.matmul(
+            np.swapaxes(gc[:, bsz:], 1, 2), flat_states[:, :carried]).view(cdtype), 1, 2))
         # d loss / d S_i, then in place H_i; d loss / d E_i = H_(i+1), and
         # the last chunk's end state is unused
         g_states = np.matmul(gc, np.swapaxes(w_out, 1, 2)).view(cdtype)
@@ -476,34 +538,37 @@ def _chunked_conv(u: Tensor, zoh: Tensor, skip: Tensor) -> Tensor:
             np.multiply(conj_zq, g_states[:, i + 1], out=carry)
             g_states[:, i] += carry
         g_zq = (g_states[:, 2:] * np.conj(states[:, :-2])).sum(axis=(1, 2))
+        del flat_states, states
         g_ends = g_states.view(dtype).reshape(p, rows, 2 * n)[:, bsz:]
+        # the end-state weights hold z^(q-1-s) as (re, im) columns
+        g_end_pow = np.swapaxes(np.matmul(uc_t[..., :carried], g_ends).view(cdtype), 1, 2)
+        del uc, uc_t
 
         gc_u = np.matmul(gc, np.swapaxes(w_toe, 1, 2))
         gc_u[:, :carried] += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
-        acc(u_key, _from_chunks(gc_u.reshape(p, chunks, bsz, q), gu))
+        del gc, g_states, g_ends
+        gu = _from_chunks(gc_u.reshape(p, chunks, bsz, q), np.empty(x_shape[:2] + (p,), dtype))
         del gc_u
 
-        # rebuilt rather than kept: the node already holds the input, and a
-        # kept copy raised peak RSS over default-config training steps by 7%
-        uc_t = np.swapaxes(_to_chunks(u_data, chunks, dtype).reshape(p, rows, q), 1, 2)
-        g_taps = np.matmul(uc_t, gc).reshape(p, q * q) @ select          # (p, q)
         g_pow = np.zeros(powers.shape, dtype=np.complex128)              # (p, n, q+1)
         g_pow[..., :q] = 2.0 * np.conj(cb)[..., None] * g_taps[:, None, :]
-        # the end-state weights hold z^(q-1-s) as (re, im) columns
-        g_pow[..., q - 1::-1] += np.swapaxes(
-            np.matmul(uc_t[..., :carried], g_ends).view(cdtype), 1, 2)
-        # conj of d Re(S W) / d W for W = 2 cb z^(t+1), as (p, n, q)
-        g_w = 2.0 * np.conj(np.swapaxes(np.matmul(
-            np.swapaxes(gc[:, bsz:], 1, 2), flat_states[:, :carried]).view(cdtype), 1, 2))
+        g_pow[..., q - 1::-1] += g_end_pow
         g_pow[..., 1:] += np.conj(cb)[..., None] * g_w
         g_pow[..., q] += g_zq
         g_cb = (2.0 * (g_taps[:, None, :] * np.conj(powers[..., :q])).sum(axis=-1)
                 + (g_w * np.conj(powers[..., 1:])).sum(axis=-1))
-        w = (np.conj(powers) * g_pow * np.arange(q + 1)).sum(axis=-1)
+        w_log = (np.conj(powers) * g_pow * np.arange(q + 1)).sum(axis=-1)
         acc(skip_key, g_taps[:, 0].astype(skip_dtype, copy=False))
-        acc(zoh_key, _zoh_grad(w, g_cb, zoh_dtype))
+        acc(zoh_key, _zoh_grad(w_log, g_cb, zoh_dtype))
+        if w_data is None:
+            acc(x_key, gu)
+            return
+        g2 = gu.reshape(-1, p)
+        acc(x_key, np.matmul(g2, w_data.T).reshape(x_shape))
+        acc(w_key, np.matmul(x_data.reshape(-1, w_data.shape[0]).T, g2))
+        acc(b_key, g2.sum(axis=0))
 
-    T.record_op(out, (u, zoh, skip), bwd)
+    T.record_op(out, inputs, bwd)
     return out
 
 
@@ -513,23 +578,40 @@ def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
     Same contract as :func:`ssm_scan`, computed by :func:`_chunked_conv` at
     every length as one node with the skip term ``d * u`` inside; the kernel
     is never built. Per node in ms against the FFT reference (the
-    materialized kernel convolved by ``T.causal_conv_fft``), at the shapes
-    the benchmark workloads run: the forward alone, as evaluation runs it,
-    then forward and backward. 16 states, one BLAS thread, 2-core x86-64
-    host, discretization included, median of 61 interleaved calls with the
-    input out of cache::
+    materialized kernel convolved by ``T.causal_conv_fft``), and for
+    :func:`ssm_conv_projected` with a (channels, channels) projection
+    inside, at the shapes the benchmark workloads run: the forward alone,
+    as evaluation runs it, then forward and backward. 16 states, float64,
+    one BLAS thread, 2-core x86-64 host, discretization included, median of
+    61 interleaved calls with the input out of cache::
 
-        (batch, steps, channels)  workload           FFT          chunked
-        (32, 256, 64)             echo_mh_ssm        15.1 / 46.0   8.3 / 32.8
-        (8, 192, 64)              asr encoder         4.6 / 12.2   2.9 /  9.0
-        (8, 384, 32)              asr frontend, 1/2   3.5 / 11.7   1.9 /  7.3
-        (8, 768, 16)              asr frontend        4.1 / 12.9   1.7 /  6.7
-        (1, 8192, 64)             echo_8k_mh_ssm     51.5 / 102   11.6 / 35.6
+        (batch, steps, channels)  workload           FFT          chunked      projected
+        (32, 256, 64)             echo_mh_ssm        25.1 / 60.0  14.3 / 48.4  17.8 / 63.8
+        (8, 192, 64)              asr encoder         7.9 / 16.2   4.7 / 12.2   5.4 / 14.5
+        (8, 384, 32)              asr frontend, 1/2   7.3 / 15.3   3.9 /  9.9   4.3 / 11.9
+        (8, 768, 16)              asr frontend        7.8 / 16.6   3.5 /  9.4   3.9 / 10.8
+        (1, 8192, 64)             echo_8k_mh_ssm     63.5 / 137   16.1 / 54.1  19.0 / 68.1
     """
     _check_channels(d, u)
     if u.length < 1:
         raise ShapeError(f"input length must be >= 1, got {u.length}")
     return u.with_data(_chunked_conv(u.data, d.zoh, d.d))
+
+
+def ssm_conv_projected(d: DiscreteSsm, x: SeqBatch, w: Tensor, b: Tensor) -> SeqBatch:
+    """``ssm_conv(d, u)`` of the projection u = x @ w + b, as one node.
+
+    ``w`` is (in, channels) and ``b`` is (channels,). Every value and
+    gradient equals that of `T.linear` followed by :func:`ssm_conv`, but
+    the node keeps only ``x`` of the activations (see :func:`_chunked_conv`).
+    """
+    if w.shape != (x.dim, d.channels) or b.shape != (d.channels,):
+        raise ShapeError(f"projection of {x.dim} features to {d.channels} channels needs an "
+                         f"({x.dim}, {d.channels}) weight and ({d.channels},) bias, "
+                         f"got {w.shape}/{b.shape}")
+    if x.length < 1:
+        raise ShapeError(f"input length must be >= 1, got {x.length}")
+    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b))
 
 
 def kernel_sum_bound(d: DiscreteSsm, length: int) -> np.ndarray:

@@ -376,7 +376,6 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     cfg = load_config({**overrides, **flags})
     _check_token_frontend(cfg)
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
     ckpt_path = out / "checkpoint.bin"
 
@@ -407,6 +406,9 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     else:
         model = TaskModel(cfg)
         dropout_rng = np.random.default_rng(cfg["seed"] + 1)
+    # only once a resume state has loaded and passed its checks, so a
+    # refused resume leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
 
     spec = model.spec
     schedule = LrSchedule(peak_lr=cfg["peak_lr"], warmup_steps=cfg["warmup_steps"],

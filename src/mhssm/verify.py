@@ -22,7 +22,7 @@ from .nn import Module
 from .optim import Adam
 from .seq import SeqBatch
 from .ssm import (DiagonalSsm, discretize, init_ssm_rng,
-                  kernel_sum_bound, materialize_kernel, ssm_conv, ssm_scan,
+                  kernel_sum_bound, materialize_kernel, ssm_conv, ssm_conv_projected, ssm_scan,
                   stack_systems)
 from .tensor import GradTape, Tensor
 from .training import evaluate, train
@@ -191,6 +191,16 @@ def tensor_op_cases(seed: int):
          lambda ps: T.glu_linear(ps["y"], ps["w"], ps["b"]))
     case("glu_linear_per_head", {"y": leaf((2, 3, 2, 4)), "w": leaf((4, 2)), "b": leaf((2,))},
          lambda ps: T.glu_linear(ps["y"], ps["w"], ps["b"], in_axes=2))
+
+    # the chunked node with the input projection folded in, as a stage runs
+    # it: 3 features to 2 channels over two whole chunks and a ragged third
+    projected = init_ssm_rng(3, 2, rng, "random_stable")
+    ssm_leaves = projected.named_params()
+    case("chunked_conv_projected",
+         {**ssm_leaves, "x": leaf((2, 69, 3)), "w": leaf((3, 2)), "b": leaf((2,))},
+         lambda ps: ssm_conv_projected(
+             discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in ssm_leaves})),
+             SeqBatch(ps["x"], [69, 69]), ps["w"], ps["b"]).data)
 
     return cases
 

@@ -58,10 +58,11 @@ def eigenvalues(ssm: DiagonalSsm) -> np.ndarray:
     return -np.exp(ssm.log_neg_re.data) + 1j * ssm.lam_im.data
 
 
-def fft_ssm_conv(d, u):
-    """``ssm_conv`` by the reference path: the materialized kernel,
-    convolved by FFT with the skip term."""
-    return u.with_data(T.causal_conv_fft(u.data, materialize_kernel(d, u.length), d.d))
+def fft_ssm_conv_projected(d, x, w, b):
+    """``ssm_conv_projected`` by the reference path: ``T.linear``, then the
+    materialized kernel convolved by FFT with the skip term."""
+    u = T.linear(x.data, w, b)
+    return x.with_data(T.causal_conv_fft(u, materialize_kernel(d, x.length), d.d))
 
 
 def tie_directions(block):

@@ -285,3 +285,22 @@ def test_non_finite_parameter_is_config_error(trained_checkpoint, cfg_file, tmp_
                  "--resume", str(bad)]) == 1
     assert "'readout.w'" in capsys.readouterr().err
     assert not (more / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("corrupt", ["bad-magic", "nan-parameter"])
+def test_refused_resume_leaves_no_output_directory(trained_checkpoint, cfg_file, tmp_path,
+                                                   capsys, corrupt):
+    # the directory used to be made before the checkpoint was read, so a
+    # resume that exits 1 left an empty --out behind
+    bad = tmp_path / "bad.bin"
+    if corrupt == "bad-magic":
+        bad.write_bytes(b"garbage")
+    else:
+        arrays, meta = load_checkpoint(trained_checkpoint)
+        arrays["model.readout.b"] = arrays["model.readout.b"] + float("nan")
+        save_checkpoint(bad, arrays, meta)
+    fresh = tmp_path / "fresh"
+    assert main(["train", "--config", str(cfg_file), "--out", str(fresh),
+                 "--resume", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not fresh.exists()

@@ -9,7 +9,7 @@ from mhssm.blocks import BidirMhSsmBlock, MhSsmBlockConfig
 from mhssm.ssm import (CHUNK, DiagonalSsm, DiscreteSsm,
                        _chunked_conv, discretize,
                        init_ssm_rng, kernel_sum_bound, materialize_kernel,
-                       ssm_conv, ssm_scan, stack_systems)
+                       ssm_conv, ssm_conv_projected, ssm_scan, stack_systems)
 from mhssm.tensor import GradTape, Tensor
 
 from hooks import eigenvalues, init_ssm
@@ -441,7 +441,69 @@ def polar_system(logmag, angle, cb, d_skip):
     return lambda: DiscreteSsm(leaves["zoh"], leaves["d"]), leaves
 
 
+def projected_and_separate(rng, x, lengths, dtype):
+    """Output and the gradients for x, w, b, zoh and skip of ``sum(y * weights)``,
+    with y from `ssm_conv_projected`, then from `T.linear` and `ssm_conv`."""
+    d_src = discretize(init_ssm(4, 6, seed=31, scheme="random_stable", dtype=dtype))
+    leaves = {"x": x, "w": rng.standard_normal((x.shape[-1], 6)), "b": rng.standard_normal(6),
+              "zoh": d_src.zoh.data, "skip": d_src.d.data}
+    leaves = {k: Tensor(v, requires_grad=True, dtype=dtype) for k, v in leaves.items()}
+    weights = Tensor(rng.standard_normal(x.shape[:2] + (6,)), dtype=dtype)
+
+    def run(conv):
+        with GradTape() as tape:
+            y = conv(DiscreteSsm(leaves["zoh"], leaves["skip"]), SeqBatch(leaves["x"], lengths))
+            loss = T.tsum(T.mul(y.data, weights))
+        grads = tape.gradients(loss)
+        return y.data.data, {name: grads[t] for name, t in leaves.items()}
+
+    w, b = leaves["w"], leaves["b"]
+    return (run(lambda d, xb: ssm_conv_projected(d, xb, w, b)),
+            run(lambda d, xb: ssm_conv(d, xb.with_data(T.linear(xb.data, w, b)))))
+
+
+def assert_same_bits(got, want):
+    (y, grads), (y_ref, grads_ref) = got, want
+    assert y.dtype == y_ref.dtype
+    np.testing.assert_array_equal(y, y_ref)
+    assert grads.keys() == grads_ref.keys() == {"x", "w", "b", "zoh", "skip"}
+    for name, g in grads.items():
+        assert g.dtype == grads_ref[name].dtype, name
+        np.testing.assert_array_equal(g, grads_ref[name], err_msg=name)
+
+
 class TestChunkedConv:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("length", [1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 261, 4097])
+    def test_projection_keeps_the_bits_of_linear_then_conv(self, length, dtype):
+        # the one node against the input projection and the convolution as
+        # two nodes: output and all five gradients, bit for bit
+        rng = np.random.default_rng(length)
+        batch = 2 if length < 4097 else 1
+        x = rng.standard_normal((batch, length, 5))
+        got, want = projected_and_separate(rng, x, [length] * batch, dtype)
+        assert got[0].dtype == dtype
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_projection_keeps_the_bits_on_a_padded_batch(self, dtype):
+        rng = np.random.default_rng(32)
+        lengths = np.array([70, 41, 9])
+        valid = np.arange(70)[None, :, None] < lengths[:, None, None]
+        x = rng.standard_normal((3, 70, 5)) * valid
+        assert_same_bits(*projected_and_separate(rng, x, lengths, dtype))
+
+    def test_projection_shape_errors(self):
+        d = discretize(init_ssm(4, 6, seed=33))
+        x = make_batch(np.random.default_rng(34), 8, 5)
+        w, b = Tensor(np.ones((5, 6))), Tensor(np.ones(6))
+        for bad_w, bad_b in [(Tensor(np.ones((6, 6))), b), (Tensor(np.ones((5, 4))), b),
+                             (w, Tensor(np.ones(5)))]:
+            with pytest.raises(ShapeError, match="weight"):
+                ssm_conv_projected(d, x, bad_w, bad_b)
+        with pytest.raises(ShapeError, match="length"):
+            ssm_conv_projected(d, make_batch(np.random.default_rng(35), 0, 5), w, b)
+
     @pytest.mark.parametrize("length", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
                                         255, 256, 257, 4097, 8192, 16384])
     def test_matches_fft_path(self, length):

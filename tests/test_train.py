@@ -18,7 +18,7 @@ from mhssm.tensor import GradTape, Tensor
 from mhssm.training import (DEFAULTS, METRICS_HEADER, TaskModel, evaluate,
                             load_config, train)
 
-from hooks import dtype_leaks, fft_ssm_conv, subprocess_env
+from hooks import dtype_leaks, fft_ssm_conv_projected, subprocess_env
 from oracles import ScalarAdam
 
 DATA = Path(__file__).parent / "data"
@@ -386,7 +386,7 @@ class TestLegacyCheckpoints:
         report = evaluate(DATA / f"legacy_{gating}.bin", batches=2)
         assert report["loss"] == pytest.approx(want["loss"], rel=1e-12)
         assert report["accuracy"] == pytest.approx(want["accuracy"], rel=1e-12)
-        monkeypatch.setattr(blocks, "ssm_conv", fft_ssm_conv)
+        monkeypatch.setattr(blocks, "ssm_conv_projected", fft_ssm_conv_projected)
         report = evaluate(DATA / f"legacy_{gating}.bin", batches=2)
         assert report["loss"] == want["loss"]
         assert report["accuracy"] == want["accuracy"]
