@@ -16,7 +16,6 @@ emit ``model_dim`` features at a quarter of the input frame rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,8 +164,10 @@ class MultiScaleFrontend(Module):
 class SelfAttentionBlock(Module):
     """Pre-norm residual multi-head scaled dot-product attention.
 
-    Keys at padded positions are masked out; scores scale by
-    1/sqrt(head_dim). Fully padded sequences are rejected.
+    The q, k and v projections feed one ``T.attention`` node, whose
+    (batch, length, dim) context ``wo`` reads; head h owns columns
+    h*head_dim to (h+1)*head_dim. Keys at padded positions are masked out;
+    scores scale by 1/sqrt(head_dim). Fully padded sequences are rejected.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -181,29 +182,19 @@ class SelfAttentionBlock(Module):
         self.wo = Linear(dim, dim, rng, dtype=dtype)
         self.dropout = dropout
 
-    def _heads_view(self, x: Tensor, bsz: int, horizon: int) -> Tensor:
-        dh = x.shape[-1] // self.heads
-        return T.transpose(T.reshape(x, (bsz, horizon, self.heads, dh)), (0, 2, 1, 3))
-
     def attend(self, x: SeqBatch) -> Tensor:
         """Attention branch on the normalized input (no residual)."""
         if (x.lengths == 0).any():
             raise ValueError("attention received a fully padded sequence")
-        bsz, horizon, dim = x.data.shape
-        dh = dim // self.heads
+        horizon = x.length
         h = self.norm(x.data)
-        q = self._heads_view(self.wq(h), bsz, horizon)
-        k = self._heads_view(self.wk(h), bsz, horizon)
-        v = self._heads_view(self.wv(h), bsz, horizon)
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        if (x.lengths == horizon).all():
-            attn = T.softmax(scores)
-        else:
-            key_mask = (np.arange(horizon)[None, :] < x.lengths[:, None])[:, None, None, :]
-            attn = T.softmax(scores, mask=key_mask)
-        ctx = T.matmul(attn, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, horizon, dim))
-        return self.wo(ctx)
+        # wq, wk, wv in this order: the tape's first-seen parameter order is
+        # the order in which the global gradient norm sums them
+        q, k, v = self.wq(h), self.wk(h), self.wv(h)
+        mask = None
+        if not (x.lengths == horizon).all():
+            mask = np.arange(horizon)[None, :] < x.lengths[:, None]
+        return self.wo(T.attention(q, k, v, self.heads, mask))
 
     def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
         branch = T.dropout(self.attend(x), self.dropout, train_rng)

@@ -16,18 +16,21 @@ as the forward pass drops it. The sweep pops each node as it replays it, so
 its saved activations go as it goes, and an intermediate tensor's gradient
 is dropped as soon as the node that produced it has run its backward; a
 tape is swept once. The hottest composites (affine map, gelu or glu
-followed by the affine map that reads it, convolution plus skip) are single
-nodes that store their result once. An activation's output is one multiply
-away from the inputs its own rule keeps, so ``gelu_linear`` and
-``glu_linear`` keep those inputs and rebuild the output in the backward for
-the weight gradient instead of holding it.
+followed by the affine map that reads it, convolution plus skip, multi-head
+attention) are single nodes that store their result once. An activation's
+output is one multiply away from the inputs its own rule keeps, so
+``gelu_linear`` and ``glu_linear`` keep those inputs and rebuild the output
+in the backward for the weight gradient instead of holding it. ``attention``
+keeps q, k and v and rebuilds each (batch row, head) tile's weights in the
+backward, so no (batch, heads, length, length) array is ever kept or made.
 
 The elementwise rules of ``gelu_linear``, ``glu_linear``, ``layer_norm`` and
-``softmax`` build each result in one preallocated buffer with ``out=`` and
-in-place operators, in the same operation order as the plain expressions,
-so their values keep every bit; ``gelu_linear`` applies its rule to the
-activation's gradient in place, a block of rows at a time, so its backward
-never holds a second full-size temporary.
+attention's softmax build each result in one preallocated buffer with
+``out=`` and in-place operators, in the same operation order as the plain
+expressions, so their values keep every bit; ``gelu_linear`` applies its
+rule to the activation's gradient in place, a block of rows at a time, and
+``attention`` works one tile at a time, so neither backward holds a second
+full-size temporary.
 
 A training step frees over a hundred megabytes of tape and takes them back on
 the next step. glibc's malloc serves arrays above its mmap threshold with
@@ -350,27 +353,6 @@ def shift(a: Tensor, offset: float) -> Tensor:
 # linear algebra and structure
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    try:
-        out_data = np.matmul(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"matmul batch dimensions do not align: {a.shape} @ {b.shape}") from None
-    out = Tensor._wrap(out_data)
-    a_data, a_key, a_shape = a.data, a.key, a.shape
-    b_data, b_key, b_shape = b.data, b.key, b.shape
-
-    def bwd(g, acc):
-        acc(a_key, _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
-        acc(b_key, _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
-
-    record_op(out, (a, b), bwd)
-    return out
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map on the last axis, x @ w + b, as one node.
 
@@ -539,15 +521,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor._wrap(np.transpose(a.data, axes))
-    key = a.key
-    record_op(out, (a,), lambda g, acc: acc(key, np.transpose(g, inv)))
-    return out
-
-
 def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
     """Contiguous slice of length ``size`` along one axis."""
     idx = [slice(None)] * a.ndim
@@ -619,7 +592,7 @@ def reverse_within(a: Tensor, lengths) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization, attention softmax, losses
+# normalization, attention, losses
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -662,36 +635,92 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stabilized softmax over the last axis.
+def _attention_probs(q_h: np.ndarray, k_h: np.ndarray, factor: float,
+                     keep: np.ndarray | None) -> np.ndarray:
+    """Weights of one (batch row, head) tile of :func:`attention`: the
+    softmax over keys of q_h @ k_h^T * factor, built in one buffer.
 
-    ``mask`` is a boolean array broadcastable to ``x``; False entries come
-    out exactly 0, as exp(-inf - max). A row with no True entry is an error.
-    The shift, exponential and normalization run in place in one buffer.
+    ``keep`` is the row's boolean key mask, or None; masked keys come out
+    exactly 0, as exp(-inf - max).
     """
-    if mask is None:
-        m = x.data.max(axis=-1, keepdims=True)
-        s = x.data - m
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    p = np.matmul(q_h, k_h.T)
+    p *= factor
+    if keep is not None:
+        p[:, ~keep] = -np.inf
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q``, ``k`` and ``v`` are (batch, length, dim). Head h reads columns
+    h*dh to (h+1)*dh of each, with dh = dim / heads, and writes the same
+    columns of the (batch, length, dim) result. ``mask`` is an optional
+    boolean (batch, length) key mask: False keys get weight exactly 0, and
+    a batch row with no True key is an error.
+
+    The node runs one (batch row, head) tile at a time: the scores
+    q_h @ k_h^T, scaled in place by 1/sqrt(dh), the masked softmax in the
+    same buffer (``_attention_probs``), then P @ v_h. On a tape it keeps q,
+    k, v and the mask, never the (batch, heads, length, length) weights: its
+    backward rebuilds each tile's P with the same calls, then takes
+    dv = P^T @ g_h, dP = g_h @ v_h^T, softmax's rule in dP's buffer, the
+    scale, dq = dS @ k_h and dk = (q_h^T @ dS)^T. Each is the product a
+    stacked ``matmul`` makes for that tile, in the same operation order, so
+    every value and gradient keeps the bits of scores, scale, softmax and
+    weighted sum as separate nodes over (batch, heads, length, dh) views.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(
+            f"attention needs equal (batch, length, dim) q, k and v, got "
+            f"{q.shape}/{k.shape}/{v.shape}"
+        )
+    bsz, length, dim = q.shape
+    if heads < 1 or dim % heads:
+        raise ShapeError(f"attention width {dim} not divisible by {heads} heads")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (bsz, length):
+            raise ShapeError(f"attention key mask {mask.shape} is not (batch, length) "
+                             f"{(bsz, length)}")
         if not mask.any(axis=-1).all():
-            raise ValueError("softmax: at least one row is fully masked")
-        s = np.where(mask, x.data, -np.inf)
-        s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(s)
-    key = x.key
+            raise ValueError("attention: at least one row is fully masked")
+    dh = dim // heads
+    factor = 1.0 / math.sqrt(dh)
+    q_data, k_data, v_data = q.data, k.data, v.data
+    tiles = [(b, None if mask is None else mask[b], slice(h * dh, (h + 1) * dh))
+             for b in range(bsz) for h in range(heads)]
+    dtype = np.result_type(q_data, k_data, v_data)
+    ctx = np.empty(q.shape, dtype=dtype)
+    for b, keep, cols in tiles:
+        p = _attention_probs(q_data[b, :, cols], k_data[b, :, cols], factor, keep)
+        ctx[b, :, cols] = np.matmul(p, v_data[b, :, cols])
+    out = Tensor._wrap(ctx)
+    q_key, k_key, v_key = q.key, k.key, v.key
 
     def bwd(g, acc):
-        # s * (g - sum(g * s)), built in one buffer
-        gx = g * s
-        proj = gx.sum(axis=-1, keepdims=True)
-        np.subtract(g, proj, out=gx)
-        gx *= s
-        acc(key, gx)
+        gq, gk, gv = (np.empty(g.shape, dtype=np.result_type(g, dtype)) for _ in range(3))
+        for b, keep, cols in tiles:
+            q_h, k_h, v_h, g_h = (a[b, :, cols] for a in (q_data, k_data, v_data, g))
+            p = _attention_probs(q_h, k_h, factor, keep)
+            gv[b, :, cols] = np.matmul(p.T, g_h)
+            gs = np.matmul(g_h, v_h.T)
+            # softmax's rule, p * (gs - sum(gs * p)), in gs's buffer
+            proj = gs * p
+            gs -= proj.sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= factor
+            gq[b, :, cols] = np.matmul(gs, k_h)
+            gk[b, :, cols] = np.matmul(q_h.T, gs).T
+        acc(q_key, gq)
+        acc(k_key, gk)
+        acc(v_key, gv)
 
-    record_op(out, (x,), bwd)
+    record_op(out, (q, k, v), bwd)
     return out
 
 

@@ -111,16 +111,14 @@ def tensor_op_cases(seed: int):
     case("scale", {"a": a}, lambda ps: T.scale(ps["a"], 1.7))
     case("shift", {"a": a}, lambda ps: T.shift(ps["a"], -0.3))
 
-    m1 = leaf((3, 4))
+    # the retired matmul case's draw stays, so later cases draw the same values
+    leaf((3, 4))
     m2 = leaf((4, 2))
-    case("matmul", {"a": m1, "b": m2}, lambda ps: T.matmul(ps["a"], ps["b"]))
     mb = leaf((2, 3, 4))
-    case("matmul_batched", {"a": mb, "b": m2}, lambda ps: T.matmul(ps["a"], ps["b"]))
     case("add_broadcast", {"a": mb, "b": leaf((4,))}, lambda ps: T.add(ps["a"], ps["b"]))
     case("linear", {"x": mb, "w": m2, "b": leaf((2,))},
          lambda ps: T.linear(ps["x"], ps["w"], ps["b"]))
     case("reshape", {"a": a}, lambda ps: T.reshape(ps["a"], (4, 3)))
-    case("transpose", {"a": mb}, lambda ps: T.transpose(ps["a"], (2, 0, 1)))
     case("narrow", {"a": mb}, lambda ps: T.narrow(ps["a"], 2, 1, 2))
     case("concat", {"a": a, "b": b}, lambda ps: T.concat([ps["a"], ps["b"]], axis=1))
     case("sum_axis", {"a": mb}, lambda ps: T.tsum(ps["a"], axis=1))
@@ -135,10 +133,7 @@ def tensor_op_cases(seed: int):
     case("layer_norm", {"x": ln_x, "g": ln_g, "b": ln_b},
          lambda ps: T.layer_norm(ps["x"], ps["g"], ps["b"], 1e-5))
 
-    sm = leaf((3, 5))
-    mask = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 1, 1], [0, 1, 1, 1, 0]], dtype=bool)
-    case("softmax", {"x": sm}, lambda ps: T.softmax(ps["x"]))
-    case("softmax_masked", {"x": sm}, lambda ps: T.softmax(ps["x"], mask))
+    leaf((3, 5))  # the retired softmax cases' draw, likewise
 
     ce_logits = leaf((2, 4, 5))
     ce_targets = np.array([[0, 2, -1, 4], [1, -1, 3, 0]])
@@ -201,6 +196,13 @@ def tensor_op_cases(seed: int):
          lambda ps: ssm_conv_projected(
              discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in ssm_leaves})),
              SeqBatch(ps["x"], [69, 69]), ps["w"], ps["b"]).data)
+
+    # two heads of width 3 over 5 positions; the mask drops keys inside a
+    # row and at its ends
+    qkv = {"q": leaf((2, 5, 6)), "k": leaf((2, 5, 6)), "v": leaf((2, 5, 6))}
+    keys = np.array([[1, 1, 0, 1, 1], [0, 1, 1, 1, 0]], dtype=bool)
+    case("attention", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2))
+    case("attention_masked", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2, keys))
 
     return cases
 

@@ -4,8 +4,9 @@ seeded systems with their continuous eigenvalues, and the environment for
 tests that start a fresh interpreter.
 
 Each works through the layer's own parameters or attributes, or through the
-library's public ``record_op`` and ``softmax``, so the production code
-carries no switches for them.
+library's public ``record_op`` and the attention node's per-tile weights
+helper ``_attention_probs``, so the production code carries no switches for
+them.
 """
 
 import contextlib
@@ -109,24 +110,24 @@ def dtype_leaks(dtype):
 def attention_weights(attn, x) -> np.ndarray:
     """(batch, heads, query, key) weights of one ``attn.attend(x)`` call.
 
-    Wraps ``mhssm.tensor.softmax``, which ``attend`` calls once, for the
-    duration of that call and keeps what it returns.
+    Wraps ``mhssm.tensor._attention_probs``, which the attention node calls
+    once per (batch row, head) tile, batch row by batch row, for the
+    duration of that call, and stacks the tiles it returns.
     """
     kept = []
-    softmax = T.softmax
+    probs = T._attention_probs
 
-    def keeping_softmax(*args, **kwargs):
-        out = softmax(*args, **kwargs)
-        kept.append(out.data)
+    def keeping_probs(*args):
+        out = probs(*args)
+        kept.append(out)
         return out
 
-    T.softmax = keeping_softmax
+    T._attention_probs = keeping_probs
     try:
         attn.attend(x)
     finally:
-        T.softmax = softmax
-    (weights,) = kept
-    return weights
+        T._attention_probs = probs
+    return np.stack(kept).reshape(x.batch, attn.heads, x.length, x.length)
 
 
 def subprocess_env(**extra) -> dict:

@@ -153,10 +153,10 @@ class TestWholeWidthStage:
 
     @pytest.mark.parametrize("block,gating,nodes", [
         pytest.param("mh_ssm", "ihg", 48, id="mh_ssm-48"),
-        pytest.param("stateformer", "ihg", 86, id="stateformer-86"),
+        pytest.param("stateformer", "ihg", 62, id="stateformer-62"),
         pytest.param("mh_ssm", "glu", 64, id="mh_ssm-glu-64"),
-        pytest.param("stateformer", "glu", 102, id="stateformer-glu-102"),
-        pytest.param("transformer", "ihg", 51, id="transformer-51"),
+        pytest.param("stateformer", "glu", 78, id="stateformer-glu-78"),
+        pytest.param("transformer", "ihg", 27, id="transformer-27"),
     ])
     def test_tape_nodes_per_default_step(self, block, gating, nodes):
         # the count does not depend on the batch size, so a batch of 2 will do
