@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,9 +19,9 @@ from .training import encoder_config, evaluate, load_config, task_spec, train
 
 def _parse_task(text: str) -> dict:
     """A task spec given inline as JSON or as a path to a JSON file."""
-    candidate = Path(text)
-    if candidate.exists():
-        text = candidate.read_text()
+    # os.path.exists is False, not an error, for text too long to be a path
+    if os.path.exists(text):
+        text = Path(text).read_text()
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ShapeError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ShapeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -188,8 +188,6 @@ class SelfAttentionBlock(Module):
             raise ValueError("attention received a fully padded sequence")
         horizon = x.length
         h = self.norm(x.data)
-        # wq, wk, wv in this order: the tape's first-seen parameter order is
-        # the order in which the global gradient norm sums them
         q, k, v = self.wq(h), self.wk(h), self.wv(h)
         mask = None
         if not (x.lengths == horizon).all():

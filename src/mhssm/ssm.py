@@ -511,9 +511,6 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y))
     zoh_key, zoh_dtype = zoh.key, zoh.dtype
     skip_key, skip_dtype = skip.key, skip.dtype
-    # in the order `T.linear` and then the node would see them: the tape
-    # lists parameters in first-seen order, and the global gradient norm
-    # sums them in that order
     inputs = (x, zoh, skip) if w is None else (x, w, b, zoh, skip)
     w_key, b_key = (None, None) if w is None else (w.key, b.key)
 

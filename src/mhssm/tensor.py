@@ -174,7 +174,9 @@ class GradTape:
     at any moment only the parameter gradients, the frontier of
     not-yet-replayed tensors and the activations of unreplayed nodes are
     alive. A tape is swept once: a second :meth:`gradients` call raises
-    ``ValueError``.
+    ``ValueError``. The order of the dict that :meth:`gradients` returns
+    carries no meaning; a caller that sums gradients orders them itself, as
+    the trainer does by its module tree.
     """
 
     def __init__(self):
@@ -198,11 +200,6 @@ class GradTape:
                 self._params[t.key] = t
         self.nodes.append(_Node(output.key, backward))
         self._output_keys.add(output.key)
-
-    @property
-    def parameters(self) -> list[Tensor]:
-        """Trainable leaf tensors touched by recorded operations."""
-        return list(self._params.values())
 
     def gradients(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """Gradient of a recorded scalar loss for every trainable leaf.

@@ -439,12 +439,13 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
                     f"last good checkpoint retained at {ckpt_path}"
                 )
             params = model.named_params()
-            tensor_grads = tape.gradients(loss)
+            by_tensor = tape.gradients(loss)
             # nothing reads the step's activations again: free them before the
             # optimizer step, the checkpoint save and any evaluation
             del tape
-            names = {id(t): name for name, t in params.items()}
-            grads = {names[id(t)]: g for t, g in tensor_grads.items() if id(t) in names}
+            # in module order, so the clip norm's sum does not depend on the
+            # order in which the tape met the parameters
+            grads = {name: by_tensor[t] for name, t in params.items() if t in by_tensor}
             clip_grad_norm(grads, cfg["clip_norm"])
             lr = schedule.lr_at(step, epoch)
             model.set_params(opt.step(params, grads, lr))

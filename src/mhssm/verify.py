@@ -306,10 +306,9 @@ def criterion_stability(n_inits: int = 50, adam_steps: int = 100,
                 y = ssm_conv(discretize(system), u).data
                 err = T.sub(y, Tensor._wrap(target))
                 loss = T.tsum(T.mul(err, err))
-            grads = tape.gradients(loss)
-            names = {id(t): k for k, t in params.items()}
-            gd = {names[id(t)]: g for t, g in grads.items()}
-            system.set_params(opt.step(params, gd, lr=1e-2))
+            by_tensor = tape.gradients(loss)
+            grads = {name: by_tensor[t] for name, t in params.items() if t in by_tensor}
+            system.set_params(opt.step(params, grads, lr=1e-2))
         disc = discretize(system)
         radius = disc.spectral_radius()
         if radius >= 1.0:

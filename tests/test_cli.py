@@ -304,3 +304,37 @@ def test_refused_resume_leaves_no_output_directory(trained_checkpoint, cfg_file,
                  "--resume", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not fresh.exists()
+
+
+# path errors other than a missing file used to escape main as a traceback
+@pytest.mark.parametrize("command", ["train", "params"])
+def test_config_that_is_a_directory_is_error(tmp_path, capsys, command):
+    flags = ["--out", str(tmp_path / "run")] if command == "train" else []
+    assert main([command, "--config", str(tmp_path), *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_checkpoint_that_is_a_directory_is_error(tmp_path, capsys):
+    assert main(["evaluate", "--checkpoint", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_out_below_a_file_is_error(cfg_file, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["train", "--config", str(cfg_file), "--out", str(blocker / "sub")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_inline_task_too_long_for_a_file_name_is_read_as_json(trained_checkpoint, capsys):
+    task = json.dumps({"lag": 5}, indent=300)
+    assert len(task) > 255
+    assert main(["evaluate", "--checkpoint", str(trained_checkpoint),
+                 "--task", task, "--batches", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["task"]["lag"] == 5
+
+
+def test_long_task_that_is_not_json_is_config_error(capsys):
+    assert main(["evaluate", "--checkpoint", "/nope.bin", "--task", "x" * 300]) == 1
+    assert "neither a file nor valid JSON" in capsys.readouterr().err

@@ -182,11 +182,10 @@ def test_overfit_single_batch(kind):
         if loss_val < 0.01:
             break
         params = model.named_params()
-        grads = tape.gradients(loss)
-        names = {id(t): n for n, t in params.items()}
-        gd = {names[id(t)]: g for t, g in grads.items()}
-        clip_grad_norm(gd, 1.0)
-        model.set_params(opt.step(params, gd, schedule.lr_at(step, 0)))
+        by_tensor = tape.gradients(loss)
+        grads = {name: by_tensor[t] for name, t in params.items() if t in by_tensor}
+        clip_grad_norm(grads, 1.0)
+        model.set_params(opt.step(params, grads, schedule.lr_at(step, 0)))
     assert loss_val < 0.01, f"{kind} failed to memorize one batch: loss {loss_val}"
 
 
@@ -323,6 +322,35 @@ class TestTrainLoop:
         train({**TINY, "steps": 3, "checkpoint_every": 1}, out_dir=tmp_path / "run")
         assert alive_at_save == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("block", ["mh_ssm", "stateformer"])
+    def test_clip_norm_ignores_how_nodes_list_their_inputs(self, block, tmp_path,
+                                                          monkeypatch):
+        # the trainer names the gradients in module order, so the order in
+        # which a node lists its inputs on the tape cannot reach the norm's sum
+        from mhssm import training
+        cfg = {**TINY, "block": block, "steps": 4}
+        record_op = T.record_op
+
+        def run(name):
+            keys, norms = [], []
+
+            def clip(grads, max_norm):
+                keys.append(list(grads))
+                norms.append(clip_grad_norm(grads, max_norm))
+                return norms[-1]
+
+            monkeypatch.setattr(training, "clip_grad_norm", clip)
+            train(cfg, out_dir=tmp_path / name)
+            return keys, norms
+
+        keys, norms = run("listed")
+        monkeypatch.setattr(T, "record_op", lambda output, inputs, bwd:
+                            record_op(output, tuple(inputs)[::-1], bwd))
+        reversed_keys, reversed_norms = run("reversed")
+        order = list(TaskModel(load_config(cfg)).named_params())
+        assert keys == reversed_keys == [order] * cfg["steps"]
+        assert reversed_norms == norms
+
     def test_resume_allows_changed_loop_controls(self, tmp_path):
         part = train(dict(TINY), out_dir=tmp_path / "part")
         more = train({**TINY, "steps": 16, "eval_every": 2, "eval_batches": 1,
@@ -428,9 +456,9 @@ for step in range(5):
     with GradTape() as tape:
         loss = T.cross_entropy(model(x), targets, IGNORE_INDEX)
     params = model.named_params()
-    names = {id(t): name for name, t in params.items()}
-    grads = {names[id(t)]: g for t, g in tape.gradients(loss).items()}
-    del tape
+    by_tensor = tape.gradients(loss)
+    grads = {name: by_tensor[t] for name, t in params.items() if t in by_tensor}
+    del tape, by_tensor
     clip_grad_norm(grads, cfg["clip_norm"])
     model.set_params(opt.step(params, grads, 1e-3))
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
