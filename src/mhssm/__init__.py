@@ -13,7 +13,7 @@ from .encoder import Encoder, EncoderConfig, build_encoder, param_count, time_re
 from .errors import ConfigError, NumericsError, ShapeError
 from .nn import LayerNorm, Linear, Module
 from .optim import Adam, LrSchedule, clip_grad_norm
-from .seq import SeqBatch, reverse_time
+from .seq import SeqBatch
 from .ssm import (DiagonalSsm, DiscreteSsm, discretize, materialize_kernel,
                   ssm_conv, ssm_scan)
 from .tasks import IGNORE_INDEX, TaskSpec, generate_task
@@ -30,6 +30,6 @@ __all__ = [
     "TaskSpec", "Tensor", "build_encoder", "clip_grad_norm",
     "discretize", "evaluate", "generate_task",
     "load_checkpoint", "load_config", "materialize_kernel", "param_count",
-    "reverse_time", "save_checkpoint", "ssm_conv", "ssm_scan", "tensor",
+    "save_checkpoint", "ssm_conv", "ssm_scan", "tensor",
     "time_reduction", "train",
 ]

@@ -1,12 +1,12 @@
 """Multi-head state space layers with inter-head gating.
 
-A stage projects the input and runs one causal state space system over all
-``model_dim`` channels. The channels are independent SISO systems, so a head
-is simply a contiguous slice of ``model_dim / heads`` channels whose
-parameters were drawn together; gating then acts on the whole tensor. Stages
-are stacked inside each direction; the bidirectional residual block
-concatenates the forward pass with a time-reversed pass of independently
-parameterized stages and mixes them back to the model width.
+A stage projects the input and runs one causal, or anti-causal, state space
+system over all ``model_dim`` channels. The channels are independent SISO
+systems, so a head is simply a contiguous slice of ``model_dim / heads``
+channels whose parameters were drawn together; gating then acts on the
+whole tensor. Stages are stacked inside each direction; the bidirectional
+residual block concatenates the forward stack with an independently
+parameterized anti-causal one and mixes them back to the model width.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError
 from .nn import LayerNorm, Linear, Module
-from .seq import SeqBatch, reverse_time
+from .seq import SeqBatch
 from .ssm import discretize, init_ssm_rng, ssm_conv_projected, stack_systems
 from .tensor import Tensor
 
@@ -63,14 +63,17 @@ class MhSsmStage(Module):
     The input projection ``in_proj`` and the system run as one
     `ssm_conv_projected` node, which keeps the stage input but not the
     projection, so a stage holds its input once; the gate and ``out_proj``
-    run as one more node (`merge`).
+    run as one more node (`merge`). With ``reverse`` the stage runs
+    backward in time within each row's valid length.
     """
 
-    def __init__(self, cfg: MhSsmBlockConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: MhSsmBlockConfig, rng: np.random.Generator, dtype=np.float64,
+                 reverse: bool = False):
         cfg.validate()
         d, h, hd = cfg.model_dim, cfg.heads, cfg.head_dim
         self.heads = h
         self.gating = cfg.gating
+        self.reverse = reverse
         self.in_proj = Linear(d, d, rng, dtype=dtype)
         # drawn head by head, so each head's channel slice keeps its own draw
         self.ssm = stack_systems([
@@ -108,14 +111,15 @@ class MhSsmStage(Module):
     def __call__(self, x: Tensor, lengths) -> Tensor:
         proj = self.in_proj
         return self.merge(ssm_conv_projected(discretize(self.ssm), SeqBatch(x, lengths),
-                                             proj.w, proj.b).data)
+                                             proj.w, proj.b, self.reverse).data)
 
 
 class DirectionalMhSsm(Module):
     """Sequential stack of stages, all running in the same time direction."""
 
-    def __init__(self, cfg: MhSsmBlockConfig, rng: np.random.Generator, dtype=np.float64):
-        self.stages = [MhSsmStage(cfg, rng, dtype) for _ in range(cfg.stack)]
+    def __init__(self, cfg: MhSsmBlockConfig, rng: np.random.Generator, dtype=np.float64,
+                 reverse: bool = False):
+        self.stages = [MhSsmStage(cfg, rng, dtype, reverse) for _ in range(cfg.stack)]
 
     def __call__(self, x: Tensor, lengths) -> Tensor:
         for stage in self.stages:
@@ -124,10 +128,12 @@ class DirectionalMhSsm(Module):
 
 
 class BidirMhSsmBlock(Module):
-    """Pre-norm residual block combining forward and reversed stacks.
+    """Pre-norm residual block combining a forward and a backward-in-time stack.
 
-    out = x + dropout(linear(gelu(cat[fwd(h), rev(bwd(rev(h)))]))) with
-    h = layer_norm(x). The two directions have independent parameters.
+    out = x + dropout(linear(gelu(cat[fwd(h), bwd(h)]))) with h =
+    layer_norm(x), where ``bwd`` runs anti-causally within each row's valid
+    length: bwd(h) equals rev(causal(rev(h))) for the per-row reversal rev,
+    bit for bit. The two directions have independent parameters.
     """
 
     def __init__(self, cfg: MhSsmBlockConfig, rng: np.random.Generator, dtype=np.float64):
@@ -135,17 +141,14 @@ class BidirMhSsmBlock(Module):
         d = cfg.model_dim
         self.norm = LayerNorm(d, dtype=dtype)
         self.fwd = DirectionalMhSsm(cfg, rng, dtype)
-        self.bwd = DirectionalMhSsm(cfg, rng, dtype)
+        self.bwd = DirectionalMhSsm(cfg, rng, dtype, reverse=True)
         self.out_proj = Linear(2 * d, d, rng, dtype=dtype)
         self.dropout = cfg.dropout
 
     def concat_halves(self, x: SeqBatch) -> Tensor:
         """Pre-activation concatenation of the two directions (post-norm)."""
         h = self.norm(x.data)
-        forward = self.fwd(h, x.lengths)
-        rev = reverse_time(x.with_data(h))
-        backward = reverse_time(x.with_data(self.bwd(rev.data, x.lengths))).data
-        return T.concat([forward, backward], axis=-1)
+        return T.concat([self.fwd(h, x.lengths), self.bwd(h, x.lengths)], axis=-1)
 
     def __call__(self, x: SeqBatch, train_rng: np.random.Generator | None = None) -> SeqBatch:
         branch = T.gelu_linear(self.concat_halves(x), self.out_proj.w, self.out_proj.b)

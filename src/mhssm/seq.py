@@ -57,8 +57,3 @@ class SeqBatch:
 
     def with_data(self, data: Tensor) -> "SeqBatch":
         return SeqBatch(data, self.lengths)
-
-
-def reverse_time(x: SeqBatch) -> SeqBatch:
-    """Reverse each sequence within its valid length; padding stays at the tail."""
-    return x.with_data(T.reverse_within(x.data, x.lengths))

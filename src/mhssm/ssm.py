@@ -19,9 +19,10 @@ inside chunks of CHUNK = 32 steps and the n-mode state is carried between
 them, O(L * (Q + 4n)) work per channel, with no kernel and no transform
 (per-node timings in the `ssm_conv` docstring). CHUNK = 32 beat 16 and 64 at
 (1, 8192), (32, 512) and (8, 800) alike. `ssm_conv_projected` runs the same
-node with a stage's input projection folded in. The node keeps only its
-input and small per-channel weights; its backward rebuilds the projection,
-the chunked input and the chunk states.
+node with a stage's input projection folded in, and anti-causally for the
+backward direction (as bidirectional S4D, Gu et al. 2022). The node keeps
+only its input and small per-channel weights; its backward rebuilds the
+projection, the chunked input and the chunk states.
 
 The impulse response itself (`materialize_kernel`) serves
 `kernel_sum_bound`, the self-check and the tests, which convolve it by FFT
@@ -356,45 +357,46 @@ def _toeplitz_select(q: int) -> np.ndarray:
     return select
 
 
-def _chunk_tiles(bsz: int, length: int, p: int):
-    """(batch row, first chunk, end chunk) of each tile the layout copies move
-    at once: about _TILE_VALUES values of one batch row, whole chunks only.
-
-    One transposing copy of the whole array strides through memory and ran
-    3x slower at (32, 256, 64) and (1, 8192, 64). Per node, tiles of 16384
-    values beat tiles of 4096 by 1-4% at every workload shape.
+def _tile_pairs(xc: np.ndarray, x: np.ndarray, lengths):
+    """(tile, block) views that move ``x`` (batch, length, channels) to and
+    from its chunked copy ``xc``: a tile is whole chunks, about _TILE_VALUES
+    values of one row, or the part of a chunk that a piece of a row covers.
+    With ``lengths``, row b is read as the view ``x[b, :n][::-1]`` of its n
+    valid steps, then its padding in place: no reversed copy is made. One
+    transposing copy of the whole array ran 3x slower at (32, 256, 64) and
+    (1, 8192, 64); per node, tiles of 16384 values beat tiles of 4096 by 1-4%.
     """
-    whole = length // CHUNK
-    per = max(1, _TILE_VALUES // (CHUNK * p))
-    for b in range(bsz):
-        for lo in range(0, whole, per):
-            yield b, lo, min(lo + per, whole)
-
-
-def _to_chunks(x: np.ndarray, chunks: int, dtype) -> np.ndarray:
-    """(batch, length, channels) -> (channels, chunks, batch, CHUNK) of
-    ``dtype``, zeros past length."""
-    bsz, length, p = x.shape
     q = CHUNK
-    out = np.empty((p, chunks, bsz, q), dtype=dtype)
-    for b, lo, hi in _chunk_tiles(bsz, length, p):
-        out[:, lo:hi, b] = x[b, lo * q:hi * q].reshape(hi - lo, q, p).transpose(2, 0, 1)
-    whole, rest = divmod(length, q)
-    if rest:
-        out[:, whole, :, :rest] = x[:, whole * q:].transpose(2, 0, 1)
-        out[:, whole, :, rest:] = 0.0
+    per = q * max(1, _TILE_VALUES // (q * x.shape[2]))
+    for b in range(x.shape[0]):
+        n = x.shape[1] if lengths is None else lengths[b]
+        t = 0
+        for piece in (x[b],) if lengths is None else (x[b, :n][::-1], x[b, n:]):
+            start, stop = t, t + len(piece)
+            while t < stop:
+                c, lo = divmod(t, q)
+                k, m = ((min(per, stop - t) // q, q) if lo == 0 and stop - t >= q
+                        else (1, min(stop - t, q - lo)))
+                tile = piece[t - start:t - start + k * m].reshape(k, m, -1)
+                yield tile.transpose(2, 0, 1), xc[:, c:c + k, b, lo:lo + m]
+                t += k * m
+
+
+def _to_chunks(x: np.ndarray, chunks: int, dtype, lengths=None) -> np.ndarray:
+    """(batch, length, channels) -> (channels, chunks, batch, CHUNK) of
+    ``dtype``, zeros past length; with ``lengths``, rows run backward."""
+    bsz, length, p = x.shape
+    out = np.empty((p, chunks, bsz, CHUNK), dtype=dtype)
+    out[:, -1, :, length - (chunks - 1) * CHUNK:] = 0.0
+    for tile, block in _tile_pairs(out, x, lengths):
+        block[...] = tile
     return out
 
 
-def _from_chunks(xc: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _from_chunks(xc: np.ndarray, out: np.ndarray, lengths=None) -> np.ndarray:
     """The inverse of `_to_chunks` into ``out`` (batch, length, channels)."""
-    bsz, length, p = out.shape
-    q = CHUNK
-    for b, lo, hi in _chunk_tiles(bsz, length, p):
-        out[b, lo * q:hi * q].reshape(hi - lo, q, p)[...] = xc[:, lo:hi, b].transpose(1, 2, 0)
-    whole, rest = divmod(length, q)
-    if rest:
-        out[:, whole * q:] = xc[:, whole, :, :rest].transpose(1, 2, 0)
+    for tile, block in _tile_pairs(xc, out, lengths):
+        tile[...] = block
     return out
 
 
@@ -428,7 +430,7 @@ def _chunk_states(uc: np.ndarray, w_end: np.ndarray, z_q: np.ndarray, chunks: in
 
 
 def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
-                  b: Tensor | None = None) -> Tensor:
+                  b: Tensor | None = None, lengths=None) -> Tensor:
     """The causal convolution of u with the system's kernel, plus ``skip * u``.
 
     u is ``x``, or with an (in, channels) weight ``w`` and (channels,) bias
@@ -466,8 +468,15 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     GEMM and one state pass more per call (recomputation in reverse mode,
     Chen et al. 2016, arXiv 1604.06174). So a stage holds its input once
     rather than three times over.
+
+    Given the rows' valid ``lengths`` it runs anti-causally: only the layout
+    copies change, reading each row backward within its length. So y, dx
+    and the system's gradients are, bit for bit, the causal node's between
+    two per-row reversals; dw and db sum over rows in another order.
     """
     bsz, length = x.shape[:2]
+    if length < 1:
+        raise ShapeError(f"input length must be >= 1, got {length}")
     p, n = zoh.shape[1:]
     q = CHUNK
     chunks = -(-length // q)
@@ -497,7 +506,8 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
 
     def chunked_input():
         # u goes as soon as its chunked copy exists
-        return _to_chunks(_project(x_data, w_data, b_data), chunks, dtype).reshape(p, rows, q)
+        u = _project(x_data, w_data, b_data)
+        return _to_chunks(u, chunks, dtype, lengths).reshape(p, rows, q)
 
     # the output outlives the call, so it comes before the temporaries and
     # reuses none of their space; in the other order the heap fragmented
@@ -508,7 +518,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     yc = np.matmul(uc, w_toe)
     yc[:, bsz:] += np.matmul(flat_states[:, :carried], w_out)
     del uc, flat_states
-    out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y))
+    out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y, lengths))
     zoh_key, zoh_dtype = zoh.key, zoh.dtype
     skip_key, skip_dtype = skip.key, skip.dtype
     inputs = (x, zoh, skip) if w is None else (x, w, b, zoh, skip)
@@ -519,7 +529,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         # each goes before the next full-size gradient buffer is made
         uc = chunked_input()
         flat_states, states = _chunk_states(uc, w_end, z_q, chunks)
-        gc = _to_chunks(g, chunks, dtype).reshape(p, rows, q)
+        gc = _to_chunks(g, chunks, dtype, lengths).reshape(p, rows, q)
         uc_t = np.swapaxes(uc, 1, 2)
         g_taps = np.matmul(uc_t, gc).reshape(p, q * q) @ _toeplitz_select(q)   # (p, q)
         # conj of d Re(S W) / d W for W = 2 cb z^(t+1), as (p, n, q)
@@ -544,7 +554,8 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         gc_u = np.matmul(gc, np.swapaxes(w_toe, 1, 2))
         gc_u[:, :carried] += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
         del gc, g_states, g_ends
-        gu = _from_chunks(gc_u.reshape(p, chunks, bsz, q), np.empty(x_shape[:2] + (p,), dtype))
+        gu = np.empty(x_shape[:2] + (p,), dtype)
+        _from_chunks(gc_u.reshape(p, chunks, bsz, q), gu, lengths)
         del gc_u
 
         g_pow = np.zeros(powers.shape, dtype=np.complex128)              # (p, n, q+1)
@@ -590,25 +601,24 @@ def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
         (1, 8192, 64)             echo_8k_mh_ssm     63.5 / 137   16.1 / 54.1  19.0 / 68.1
     """
     _check_channels(d, u)
-    if u.length < 1:
-        raise ShapeError(f"input length must be >= 1, got {u.length}")
     return u.with_data(_chunked_conv(u.data, d.zoh, d.d))
 
 
-def ssm_conv_projected(d: DiscreteSsm, x: SeqBatch, w: Tensor, b: Tensor) -> SeqBatch:
+def ssm_conv_projected(d: DiscreteSsm, x: SeqBatch, w: Tensor, b: Tensor,
+                       reverse: bool = False) -> SeqBatch:
     """``ssm_conv(d, u)`` of the projection u = x @ w + b, as one node.
 
     ``w`` is (in, channels) and ``b`` is (channels,). Every value and
     gradient equals that of `T.linear` followed by :func:`ssm_conv`, but
     the node keeps only ``x`` of the activations (see :func:`_chunked_conv`).
+    With ``reverse`` it runs backward in time within each row's valid
+    length: the output at step t reads u at steps t..length-1.
     """
     if w.shape != (x.dim, d.channels) or b.shape != (d.channels,):
         raise ShapeError(f"projection of {x.dim} features to {d.channels} channels needs an "
                          f"({x.dim}, {d.channels}) weight and ({d.channels},) bias, "
                          f"got {w.shape}/{b.shape}")
-    if x.length < 1:
-        raise ShapeError(f"input length must be >= 1, got {x.length}")
-    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b))
+    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b, x.lengths if reverse else None))
 
 
 def kernel_sum_bound(d: DiscreteSsm, length: int) -> np.ndarray:

@@ -567,27 +567,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def reverse_within(a: Tensor, lengths) -> Tensor:
-    """Reverse axis 1 of each batch row within its valid length.
-
-    Positions at or beyond the row's length stay in place, so trailing
-    padding is untouched. The map is an involution, hence its own adjoint.
-    """
-    bsz, horizon = a.shape[0], a.shape[1]
-    lengths = np.asarray(lengths, dtype=np.int64).reshape(bsz, 1)
-    key = a.key
-    if (lengths == horizon).all():
-        out = Tensor._wrap(np.ascontiguousarray(a.data[:, ::-1]))
-        record_op(out, (a,), lambda g, acc: acc(key, np.ascontiguousarray(g[:, ::-1])))
-        return out
-    t = np.arange(horizon, dtype=np.int64)[None, :]
-    idx = np.where(t < lengths, lengths - 1 - t, t)
-    take_idx = idx.reshape(bsz, horizon, *([1] * (a.ndim - 2)))
-    out = Tensor._wrap(np.take_along_axis(a.data, take_idx, axis=1))
-    record_op(out, (a,), lambda g, acc: acc(key, np.take_along_axis(g, take_idx, axis=1)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # normalization, attention, losses
 

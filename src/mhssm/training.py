@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import re
 import time
 from pathlib import Path
@@ -341,19 +342,21 @@ def _eval_model(model: TaskModel, cfg: dict, batches: int) -> dict:
 
 
 def _metrics_through(path: Path, step: int) -> str:
-    """The header and the rows of a metrics file up to and including ``step``.
+    """The header and the rows of a metrics file for steps 1..``step``.
 
     Rows are written every step but checkpoints only every
     ``checkpoint_every`` steps, so a run stopped in between has logged steps
-    its checkpoint does not hold; a resume rewrites the file with this text,
-    so those steps are not logged twice.
-    """
-    rows = [METRICS_HEADER]
-    for line in path.read_text().splitlines()[1:]:
-        first = line.split(",", 1)[0]
-        if first.isdigit() and int(first) <= step:
-            rows.append(line)
-    return "\n".join(rows) + "\n"
+    its checkpoint does not hold, the last perhaps torn; a resume rewrites
+    the file with this text, so those steps are not logged twice. A step up
+    to ``step`` without one whole row (six fields, then a newline) is a
+    `ConfigError`: the rows are on disk before each save."""
+    lines = path.read_text().split("\n")[1:-1]     # after the last newline: a torn row
+    for want in range(1, step + 1):
+        fields = lines[want - 1].split(",") if want <= len(lines) else []
+        if len(fields) != 6 or fields[0] != str(want):
+            raise ConfigError(f"{path} has no whole row for step {want}, which the "
+                              f"checkpoint at step {step} has already trained")
+    return "\n".join([METRICS_HEADER] + lines[:step]) + "\n"
 
 
 def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
@@ -365,7 +368,7 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     every non-loop key the config sets, from a dict or a file alike, and
     ``seed`` must match the stored config. A resume into the directory of
     the stopped run keeps its ``metrics.csv`` rows up to the checkpoint's
-    step and drops the later ones before appending.
+    step, refusing a file that lacks one, and drops the later ones.
     """
     overrides = _config_overrides(config)
     flags = {}
@@ -423,7 +426,8 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
     history: list[dict] = []
     eval_acc = None
     stopped_early = False
-    with open(metrics_path, "w") as metrics:
+    # line-buffered, each row reaches the file as it is logged; fsynced before each save
+    with open(metrics_path, "w", buffering=1) as metrics:
         metrics.write(logged)
         t0 = time.perf_counter()
         for step in range(start_step + 1, cfg["steps"] + 1):
@@ -455,6 +459,7 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
             history.append({"step": step, "epoch": epoch, "lr": lr,
                             "loss": loss_val, "acc": acc})
             if cfg["checkpoint_every"] > 0 and step % cfg["checkpoint_every"] == 0:
+                os.fsync(metrics.fileno())
                 _save_state(ckpt_path, model, opt, cfg, step, dropout_rng)
             if cfg["target_acc"] is not None and cfg["eval_every"] > 0 \
                     and step % cfg["eval_every"] == 0:
@@ -462,6 +467,7 @@ def train(config=None, out_dir=None, seed=None, resume=None) -> dict:
                 if eval_acc >= cfg["target_acc"]:
                     stopped_early = True
                     break
+        os.fsync(metrics.fileno())
 
     final_step = history[-1]["step"] if history else start_step
     _save_state(ckpt_path, model, opt, cfg, final_step, dropout_rng)

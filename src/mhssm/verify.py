@@ -123,9 +123,7 @@ def tensor_op_cases(seed: int):
     case("concat", {"a": a, "b": b}, lambda ps: T.concat([ps["a"], ps["b"]], axis=1))
     case("sum_axis", {"a": mb}, lambda ps: T.tsum(ps["a"], axis=1))
 
-    seq = leaf((2, 5, 3))
-    lengths = np.array([5, 3])
-    case("reverse_within", {"a": seq}, lambda ps: T.reverse_within(ps["a"], lengths))
+    leaf((2, 5, 3))  # the retired time-reversal case's draw, likewise
 
     ln_x = leaf((2, 6))
     ln_g = leaf((6,), offset=1.0, scale_=0.1)
@@ -203,6 +201,14 @@ def tensor_op_cases(seed: int):
     keys = np.array([[1, 1, 0, 1, 1], [0, 1, 1, 1, 0]], dtype=bool)
     case("attention", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2))
     case("attention_masked", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2, keys))
+
+    # the same node backward in time, on rows of 69 and 40 valid steps
+    rev_leaves = init_ssm_rng(3, 2, rng, "random_stable").named_params()
+    case("chunked_conv_projected_reversed",
+         {**rev_leaves, "x": leaf((2, 69, 3)), "w": leaf((3, 2)), "b": leaf((2,))},
+         lambda ps: ssm_conv_projected(
+             discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in rev_leaves})),
+             SeqBatch(ps["x"], [69, 40]), ps["w"], ps["b"], reverse=True).data)
 
     return cases
 

@@ -21,6 +21,7 @@ from mhssm import tensor as T
 from mhssm.nn import Linear
 from mhssm.ssm import DiagonalSsm, init_ssm_rng, materialize_kernel
 from mhssm.tensor import Tensor
+from oracles import loop_reverse
 
 
 def identity_linear(dim: int) -> Linear:
@@ -59,9 +60,20 @@ def eigenvalues(ssm: DiagonalSsm) -> np.ndarray:
     return -np.exp(ssm.log_neg_re.data) + 1j * ssm.lam_im.data
 
 
-def fft_ssm_conv_projected(d, x, w, b):
+def reversed_rows(x):
+    """``x`` with each row reversed within its valid length, as a tape node."""
+    out = Tensor._wrap(loop_reverse(x.data.data, x.lengths))
+    key, lengths = x.data.key, x.lengths
+    T.record_op(out, (x.data,), lambda g, acc: acc(key, loop_reverse(g, lengths)))
+    return x.with_data(out)
+
+
+def fft_ssm_conv_projected(d, x, w, b, reverse=False):
     """``ssm_conv_projected`` by the reference path: ``T.linear``, then the
-    materialized kernel convolved by FFT with the skip term."""
+    materialized kernel convolved by FFT with the skip term; with
+    ``reverse``, that between two per-row reversals."""
+    if reverse:
+        return reversed_rows(fft_ssm_conv_projected(d, reversed_rows(x), w, b))
     u = T.linear(x.data, w, b)
     return x.with_data(T.causal_conv_fft(u, materialize_kernel(d, x.length), d.d))
 

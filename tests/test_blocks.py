@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mhssm import tensor as T
 from mhssm.blocks import BidirMhSsmBlock, DirectionalMhSsm, MhSsmBlockConfig, MhSsmStage
 from mhssm.errors import ConfigError
 from mhssm.nn import Linear
-from mhssm.seq import SeqBatch, reverse_time
+from mhssm.seq import SeqBatch
 from mhssm.ssm import init_ssm_rng
 from mhssm.tasks import IGNORE_INDEX, generate_task
 from mhssm.tensor import GradTape, Tensor
@@ -28,6 +30,17 @@ def batch_from(rng, dim, length=10, batch=2, lengths=None):
         mask = np.arange(length)[None, :, None] < np.asarray(lengths)[:, None, None]
         data = data * mask
     return SeqBatch(Tensor(data), lengths)
+
+
+def held_after(forward) -> int:
+    """Bytes tracemalloc sees held while ``forward()``'s output and tape live."""
+    tracemalloc.start()
+    try:
+        with GradTape():
+            out = forward()  # noqa: F841  (held through the measurement)
+            return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConfig:
@@ -127,6 +140,24 @@ class TestStage:
         assert np.abs(alt[0, :12] - base[0, :12]).max() <= 1e-12
         assert np.abs(alt[0, 12:] - base[0, 12:]).max() > 1e-3
 
+    def test_anticausal(self):
+        # the backward-in-time stage: an output reads only its own and later
+        # valid steps, never the padding that lies after them
+        stage = MhSsmStage(cfg_for(8, 2), np.random.default_rng(10), reverse=True)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((1, 20, 8))
+        base = stage(Tensor(x), np.array([20])).data
+        bumped = x.copy()
+        bumped[0, :8] += 3.0
+        alt = stage(Tensor(bumped), np.array([20])).data
+        assert np.abs(alt[0, 8:] - base[0, 8:]).max() <= 1e-12
+        assert np.abs(alt[0, :8] - base[0, :8]).max() > 1e-3
+        base = stage(Tensor(x), np.array([15])).data
+        bumped = x.copy()
+        bumped[0, 15:] += 3.0
+        alt = stage(Tensor(bumped), np.array([15])).data
+        np.testing.assert_array_equal(alt[0, :15], base[0, :15])
+
 
 class TestWholeWidthStage:
     @pytest.mark.parametrize("gating,nodes", [("ihg", 3), ("gelu", 3), ("glu", 5)])
@@ -140,10 +171,10 @@ class TestWholeWidthStage:
         assert len(tape.nodes) == nodes
 
     @pytest.mark.parametrize("block,gating,nodes", [
-        pytest.param("mh_ssm", "ihg", 48, id="mh_ssm-48"),
-        pytest.param("stateformer", "ihg", 62, id="stateformer-62"),
-        pytest.param("mh_ssm", "glu", 64, id="mh_ssm-glu-64"),
-        pytest.param("stateformer", "glu", 78, id="stateformer-glu-78"),
+        pytest.param("mh_ssm", "ihg", 44, id="mh_ssm-44"),
+        pytest.param("stateformer", "ihg", 58, id="stateformer-58"),
+        pytest.param("mh_ssm", "glu", 60, id="mh_ssm-glu-60"),
+        pytest.param("stateformer", "glu", 74, id="stateformer-glu-74"),
         pytest.param("transformer", "ihg", 27, id="transformer-27"),
     ])
     def test_tape_nodes_per_default_step(self, block, gating, nodes):
@@ -222,27 +253,6 @@ class TestDirectional:
         assert two.num_params() == 2 * stage_params(d, n, h)
 
 
-class TestReverseTime:
-    def test_involution(self):
-        rng = np.random.default_rng(17)
-        x = batch_from(rng, 4, length=9, lengths=[9, 5])
-        np.testing.assert_array_equal(
-            reverse_time(reverse_time(x)).data.data, x.data.data)
-
-    def test_padding_aware(self):
-        data = np.zeros((1, 4, 1))
-        data[0, :3, 0] = [1.0, 2.0, 3.0]
-        out = reverse_time(SeqBatch(Tensor(data), np.array([3])))
-        np.testing.assert_array_equal(out.data.data[0, :, 0], [3.0, 2.0, 1.0, 0.0])
-
-    def test_mixed_lengths_against_loop(self):
-        rng = np.random.default_rng(18)
-        data = rng.standard_normal((4, 8, 3))
-        lengths = [8, 1, 5, 3]
-        got = reverse_time(SeqBatch(Tensor(data), lengths)).data.data
-        np.testing.assert_array_equal(got, loop_reverse(data, lengths))
-
-
 class TestBidirBlock:
     def make(self, seed=19, dim=8, stack=2):
         return BidirMhSsmBlock(cfg_for(dim, 2, stack=stack),
@@ -270,9 +280,25 @@ class TestBidirBlock:
         rng = np.random.default_rng(22)
         x = batch_from(rng, 8, length=10, batch=1)
         halves = block.concat_halves(x).data
-        halves_rev = block.concat_halves(reverse_time(x)).data
+        flipped = x.with_data(Tensor(loop_reverse(x.data.data, x.lengths)))
+        halves_rev = block.concat_halves(flipped).data
         swapped = np.concatenate([halves[..., 8:], halves[..., :8]], axis=-1)
         np.testing.assert_allclose(halves_rev, swapped[:, ::-1], atol=1e-12)
+
+    def test_backward_stack_keeps_no_reversed_copy(self):
+        # the block holds what its norm holds plus, twice, what one stack on
+        # the norm's output h holds: the backward stack reads h itself, not a
+        # time-reversed copy of it (which held one activation more)
+        block = BidirMhSsmBlock(cfg_for(64, 4, stack=2), np.random.Generator(np.random.PCG64(32)))
+        x = batch_from(np.random.default_rng(33), 64, length=256, batch=4,
+                       lengths=[256, 100, 1, 0])
+        block.concat_halves(x)      # module-level caches are made on the first call
+        norm = held_after(lambda: block.norm(x.data))
+        one_stack = held_after(lambda: block.fwd(block.norm(x.data), x.lengths))
+        both = held_after(lambda: block.concat_halves(x))
+        # one_stack counts its output, and both counts the concatenated pair
+        activation = x.data.data.nbytes
+        assert both <= norm + 2 * (one_stack - norm) + activation / 2
 
     def test_padding_invariance(self):
         block = self.make()

@@ -194,11 +194,6 @@ class TestLayers:
             out = enc(x)
             assert np.abs(out.data.data[1, 4:]).max() == 0.0
 
-    def test_stateformer_gradient_check(self):
-        from mhssm.verify import criterion_gradients
-        ok, detail = criterion_gradients(seeds=[0])
-        assert ok, detail
-
 
 class TestEncoder:
     def test_deterministic_given_seed(self):

@@ -13,7 +13,7 @@ from mhssm.ssm import (CHUNK, DiagonalSsm, DiscreteSsm,
 from mhssm.tensor import GradTape, Tensor
 
 from hooks import eigenvalues, init_ssm
-from oracles import mp_kernel_tap, mp_zoh, power_sum_kernel
+from oracles import loop_reverse, mp_kernel_tap, mp_zoh, power_sum_kernel
 
 
 def make_batch(rng, length, channels, batch=1, lengths=None):
@@ -594,3 +594,64 @@ class TestChunkedConv:
         for b, n in enumerate(lengths):
             alone = block(SeqBatch(Tensor(frames[b:b + 1, :n]), [n])).data.data[0]
             assert np.abs(alone - out[b, :n]).max() <= 1e-12 * np.abs(alone).max()
+
+
+def reversed_and_causal(rng, x, lengths, dtype):
+    """Output and the gradients for x, w, b, zoh and skip of ``sum(y * weights)``,
+    with y from the anti-causal `ssm_conv_projected`, then from the causal
+    one between two `loop_reverse` calls."""
+    d_src = discretize(init_ssm(4, 6, seed=36, scheme="random_stable", dtype=dtype))
+    leaves = {"w": rng.standard_normal((x.shape[-1], 6)), "b": rng.standard_normal(6),
+              "zoh": d_src.zoh.data, "skip": d_src.d.data}
+    leaves = {k: Tensor(v, requires_grad=True, dtype=dtype) for k, v in leaves.items()}
+    weights = rng.standard_normal(x.shape[:2] + (6,))
+
+    def run(x_in, weights_in, reverse):
+        x_leaf = Tensor(x_in, requires_grad=True, dtype=dtype)
+        with GradTape() as tape:
+            y = ssm_conv_projected(DiscreteSsm(leaves["zoh"], leaves["skip"]),
+                                   SeqBatch(x_leaf, lengths), leaves["w"], leaves["b"], reverse)
+            loss = T.tsum(T.mul(y.data, Tensor(weights_in, dtype=dtype)))
+        grads = tape.gradients(loss)
+        return y.data.data, {"x": grads[x_leaf], **{k: grads[t] for k, t in leaves.items()}}
+
+    y, grads = run(x, weights, True)
+    y_ref, grads_ref = run(loop_reverse(x, lengths), loop_reverse(weights, lengths), False)
+    grads_ref["x"] = loop_reverse(grads_ref["x"], lengths)
+    return (y, grads), (loop_reverse(y_ref, lengths), grads_ref)
+
+
+class TestAntiCausalConv:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("length,lengths", [
+        (70, [70, 0, 1, 31, 32, 33]), (33, [33, 32]), (64, [64, 64]), (261, [261, 200])])
+    def test_equals_causal_node_between_reversals(self, length, lengths, dtype):
+        # y and the gradients of x, zoh and skip keep every bit at every
+        # step, padding included; dw and db sum over rows in another order
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal((len(lengths), length, 5))
+        (y, grads), (y_ref, grads_ref) = reversed_and_causal(rng, x, np.array(lengths), dtype)
+        assert y.dtype == dtype
+        np.testing.assert_array_equal(y, y_ref)
+        for name in ("x", "zoh", "skip"):
+            np.testing.assert_array_equal(grads[name], grads_ref[name], err_msg=name)
+        rtol = 1e-12 if dtype == np.float64 else 1e-5
+        for name in ("w", "b"):
+            scale = np.abs(grads_ref[name]).max()
+            assert np.abs(grads[name] - grads_ref[name]).max() <= rtol * scale, name
+
+    @pytest.mark.parametrize("length,lengths", [(261, [261, 0, 33, 200]),
+                                                (8192, [8192, 5001, 1])])
+    def test_matches_scan_on_reversed_input(self, length, lengths):
+        # the exact recurrence run over each row reversed within its length,
+        # reversed back; an identity projection passes x through bit for bit
+        rng = np.random.Generator(np.random.PCG64(length))
+        d = discretize(stack_systems([init_ssm_rng(8, 2, rng, scheme)
+                                      for scheme in ("s4d_lin", "random_stable")]))
+        x = rng.standard_normal((len(lengths), length, 4))
+        eye = Tensor(np.eye(4))
+        y = ssm_conv_projected(d, SeqBatch(Tensor(x), lengths), eye, Tensor(np.zeros(4)),
+                               reverse=True).data.data
+        want = loop_reverse(ssm_scan(d, SeqBatch(Tensor(loop_reverse(x, lengths)), lengths))
+                            .data.data, lengths)
+        assert np.abs(y - want).max() <= 1e-8 * np.abs(want).max()

@@ -786,28 +786,6 @@ class TestCrossEntropy:
         assert T.accuracy(logits, targets) == 0.5
 
 
-class TestReverseWithin:
-    def test_involution(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((3, 7, 2)))
-        lengths = [7, 4, 1]
-        twice = T.reverse_within(T.reverse_within(x, lengths), lengths)
-        np.testing.assert_array_equal(twice.data, x.data)
-
-    def test_padding_stays_in_place(self):
-        x = Tensor(np.array([[[1.0], [2.0], [3.0], [0.0]]]))
-        out = T.reverse_within(x, [3])
-        np.testing.assert_array_equal(out.data[0, :, 0], [3.0, 2.0, 1.0, 0.0])
-
-    def test_against_loop_oracle(self):
-        from oracles import loop_reverse
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((4, 9, 3))
-        lengths = [9, 5, 2, 7]
-        got = T.reverse_within(Tensor(x), lengths).data
-        np.testing.assert_array_equal(got, loop_reverse(x, lengths))
-
-
 class TestTensorType:
     def test_immutable(self):
         x = Tensor([1.0, 2.0])

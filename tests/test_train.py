@@ -255,6 +255,47 @@ class TestTrainLoop:
         assert [r.split(",")[0] for r in rows[1:]] == [str(s) for s in range(1, 9)]
         assert rows == [r.rsplit(",", 1)[0] for r in open(full["metrics_path"])]
 
+    def test_rows_are_on_disk_at_each_save(self, tmp_path, monkeypatch):
+        # a kill right after a save must find every step the checkpoint holds
+        # logged on disk, or a resume would lose those rows for good
+        from mhssm import training
+        real_save = training.save_checkpoint
+        seen = []
+
+        def save(path, arrays, meta):
+            rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+            seen.append((meta["step"], [r.split(",")[0] for r in rows]))
+            return real_save(path, arrays, meta)
+
+        monkeypatch.setattr(training, "save_checkpoint", save)
+        train({**TINY, "checkpoint_every": 3}, out_dir=tmp_path / "run")
+        assert [step for step, _ in seen] == [3, 6, 9, 12, 12]
+        for step, logged in seen:
+            assert logged == [str(k) for k in range(1, step + 1)], step
+
+    @pytest.mark.parametrize("damage", ["gap", "torn"])
+    def test_resume_refuses_a_missing_or_torn_row(self, damage, tmp_path):
+        run = tmp_path / "run"
+        train({**TINY, "steps": 6, "checkpoint_every": 6}, out_dir=run)
+        lines = (run / "metrics.csv").read_text().splitlines(keepends=True)
+        lines[4] = "" if damage == "gap" else "4,0,2.4e-05,2.4188657261766386,0.1071\n"
+        damaged = "".join(lines)
+        (run / "metrics.csv").write_text(damaged)
+        with pytest.raises(ConfigError, match="row for step 4"):
+            train({**TINY, "steps": 8}, out_dir=run, resume=run / "checkpoint.bin")
+        assert (run / "metrics.csv").read_text() == damaged
+
+    def test_resume_drops_a_torn_row_past_the_checkpoint(self, tmp_path):
+        cfg = {**TINY, "steps": 8, "checkpoint_every": 6}
+        full = train(dict(cfg), out_dir=tmp_path / "full")
+        run = tmp_path / "run"
+        train({**cfg, "steps": 6}, out_dir=run)
+        with open(run / "metrics.csv", "a") as metrics:
+            metrics.write("7,1,0.0002,2.41")
+        resumed = train(dict(cfg), out_dir=run, resume=run / "checkpoint.bin")
+        rows = [r.rsplit(",", 1)[0] for r in open(resumed["metrics_path"])]
+        assert rows == [r.rsplit(",", 1)[0] for r in open(full["metrics_path"])]
+
     def test_checkpoint_evaluation_roundtrip(self, tmp_path):
         result = train(dict(TINY), out_dir=tmp_path / "run")
         a = evaluate(result["checkpoint_path"], batches=2)
