@@ -357,11 +357,11 @@ def _toeplitz_select(q: int) -> np.ndarray:
     return select
 
 
-def _tile_pairs(xc: np.ndarray, x: np.ndarray, lengths):
+def _tile_pairs(xc: np.ndarray, x: np.ndarray, reverse_lengths):
     """(tile, block) views that move ``x`` (batch, length, channels) to and
     from its chunked copy ``xc``: a tile is whole chunks, about _TILE_VALUES
     values of one row, or the part of a chunk that a piece of a row covers.
-    With ``lengths``, row b is read as the view ``x[b, :n][::-1]`` of its n
+    With ``reverse_lengths``, row b is the view ``x[b, :n][::-1]`` of its n
     valid steps, then its padding in place: no reversed copy is made. One
     transposing copy of the whole array ran 3x slower at (32, 256, 64) and
     (1, 8192, 64); per node, tiles of 16384 values beat tiles of 4096 by 1-4%.
@@ -369,9 +369,9 @@ def _tile_pairs(xc: np.ndarray, x: np.ndarray, lengths):
     q = CHUNK
     per = q * max(1, _TILE_VALUES // (q * x.shape[2]))
     for b in range(x.shape[0]):
-        n = x.shape[1] if lengths is None else lengths[b]
+        n = x.shape[1] if reverse_lengths is None else reverse_lengths[b]
         t = 0
-        for piece in (x[b],) if lengths is None else (x[b, :n][::-1], x[b, n:]):
+        for piece in (x[b],) if reverse_lengths is None else (x[b, :n][::-1], x[b, n:]):
             start, stop = t, t + len(piece)
             while t < stop:
                 c, lo = divmod(t, q)
@@ -382,20 +382,20 @@ def _tile_pairs(xc: np.ndarray, x: np.ndarray, lengths):
                 t += k * m
 
 
-def _to_chunks(x: np.ndarray, chunks: int, dtype, lengths=None) -> np.ndarray:
+def _to_chunks(x: np.ndarray, chunks: int, dtype, reverse_lengths=None) -> np.ndarray:
     """(batch, length, channels) -> (channels, chunks, batch, CHUNK) of
-    ``dtype``, zeros past length; with ``lengths``, rows run backward."""
+    ``dtype``, zeros past length; with ``reverse_lengths``, rows run backward."""
     bsz, length, p = x.shape
     out = np.empty((p, chunks, bsz, CHUNK), dtype=dtype)
     out[:, -1, :, length - (chunks - 1) * CHUNK:] = 0.0
-    for tile, block in _tile_pairs(out, x, lengths):
+    for tile, block in _tile_pairs(out, x, reverse_lengths):
         block[...] = tile
     return out
 
 
-def _from_chunks(xc: np.ndarray, out: np.ndarray, lengths=None) -> np.ndarray:
+def _from_chunks(xc: np.ndarray, out: np.ndarray, reverse_lengths=None) -> np.ndarray:
     """The inverse of `_to_chunks` into ``out`` (batch, length, channels)."""
-    for tile, block in _tile_pairs(xc, out, lengths):
+    for tile, block in _tile_pairs(xc, out, reverse_lengths):
         tile[...] = block
     return out
 
@@ -430,7 +430,7 @@ def _chunk_states(uc: np.ndarray, w_end: np.ndarray, z_q: np.ndarray, chunks: in
 
 
 def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
-                  b: Tensor | None = None, lengths=None) -> Tensor:
+                  b: Tensor | None = None, reverse_lengths=None) -> Tensor:
     """The causal convolution of u with the system's kernel, plus ``skip * u``.
 
     u is ``x``, or with an (in, channels) weight ``w`` and (channels,) bias
@@ -469,10 +469,10 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     Chen et al. 2016, arXiv 1604.06174). So a stage holds its input once
     rather than three times over.
 
-    Given the rows' valid ``lengths`` it runs anti-causally: only the layout
-    copies change, reading each row backward within its length. So y, dx
-    and the system's gradients are, bit for bit, the causal node's between
-    two per-row reversals; dw and db sum over rows in another order.
+    With the rows' valid lengths as ``reverse_lengths`` it runs
+    anti-causally, reading each row backward within its length in the layout
+    copies. So y, dx and the system's gradients are, bit for bit, the causal
+    node's between two per-row reversals; dw and db sum rows in another order.
     """
     bsz, length = x.shape[:2]
     if length < 1:
@@ -507,7 +507,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     def chunked_input():
         # u goes as soon as its chunked copy exists
         u = _project(x_data, w_data, b_data)
-        return _to_chunks(u, chunks, dtype, lengths).reshape(p, rows, q)
+        return _to_chunks(u, chunks, dtype, reverse_lengths).reshape(p, rows, q)
 
     # the output outlives the call, so it comes before the temporaries and
     # reuses none of their space; in the other order the heap fragmented
@@ -518,7 +518,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     yc = np.matmul(uc, w_toe)
     yc[:, bsz:] += np.matmul(flat_states[:, :carried], w_out)
     del uc, flat_states
-    out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y, lengths))
+    out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y, reverse_lengths))
     zoh_key, zoh_dtype = zoh.key, zoh.dtype
     skip_key, skip_dtype = skip.key, skip.dtype
     inputs = (x, zoh, skip) if w is None else (x, w, b, zoh, skip)
@@ -529,7 +529,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         # each goes before the next full-size gradient buffer is made
         uc = chunked_input()
         flat_states, states = _chunk_states(uc, w_end, z_q, chunks)
-        gc = _to_chunks(g, chunks, dtype, lengths).reshape(p, rows, q)
+        gc = _to_chunks(g, chunks, dtype, reverse_lengths).reshape(p, rows, q)
         uc_t = np.swapaxes(uc, 1, 2)
         g_taps = np.matmul(uc_t, gc).reshape(p, q * q) @ _toeplitz_select(q)   # (p, q)
         # conj of d Re(S W) / d W for W = 2 cb z^(t+1), as (p, n, q)
@@ -555,7 +555,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         gc_u[:, :carried] += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
         del gc, g_states, g_ends
         gu = np.empty(x_shape[:2] + (p,), dtype)
-        _from_chunks(gc_u.reshape(p, chunks, bsz, q), gu, lengths)
+        _from_chunks(gc_u.reshape(p, chunks, bsz, q), gu, reverse_lengths)
         del gc_u
 
         g_pow = np.zeros(powers.shape, dtype=np.complex128)              # (p, n, q+1)
@@ -618,7 +618,8 @@ def ssm_conv_projected(d: DiscreteSsm, x: SeqBatch, w: Tensor, b: Tensor,
         raise ShapeError(f"projection of {x.dim} features to {d.channels} channels needs an "
                          f"({x.dim}, {d.channels}) weight and ({d.channels},) bias, "
                          f"got {w.shape}/{b.shape}")
-    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b, x.lengths if reverse else None))
+    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b,
+                                     reverse_lengths=x.lengths if reverse else None))
 
 
 def kernel_sum_bound(d: DiscreteSsm, length: int) -> np.ndarray:

@@ -160,8 +160,7 @@ def load_config(source) -> dict:
     unknown = set(overrides) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = dict(DEFAULTS)
-    cfg.update(overrides)
+    cfg = {**DEFAULTS, **overrides}
     for key, value in cfg.items():
         _check_value(key, value)
     encoder_config(cfg, task_spec(cfg).input_dim)
@@ -305,10 +304,8 @@ def _restore_model(cfg: dict, arrays: dict[str, np.ndarray]) -> TaskModel:
             raise ConfigError(f"checkpoint is missing parameter {name!r}")
         arr = arrays[key]
         if arr.shape != tensor.shape:
-            raise ConfigError(
-                f"checkpoint/config mismatch for {name!r}: "
-                f"stored {arr.shape}, expected {tensor.shape}"
-            )
+            raise ConfigError(f"checkpoint/config mismatch for {name!r}: "
+                              f"stored {arr.shape}, expected {tensor.shape}")
         if not np.isfinite(arr).all():
             raise ConfigError(f"checkpoint parameter {name!r} holds a non-finite value")
         updates[name] = Tensor(arr, requires_grad=True, dtype=tensor.dtype)
@@ -319,9 +316,7 @@ def _restore_model(cfg: dict, arrays: dict[str, np.ndarray]) -> TaskModel:
 def _eval_model(model: TaskModel, cfg: dict, batches: int) -> dict:
     """Deterministic, dropout-free evaluation on a held-out batch stream."""
     spec = model.spec
-    total_loss = 0.0
-    correct = 0
-    count = 0
+    total_loss, correct, count = 0.0, 0, 0
     for i in range(batches):
         x, targets = generate_task(spec, cfg["batch"], _EVAL_STREAM_OFFSET + i,
                                    dtype=np.dtype(cfg["dtype"]))
@@ -342,21 +337,24 @@ def _eval_model(model: TaskModel, cfg: dict, batches: int) -> dict:
 
 
 def _metrics_through(path: Path, step: int) -> str:
-    """The header and the rows of a metrics file for steps 1..``step``.
+    """The header and the rows of a metrics file up to and including ``step``.
 
     Rows are written every step but checkpoints only every
     ``checkpoint_every`` steps, so a run stopped in between has logged steps
     its checkpoint does not hold, the last perhaps torn; a resume rewrites
-    the file with this text, so those steps are not logged twice. A step up
-    to ``step`` without one whole row (six fields, then a newline) is a
+    the file with this text, so those steps are not logged twice. From the
+    file's first row (step 1, or a resumed checkpoint's step + 1) through
+    ``step``, a step without one whole row (six fields, then a newline) is a
     `ConfigError`: the rows are on disk before each save."""
     lines = path.read_text().split("\n")[1:-1]     # after the last newline: a torn row
-    for want in range(1, step + 1):
-        fields = lines[want - 1].split(",") if want <= len(lines) else []
-        if len(fields) != 6 or fields[0] != str(want):
+    first = lines[0].split(",", 1)[0] if lines else str(step + 1)
+    start = int(first) if first.isdigit() else 1    # no step in the first row: refused
+    kept = lines[:max(0, step + 1 - start)]
+    for want, line in zip(range(start, step + 1), kept + [""] * step):
+        if line.count(",") != 5 or not line.startswith(f"{want},"):
             raise ConfigError(f"{path} has no whole row for step {want}, which the "
                               f"checkpoint at step {step} has already trained")
-    return "\n".join([METRICS_HEADER] + lines[:step]) + "\n"
+    return "\n".join([METRICS_HEADER] + kept) + "\n"
 
 
 def train(config=None, out_dir=None, seed=None, resume=None) -> dict:

@@ -255,6 +255,32 @@ class TestTrainLoop:
         assert [r.split(",")[0] for r in rows[1:]] == [str(s) for s in range(1, 9)]
         assert rows == [r.rsplit(",", 1)[0] for r in open(full["metrics_path"])]
 
+    def test_resume_in_place_of_a_resumed_run(self, tmp_path, monkeypatch):
+        # a run resumed from step 3 into a fresh directory logs from step 4;
+        # stopped after step 7 with its checkpoint at step 6, it resumes in place
+        from mhssm import training
+        cfg = {**TINY, "steps": 10, "checkpoint_every": 3}
+        full = train(dict(cfg), out_dir=tmp_path / "full")
+        part = train({**cfg, "steps": 3}, out_dir=tmp_path / "part")
+        real_generate = training.generate_task
+
+        def generate_until_step_7(spec, batch, index, **kwargs):
+            if index == 7:
+                raise KeyboardInterrupt
+            return real_generate(spec, batch, index, **kwargs)
+
+        monkeypatch.setattr(training, "generate_task", generate_until_step_7)
+        run = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            train(dict(cfg), out_dir=run, resume=part["checkpoint_path"])
+        monkeypatch.undo()
+        logged = [r.split(",")[0] for r in open(run / "metrics.csv")][1:]
+        assert logged == ["4", "5", "6", "7"]
+        resumed = train(dict(cfg), out_dir=run, resume=run / "checkpoint.bin")
+        rows = [r.rsplit(",", 1)[0] for r in open(resumed["metrics_path"])]
+        full_rows = [r.rsplit(",", 1)[0] for r in open(full["metrics_path"])]
+        assert rows == full_rows[:1] + full_rows[4:]
+
     def test_rows_are_on_disk_at_each_save(self, tmp_path, monkeypatch):
         # a kill right after a save must find every step the checkpoint holds
         # logged on disk, or a resume would lose those rows for good
