@@ -166,8 +166,10 @@ class SelfAttentionBlock(Module):
 
     The q, k and v projections feed one ``T.attention`` node, whose
     (batch, length, dim) context ``wo`` reads; head h owns columns
-    h*head_dim to (h+1)*head_dim. Keys at padded positions are masked out;
-    scores scale by 1/sqrt(head_dim). Fully padded sequences are rejected.
+    h*head_dim to (h+1)*head_dim. Each row attends within its valid
+    length: padded keys take no weight, and the context is exactly zero at
+    padded queries. Scores scale by 1/sqrt(head_dim). Fully padded
+    sequences are rejected.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -186,13 +188,9 @@ class SelfAttentionBlock(Module):
         """Attention branch on the normalized input (no residual)."""
         if (x.lengths == 0).any():
             raise ValueError("attention received a fully padded sequence")
-        horizon = x.length
         h = self.norm(x.data)
         q, k, v = self.wq(h), self.wk(h), self.wv(h)
-        mask = None
-        if not (x.lengths == horizon).all():
-            mask = np.arange(horizon)[None, :] < x.lengths[:, None]
-        return self.wo(T.attention(q, k, v, self.heads, mask))
+        return self.wo(T.attention(q, k, v, self.heads, x.lengths))
 
     def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
         branch = T.dropout(self.attend(x), self.dropout, train_rng)

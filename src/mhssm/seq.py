@@ -13,7 +13,10 @@ class SeqBatch:
     """A (batch, length, dim) tensor plus the valid length of each row.
 
     Positions at t >= length are padding. Blocks expect padding to hold
-    zeros on entry and re-zero it on exit via :meth:`rezero`.
+    zeros on entry and re-zero it on exit via :meth:`rezero`. The chunked
+    SSM node and attention read only each row's valid steps and write
+    exact zeros past its length; the row-wise nodes compute the padding,
+    which ``rezero`` then zeroes.
     """
 
     __slots__ = ("data", "lengths")

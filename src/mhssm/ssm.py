@@ -20,9 +20,12 @@ them, O(L * (Q + 4n)) work per channel, with no kernel and no transform
 (per-node timings in the `ssm_conv` docstring). CHUNK = 32 beat 16 and 64 at
 (1, 8192), (32, 512) and (8, 800) alike. `ssm_conv_projected` runs the same
 node with a stage's input projection folded in, and anti-causally for the
-backward direction (as bidirectional S4D, Gu et al. 2022). The node keeps
-only its input and small per-channel weights; its backward rebuilds the
-projection, the chunked input and the chunk states.
+backward direction (as bidirectional S4D, Gu et al. 2022), on each row's
+valid steps only: on a padded batch it skips every chunk wholly past a
+row's length and writes zeros there, as variable-length batches skip
+padding elsewhere (sequence packing, Krell et al. 2021, arXiv 2107.02027).
+The node keeps only its input and small per-channel weights; its backward
+rebuilds the projection, the chunked input and the chunk states.
 
 The impulse response itself (`materialize_kernel`) serves
 `kernel_sum_bound`, the self-check and the tests, which convolve it by FFT
@@ -357,80 +360,225 @@ def _toeplitz_select(q: int) -> np.ndarray:
     return select
 
 
-def _tile_pairs(xc: np.ndarray, x: np.ndarray, reverse_lengths):
-    """(tile, block) views that move ``x`` (batch, length, channels) to and
-    from its chunked copy ``xc``: a tile is whole chunks, about _TILE_VALUES
-    values of one row, or the part of a chunk that a piece of a row covers.
-    With ``reverse_lengths``, row b is the view ``x[b, :n][::-1]`` of its n
-    valid steps, then its padding in place: no reversed copy is made. One
-    transposing copy of the whole array ran 3x slower at (32, 256, 64) and
-    (1, 8192, 64); per node, tiles of 16384 values beat tiles of 4096 by 1-4%.
+class _Layout:
+    """Where each (chunk, row) of a batch sits in the chunked node's packed
+    (channels, rows, CHUNK) layout, and each row's valid steps in a packed
+    (valid steps, features) array.
+
+    Rows go longest first (a stable sort), so the rows still live in chunk
+    c, those with c*CHUNK < length, are a prefix of that order: chunk c's
+    block holds its ``counts[c]`` live rows from packed row ``offsets[c]``
+    on, and a (chunk, row) wholly past its row's length has no packed row.
+    With every row at full length the order is the batch's own and the
+    layout is (channels, chunks, batch, CHUNK) flattened. Row b's valid
+    steps are rows ``starts[b]:starts[b+1]`` of a packed array.
+    """
+
+    __slots__ = ("lengths", "starts", "order", "counts", "offsets", "run_end")
+
+    def __init__(self, lengths: tuple[int, ...]):
+        self.lengths = lengths
+        self.starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]).tolist()
+        self.order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
+        per_row = -(-np.asarray(lengths, dtype=np.int64) // CHUNK)
+        chunks = int(per_row.max(initial=0))
+        self.counts = (per_row[:, None] > np.arange(chunks)).sum(axis=0).tolist()
+        self.offsets = np.concatenate([[0], np.cumsum(self.counts, dtype=np.int64)]).tolist()
+        # run_end[c]: the first chunk after c that holds another number of rows
+        self.run_end = [chunks] * chunks
+        for c in range(chunks - 2, -1, -1):
+            self.run_end[c] = (c + 1 if self.counts[c + 1] != self.counts[c]
+                               else self.run_end[c + 1])
+
+    @property
+    def chunks(self) -> int:
+        return len(self.counts)
+
+    @property
+    def rows(self) -> int:
+        return self.offsets[-1]
+
+    @property
+    def first(self) -> int:
+        """Rows of chunk 0, which no carried state enters."""
+        return self.counts[0] if self.counts else 0
+
+    @property
+    def inner(self) -> int:
+        """Rows of chunks 0..C-2, whose end states a next chunk reads."""
+        return self.offsets[max(self.chunks - 1, 0)]
+
+    def row_views(self, a: np.ndarray) -> list[np.ndarray]:
+        """Each row's valid steps as a view: ``a[b, :n]`` of a (batch,
+        length, ...) array, or rows ``starts[b]:starts[b+1]`` of a packed one."""
+        if a.ndim == 3:
+            return [a[b, :n] for b, n in enumerate(self.lengths)]
+        return [a[lo:hi] for lo, hi in zip(self.starts, self.starts[1:])]
+
+    def packed(self, x: np.ndarray) -> np.ndarray:
+        """The valid steps of (batch, length, features) ``x``, row after row,
+        as (valid steps, features); ``x`` reshaped when no step is padding."""
+        if self.starts[-1] == x.shape[0] * x.shape[1]:
+            return x.reshape(-1, x.shape[2])
+        return np.concatenate(self.row_views(x))
+
+    def unpacked(self, a: np.ndarray, shape: tuple) -> np.ndarray:
+        """The inverse of `packed`: zeros at the padded steps."""
+        if a.shape[0] == shape[0] * shape[1]:
+            return a.reshape(shape)
+        out = np.empty(shape, a.dtype)
+        for b, (n, row) in enumerate(zip(self.lengths, self.row_views(a))):
+            out[b, :n] = row
+            out[b, n:] = 0.0
+        return out
+
+
+def _tile_pairs(xc: np.ndarray, rows: list[np.ndarray], layout: _Layout, reverse: bool):
+    """(tile, block) views that move each row's valid steps ``rows[b]``
+    (steps, channels) to and from their place in the packed chunked copy
+    ``xc`` (see `_Layout`): a tile is whole chunks of one row, about
+    _TILE_VALUES values within a run of chunks that hold the same number of
+    rows, or the row's last, partial chunk. With ``reverse``, row b is the
+    view ``rows[b][::-1]``: no reversed copy is made. One transposing copy
+    of the whole array ran 3x slower at (32, 256, 64) and (1, 8192, 64); per
+    node, tiles of 16384 values beat tiles of 4096 by 1-4%.
     """
     q = CHUNK
-    per = q * max(1, _TILE_VALUES // (q * x.shape[2]))
-    for b in range(x.shape[0]):
-        n = x.shape[1] if reverse_lengths is None else reverse_lengths[b]
+    per = max(1, _TILE_VALUES // (q * xc.shape[0]))
+    counts, offsets, run_end = layout.counts, layout.offsets, layout.run_end
+    for j, b in enumerate(layout.order):
+        n = layout.lengths[b]
+        row = rows[b][::-1] if reverse else rows[b]
         t = 0
-        for piece in (x[b],) if reverse_lengths is None else (x[b, :n][::-1], x[b, n:]):
-            start, stop = t, t + len(piece)
-            while t < stop:
-                c, lo = divmod(t, q)
-                k, m = ((min(per, stop - t) // q, q) if lo == 0 and stop - t >= q
-                        else (1, min(stop - t, q - lo)))
-                tile = piece[t - start:t - start + k * m].reshape(k, m, -1)
-                yield tile.transpose(2, 0, 1), xc[:, c:c + k, b, lo:lo + m]
-                t += k * m
+        while t < n:
+            c = t // q
+            k, m = (min(per, (n - t) // q, run_end[c] - c), q) if n - t >= q else (1, n - t)
+            start, stride = offsets[c] + j, counts[c]
+            tile = row[t:t + k * m].reshape(k, m, -1)
+            yield tile.transpose(2, 0, 1), xc[:, start:start + (k - 1) * stride + 1:stride, :m]
+            t += k * m
 
 
-def _to_chunks(x: np.ndarray, chunks: int, dtype, reverse_lengths=None) -> np.ndarray:
-    """(batch, length, channels) -> (channels, chunks, batch, CHUNK) of
-    ``dtype``, zeros past length; with ``reverse_lengths``, rows run backward."""
-    bsz, length, p = x.shape
-    out = np.empty((p, chunks, bsz, CHUNK), dtype=dtype)
-    out[:, -1, :, length - (chunks - 1) * CHUNK:] = 0.0
-    for tile, block in _tile_pairs(out, x, reverse_lengths):
+def _to_chunks(x: np.ndarray, layout: _Layout, dtype, reverse: bool) -> np.ndarray:
+    """(batch, length, channels) or packed (valid steps, channels) ->
+    (channels, rows, CHUNK) of ``dtype`` in ``layout``, zeros past each
+    row's length; with ``reverse``, rows run backward within their lengths."""
+    out = np.empty((x.shape[-1], layout.rows, CHUNK), dtype=dtype)
+    for j, b in enumerate(layout.order):
+        n = layout.lengths[b]
+        if n % CHUNK:
+            out[:, layout.offsets[n // CHUNK] + j, n % CHUNK:] = 0.0
+    for tile, block in _tile_pairs(out, layout.row_views(x), layout, reverse):
         block[...] = tile
     return out
 
 
-def _from_chunks(xc: np.ndarray, out: np.ndarray, reverse_lengths=None) -> np.ndarray:
-    """The inverse of `_to_chunks` into ``out`` (batch, length, channels)."""
-    for tile, block in _tile_pairs(xc, out, reverse_lengths):
+def _from_chunks(xc: np.ndarray, out: np.ndarray, layout: _Layout, reverse: bool) -> np.ndarray:
+    """The inverse of `_to_chunks` into ``out``, (batch, length, channels)
+    with zeros past each row's length, or packed (valid steps, channels)."""
+    if out.ndim == 3:
+        for b, n in enumerate(layout.lengths):
+            out[b, n:] = 0.0
+    for tile, block in _tile_pairs(xc, layout.row_views(out), layout, reverse):
         tile[...] = block
     return out
 
 
-def _project(x: np.ndarray, w: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
-    """u = x @ w + b as `T.linear` computes it (one 2-d product, the bias
-    added in place), or ``x`` itself without a weight."""
-    if w is None:
-        return x
-    u = np.matmul(x.reshape(-1, w.shape[0]), w)
-    u += b
-    return u.reshape(x.shape[:-1] + w.shape[1:])
+@functools.lru_cache(maxsize=16)
+def _layout(lengths: tuple[int, ...]) -> _Layout:
+    """The layout of a batch with these row lengths, built once: every
+    stage of a step, forward and backward, runs on the same lengths."""
+    return _Layout(lengths)
 
 
-def _chunk_states(uc: np.ndarray, w_end: np.ndarray, z_q: np.ndarray, chunks: int):
-    """The states carried between the chunks of ``uc`` (channels, chunks*batch, Q).
+def _runs(counts: list[int], lo: int, hi: int, ahead: int = 0):
+    """Chunks lo <= i < hi as (first chunk, chunks, rows) runs of regular
+    stride: each i touches rows :counts[i + ahead] of chunks i - 1, i and
+    i + ahead, and a run of more than one holds chunks i - 1 .. i + ahead
+    of the same count, so each of those blocks is a fixed number of rows on."""
+    i = lo
+    while i < hi:
+        m, j = counts[i + ahead], i + 1
+        if counts[i - 1] == m:
+            while j < hi and counts[j - 1] == counts[j + ahead] == m:
+                j += 1
+        yield i, j - i, m
+        i = j
 
-    One array, as a (channels, chunks*batch, 2n) real view and a (channels,
-    chunks, batch, n) complex view, whose chunk i holds S_(i+1), the state
-    entering chunk i+1: first E_i = sum_s z^(Q-1-s) u_s as one GEMM, then
-    in place S_i = z^Q S_(i-1) + E_(i-1), a loop over chunks on contiguous
-    (channels, batch*n) blocks.
+
+def _blocks(a: np.ndarray, start: int, chunks: int, rows: int) -> np.ndarray:
+    """``chunks`` blocks of ``rows`` rows of (channels, rows, n) ``a`` from
+    row ``start`` on, as a (chunks, channels, rows, n) view: iterating it
+    yields each block's view at less cost than indexing."""
+    if chunks == 1:
+        return (a[:, start:start + rows],)
+    blocks = a[:, start:start + chunks * rows].reshape(a.shape[0], chunks, rows, a.shape[2])
+    return blocks.swapaxes(0, 1)
+
+
+def _chunk_states(uc: np.ndarray, w_end: np.ndarray, z_q: np.ndarray,
+                  layout: _Layout) -> np.ndarray:
+    """S_i, the state entering chunk i >= 1 of ``uc`` (channels, rows, Q),
+    for each row live in chunk i, laid out as chunks 1.. of ``uc`` are:
+    a (channels, rows - counts[0], 2n) real view, with a (..., n) complex
+    view. First E_i = sum_s z^(Q-1-s) u_s for every chunk as one GEMM, then
+    in the same array S_1 = E_0 and S_i = z^Q S_(i-1) + E_(i-1), a loop
+    over chunks on contiguous (channels, live rows*n) blocks. S_i goes
+    where E_(i-1) is, moved down by the rows that ended before chunk i-1.
     """
-    p, bsz, n = z_q.shape
     flat = np.matmul(uc, w_end)
-    states = flat.view(z_q.dtype).reshape(p, chunks, bsz, n)
+    states = flat.view(z_q.dtype)
+    offsets, first = layout.offsets, layout.first
     carry = np.empty_like(z_q)
-    for i in range(1, chunks - 1):
-        np.multiply(z_q, states[:, i - 1], out=carry)
-        states[:, i] += carry
-    return flat, states
+    for i, k, m in _runs(layout.counts, 2, layout.chunks):
+        z_m, carry_m = z_q[:, :m], carry[:, :m]
+        for end, prev, state in zip(_blocks(states, offsets[i - 1], k, m),
+                                    _blocks(states, offsets[i - 1] - first, k, m),
+                                    _blocks(states, offsets[i] - first, k, m)):
+            np.multiply(z_m, prev, out=carry_m)
+            np.add(end, carry_m, out=state)
+    return flat[:, :layout.rows - first]
+
+
+def _end_state_grads(gc: np.ndarray, w_out: np.ndarray, z_q: np.ndarray,
+                     layout: _Layout) -> np.ndarray:
+    """d loss / d E_i for chunks i < C-1, in chunk i's rows, from the
+    output gradient ``gc`` (channels, rows, Q) in ``layout``.
+
+    First dS_i = gc_i @ w_out^T for every chunk as one GEMM, then dE_i =
+    H_(i+1), with H_i = dS_i + conj(z^Q) H_(i+1) for the rows that live on
+    into chunk i+1, a loop over chunks from the last; a row whose last
+    chunk is i gets dE_i = 0. Everything stays in the GEMM's array: H_i
+    goes ``counts[0]`` rows past chunk i-1's block, which is chunk i's own
+    block when no row ended before it, and the array has the rows that a
+    block moved past its end needs. Returns a (channels, offsets[C-1], 2n)
+    real view.
+    """
+    counts, offsets, chunks, first = layout.counts, layout.offsets, layout.chunks, layout.first
+    out = np.empty((gc.shape[0], layout.rows + first - (counts[-1] if chunks else 0),
+                    w_out.shape[1]), gc.dtype)
+    np.matmul(gc, np.swapaxes(w_out, 1, 2), out=out[:, :layout.rows])
+    g = out.view(z_q.dtype)
+    conj_zq = np.conj(z_q)
+    carry = np.empty_like(conj_zq)
+    for i, k, m in reversed(list(_runs(counts + [0], 1, chunks, ahead=1))):
+        if k == 1:
+            # chunk i's rows that end there, then chunk i-1's that end before it
+            g_s, at = g[:, offsets[i]:offsets[i] + counts[i]], offsets[i - 1] + first
+            if counts[i] > m and at != offsets[i]:
+                g[:, at + m:at + counts[i]] = g_s[:, m:]
+            g[:, at + counts[i]:at + counts[i - 1]] = 0.0
+        zq_m, carry_m = conj_zq[:, :m], carry[:, :m]
+        for g_s, h_next, h in zip(_blocks(g, offsets[i], k, m)[::-1],
+                                  _blocks(g, offsets[i] + first, k, m)[::-1],
+                                  _blocks(g, offsets[i - 1] + first, k, m)[::-1]):
+            np.multiply(zq_m, h_next, out=carry_m)
+            np.add(g_s, carry_m, out=h)
+    return out[:, first:first + layout.inner]
 
 
 def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
-                  b: Tensor | None = None, reverse_lengths=None) -> Tensor:
+                  b: Tensor | None = None, lengths=None, reverse: bool = False) -> Tensor:
     """The causal convolution of u with the system's kernel, plus ``skip * u``.
 
     u is ``x``, or with an (in, channels) weight ``w`` and (channels,) bias
@@ -440,13 +588,13 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     (chunked state passing, Dao & Gu 2024, arXiv 2405.21060). Time is cut
     into chunks of Q = CHUNK steps, the last one zero-padded; z = abar, and
     the powers z^0..z^Q come from log space (`_powers_through`), so abar = 0
-    stays memoryless. Chunks are laid out chunk-major, (channels, chunks,
-    batch, Q), so each chunk's rows are one contiguous block.
+    stays memoryless. Chunks are laid out chunk-major, (channels, rows, Q)
+    (`_Layout`), so each chunk's rows are one contiguous block.
 
     * Within a chunk the output is the chunk times the lower-triangular
       Toeplitz matrix of taps 0..Q-1, with the skip on its diagonal, and the
       chunk's end state is E = sum_s z^(Q-1-s) u_s: two batched GEMMs over
-      (channels, chunks*batch, Q).
+      (channels, rows, Q).
     * The state entering chunk i is S_i = z^Q S_(i-1) + E_(i-1), S_0 = 0
       (`_chunk_states`).
     * A third GEMM adds the carried state's output Re(S_i @ 2 cb z^(t+1)) at
@@ -469,19 +617,26 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     Chen et al. 2016, arXiv 1604.06174). So a stage holds its input once
     rather than three times over.
 
-    With the rows' valid lengths as ``reverse_lengths`` it runs
-    anti-causally, reading each row backward within its length in the layout
-    copies. So y, dx and the system's gradients are, bit for bit, the causal
-    node's between two per-row reversals; dw and db sum rows in another order.
+    With the rows' valid ``lengths``, each row is the n steps before its
+    length: a (chunk, row) wholly past n has no row in the layout, so the
+    GEMMs, layout copies, carry loop and backward skip it, and y and gu
+    hold exact zeros past n; the gradient there is not read. Causality
+    means the valid outputs read no step past n either. Rows go longest
+    first, so each chunk's live rows are a prefix. Without ``lengths``
+    every step is valid; a batch whose rows all run the full length takes
+    the same layout, so it keeps those bits. With ``reverse`` the node
+    runs anti-causally, reading each row backward within its length in the
+    layout copies. So y, dx and the system's gradients are, bit for bit,
+    the causal node's between two per-row reversals; dw and db sum rows in
+    another order.
     """
     bsz, length = x.shape[:2]
     if length < 1:
         raise ShapeError(f"input length must be >= 1, got {length}")
     p, n = zoh.shape[1:]
     q = CHUNK
-    chunks = -(-length // q)
-    rows = bsz * chunks
-    carried = rows - bsz          # rows of chunks 1.., which have a carried state
+    layout = _layout((length,) * bsz if lengths is None else tuple(map(int, lengths)))
+    first, inner = layout.first, layout.inner
     dtype = x.dtype if w is None else np.result_type(x.dtype, w.dtype)
     cdtype = np.result_type(dtype, np.complex64)
     logmag, angle, _, _, cb_re, cb_im = zoh.data
@@ -505,20 +660,25 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     w_data, b_data = (None, None) if w is None else (w.data, b.data)
 
     def chunked_input():
-        # u goes as soon as its chunked copy exists
-        u = _project(x_data, w_data, b_data)
-        return _to_chunks(u, chunks, dtype, reverse_lengths).reshape(p, rows, q)
+        # u = x @ w + b as `T.linear` computes it (one 2-d product, the bias
+        # added in place) on x's valid steps, packed; the packed copy goes
+        # before u's chunked copy is made, and u as soon as that exists
+        u = x_data
+        if w is not None:
+            u = np.matmul(layout.packed(x_data), w_data)
+            u += b_data
+        return _to_chunks(u, layout, dtype, reverse)
 
     # the output outlives the call, so it comes before the temporaries and
     # reuses none of their space; in the other order the heap fragmented
     # and peak RSS on `asr_stateformer` rose by 7%
     y = np.empty((bsz, length, p), dtype=dtype)
     uc = chunked_input()
-    flat_states, _ = _chunk_states(uc, w_end, z_q, chunks)
+    states = _chunk_states(uc, w_end, z_q, layout)
     yc = np.matmul(uc, w_toe)
-    yc[:, bsz:] += np.matmul(flat_states[:, :carried], w_out)
-    del uc, flat_states
-    out = Tensor._wrap(_from_chunks(yc.reshape(p, chunks, bsz, q), y, reverse_lengths))
+    yc[:, first:] += np.matmul(states, w_out)
+    del uc, states
+    out = Tensor._wrap(_from_chunks(yc, y, layout, reverse))
     zoh_key, zoh_dtype = zoh.key, zoh.dtype
     skip_key, skip_dtype = skip.key, skip.dtype
     inputs = (x, zoh, skip) if w is None else (x, w, b, zoh, skip)
@@ -528,34 +688,30 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         # every term that reads the rebuilt input or states comes first, so
         # each goes before the next full-size gradient buffer is made
         uc = chunked_input()
-        flat_states, states = _chunk_states(uc, w_end, z_q, chunks)
-        gc = _to_chunks(g, chunks, dtype, reverse_lengths).reshape(p, rows, q)
+        states = _chunk_states(uc, w_end, z_q, layout)
+        gc = _to_chunks(g, layout, dtype, reverse)
         uc_t = np.swapaxes(uc, 1, 2)
         g_taps = np.matmul(uc_t, gc).reshape(p, q * q) @ _toeplitz_select(q)   # (p, q)
         # conj of d Re(S W) / d W for W = 2 cb z^(t+1), as (p, n, q)
         g_w = 2.0 * np.conj(np.swapaxes(np.matmul(
-            np.swapaxes(gc[:, bsz:], 1, 2), flat_states[:, :carried]).view(cdtype), 1, 2))
-        # d loss / d S_i, then in place H_i; d loss / d E_i = H_(i+1), and
-        # the last chunk's end state is unused
-        g_states = np.matmul(gc, np.swapaxes(w_out, 1, 2)).view(cdtype)
-        g_states = g_states.reshape(p, chunks, bsz, n)
-        conj_zq = np.conj(z_q)
-        carry = np.empty_like(conj_zq)
-        for i in range(chunks - 2, 0, -1):
-            np.multiply(conj_zq, g_states[:, i + 1], out=carry)
-            g_states[:, i] += carry
-        g_zq = (g_states[:, 2:] * np.conj(states[:, :-2])).sum(axis=(1, 2))
-        del flat_states, states
-        g_ends = g_states.view(dtype).reshape(p, rows, 2 * n)[:, bsz:]
+            np.swapaxes(gc[:, first:], 1, 2), states).view(cdtype), 1, 2))
+        # d loss / d S_i in chunk i's rows (chunk 0's are unread), then
+        # d loss / d E_i in chunk i's rows of chunks 0..C-2
+        g_ends = _end_state_grads(gc, w_out, z_q, layout).view(cdtype)
+        # H_i against S_(i-1) for i >= 2: chunks 1..C-2 of both
+        g_zq = (g_ends[:, first:] * np.conj(states.view(cdtype)[:, :max(inner - first, 0)])).sum(axis=1)
+        del states
+        g_ends = g_ends.view(dtype)
         # the end-state weights hold z^(q-1-s) as (re, im) columns
-        g_end_pow = np.swapaxes(np.matmul(uc_t[..., :carried], g_ends).view(cdtype), 1, 2)
+        g_end_pow = np.swapaxes(np.matmul(uc_t[..., :inner], g_ends).view(cdtype), 1, 2)
         del uc, uc_t
 
         gc_u = np.matmul(gc, np.swapaxes(w_toe, 1, 2))
-        gc_u[:, :carried] += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
-        del gc, g_states, g_ends
-        gu = np.empty(x_shape[:2] + (p,), dtype)
-        _from_chunks(gc_u.reshape(p, chunks, bsz, q), gu, reverse_lengths)
+        gc_u[:, :inner] += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
+        del gc, g_ends
+        # u's gradient at the valid steps only, packed as the projection reads x
+        gu = np.empty(x_shape[:2] + (p,) if w is None else (layout.starts[-1], p), dtype)
+        _from_chunks(gc_u, gu, layout, reverse)
         del gc_u
 
         g_pow = np.zeros(powers.shape, dtype=np.complex128)              # (p, n, q+1)
@@ -571,10 +727,9 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         if w_data is None:
             acc(x_key, gu)
             return
-        g2 = gu.reshape(-1, p)
-        acc(x_key, np.matmul(g2, w_data.T).reshape(x_shape))
-        acc(w_key, np.matmul(x_data.reshape(-1, w_data.shape[0]).T, g2))
-        acc(b_key, g2.sum(axis=0))
+        acc(x_key, layout.unpacked(np.matmul(gu, w_data.T), x_shape))
+        acc(w_key, np.matmul(layout.packed(x_data).T, gu))
+        acc(b_key, gu.sum(axis=0))
 
     T.record_op(out, inputs, bwd)
     return out
@@ -599,6 +754,22 @@ def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
         (8, 384, 32)              asr frontend, 1/2   7.3 / 15.3   3.9 /  9.9   4.3 / 11.9
         (8, 768, 16)              asr frontend        7.8 / 16.6   3.5 /  9.4   3.9 / 10.8
         (1, 8192, 64)             echo_8k_mh_ssm     63.5 / 137   16.1 / 54.1  19.0 / 68.1
+
+    On a padded batch ``ssm_conv_projected`` skips each row's chunks past
+    its length. At the ASR shapes with rows of 768, 712, 650, 590, 520,
+    455, 390 and 330 steps at full rate (28% padding) and their halves and
+    quarters, projected node before (every step computed) and after, in ms,
+    fwd / fwd+bwd, median of 101 calls interleaved in one process, causal
+    and anti-causal alternating, on the host above::
+
+        (batch, steps, channels)  float64 before  after        float32 before  after
+        (8, 192, 64)              2.57 / 7.66     2.37 / 7.00  1.88 / 5.09     1.78 / 4.83
+        (8, 384, 32)              1.89 / 6.00     1.84 / 5.65  1.39 / 4.01     1.44 / 3.98
+        (8, 768, 16)              1.67 / 5.60     1.54 / 4.96  1.16 / 3.53     1.19 / 3.52
+
+    The per-call prologue (powers and GEMM weights) and epilogue (the
+    power gradients), about 1.5 ms of the fwd+bwd at 64 channels timed
+    alone, do not shrink with padding.
     """
     _check_channels(d, u)
     return u.with_data(_chunked_conv(u.data, d.zoh, d.d))
@@ -608,18 +779,21 @@ def ssm_conv_projected(d: DiscreteSsm, x: SeqBatch, w: Tensor, b: Tensor,
                        reverse: bool = False) -> SeqBatch:
     """``ssm_conv(d, u)`` of the projection u = x @ w + b, as one node.
 
-    ``w`` is (in, channels) and ``b`` is (channels,). Every value and
-    gradient equals that of `T.linear` followed by :func:`ssm_conv`, but
-    the node keeps only ``x`` of the activations (see :func:`_chunked_conv`).
-    With ``reverse`` it runs backward in time within each row's valid
-    length: the output at step t reads u at steps t..length-1.
+    ``w`` is (in, channels) and ``b`` is (channels,). At each row's valid
+    steps every value equals that of `T.linear` followed by
+    :func:`ssm_conv`, but the node keeps only ``x`` of the activations and
+    reads only each row's ``x.lengths[b]`` valid steps: its outputs past
+    the length are exact zeros, and the gradient there is not read, so the
+    gradients equal those of the two nodes under an upstream gradient that
+    is zero past each length (see :func:`_chunked_conv`). With ``reverse``
+    it runs backward in time within each row's valid length: the output at
+    step t reads u at steps t..length-1.
     """
     if w.shape != (x.dim, d.channels) or b.shape != (d.channels,):
         raise ShapeError(f"projection of {x.dim} features to {d.channels} channels needs an "
                          f"({x.dim}, {d.channels}) weight and ({d.channels},) bias, "
                          f"got {w.shape}/{b.shape}")
-    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b,
-                                     reverse_lengths=x.lengths if reverse else None))
+    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b, x.lengths, reverse))
 
 
 def kernel_sum_bound(d: DiscreteSsm, length: int) -> np.ndarray:

@@ -611,44 +611,39 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def _attention_probs(q_h: np.ndarray, k_h: np.ndarray, factor: float,
-                     keep: np.ndarray | None) -> np.ndarray:
+def _attention_probs(q_h: np.ndarray, k_h: np.ndarray, factor: float) -> np.ndarray:
     """Weights of one (batch row, head) tile of :func:`attention`: the
-    softmax over keys of q_h @ k_h^T * factor, built in one buffer.
-
-    ``keep`` is the row's boolean key mask, or None; masked keys come out
-    exactly 0, as exp(-inf - max).
-    """
+    softmax over keys of q_h @ k_h^T * factor, built in one buffer."""
     p = np.matmul(q_h, k_h.T)
     p *= factor
-    if keep is not None:
-        p[:, ~keep] = -np.inf
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     return p
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              mask: np.ndarray | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     ``q``, ``k`` and ``v`` are (batch, length, dim). Head h reads columns
     h*dh to (h+1)*dh of each, with dh = dim / heads, and writes the same
-    columns of the (batch, length, dim) result. ``mask`` is an optional
-    boolean (batch, length) key mask: False keys get weight exactly 0, and
-    a batch row with no True key is an error.
+    columns of the (batch, length, dim) result. ``lengths`` optionally gives
+    each batch row's valid length n >= 1: the row's first n queries attend
+    to its first n keys, and its outputs past n are exact zeros, whose
+    gradient is not read. Without it every position is valid.
 
-    The node runs one (batch row, head) tile at a time: the scores
-    q_h @ k_h^T, scaled in place by 1/sqrt(dh), the masked softmax in the
-    same buffer (``_attention_probs``), then P @ v_h. On a tape it keeps q,
-    k, v and the mask, never the (batch, heads, length, length) weights: its
-    backward rebuilds each tile's P with the same calls, then takes
-    dv = P^T @ g_h, dP = g_h @ v_h^T, softmax's rule in dP's buffer, the
-    scale, dq = dS @ k_h and dk = (q_h^T @ dS)^T. Each is the product a
-    stacked ``matmul`` makes for that tile, in the same operation order, so
-    every value and gradient keeps the bits of scores, scale, softmax and
-    weighted sum as separate nodes over (batch, heads, length, dh) views.
+    The node runs one (batch row, head) tile at a time, sliced to the row's
+    n valid positions: the scores q_h @ k_h^T, scaled in place by
+    1/sqrt(dh), the softmax in the same buffer (``_attention_probs``), then
+    P @ v_h. So a padded row costs its n^2 scores, not length^2. On a tape
+    it keeps q, k, v and the lengths, never the (batch, heads, length,
+    length) weights: its backward rebuilds each tile's P with the same
+    calls, then takes dv = P^T @ g_h, dP = g_h @ v_h^T, softmax's rule in
+    dP's buffer, the scale, dq = dS @ k_h and dk = (q_h^T @ dS)^T, with
+    zeros past n. Each is the product a stacked ``matmul`` makes for that
+    tile, in the same operation order, so every value and gradient keeps
+    the bits of scores, scale, softmax and weighted sum as separate nodes
+    over (batch, heads, n, dh) views of each row's valid positions.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(
@@ -658,40 +653,50 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     bsz, length, dim = q.shape
     if heads < 1 or dim % heads:
         raise ShapeError(f"attention width {dim} not divisible by {heads} heads")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (bsz, length):
-            raise ShapeError(f"attention key mask {mask.shape} is not (batch, length) "
-                             f"{(bsz, length)}")
-        if not mask.any(axis=-1).all():
-            raise ValueError("attention: at least one row is fully masked")
+    if lengths is None:
+        lengths = [length] * bsz
+    else:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (bsz,):
+            raise ShapeError(f"attention lengths {lengths.shape} do not match batch {bsz}")
+        if (lengths < 1).any() or (lengths > length).any():
+            raise ValueError(f"attention: every row needs a length in [1, {length}], "
+                             f"got {lengths.tolist()}")
+        lengths = lengths.tolist()
     dh = dim // heads
     factor = 1.0 / math.sqrt(dh)
     q_data, k_data, v_data = q.data, k.data, v.data
-    tiles = [(b, None if mask is None else mask[b], slice(h * dh, (h + 1) * dh))
-             for b in range(bsz) for h in range(heads)]
+    tiles = [(b, slice(0, n), slice(h * dh, (h + 1) * dh))
+             for b, n in enumerate(lengths) for h in range(heads)]
     dtype = np.result_type(q_data, k_data, v_data)
-    ctx = np.empty(q.shape, dtype=dtype)
-    for b, keep, cols in tiles:
-        p = _attention_probs(q_data[b, :, cols], k_data[b, :, cols], factor, keep)
-        ctx[b, :, cols] = np.matmul(p, v_data[b, :, cols])
+
+    def zeroed_padding(a):
+        for b, n in enumerate(lengths):
+            a[b, n:] = 0.0
+        return a
+
+    ctx = zeroed_padding(np.empty(q.shape, dtype=dtype))
+    for b, rows, cols in tiles:
+        p = _attention_probs(q_data[b, rows, cols], k_data[b, rows, cols], factor)
+        ctx[b, rows, cols] = np.matmul(p, v_data[b, rows, cols])
     out = Tensor._wrap(ctx)
     q_key, k_key, v_key = q.key, k.key, v.key
 
     def bwd(g, acc):
-        gq, gk, gv = (np.empty(g.shape, dtype=np.result_type(g, dtype)) for _ in range(3))
-        for b, keep, cols in tiles:
-            q_h, k_h, v_h, g_h = (a[b, :, cols] for a in (q_data, k_data, v_data, g))
-            p = _attention_probs(q_h, k_h, factor, keep)
-            gv[b, :, cols] = np.matmul(p.T, g_h)
+        gq, gk, gv = (zeroed_padding(np.empty(g.shape, dtype=np.result_type(g, dtype)))
+                      for _ in range(3))
+        for b, rows, cols in tiles:
+            q_h, k_h, v_h, g_h = (a[b, rows, cols] for a in (q_data, k_data, v_data, g))
+            p = _attention_probs(q_h, k_h, factor)
+            gv[b, rows, cols] = np.matmul(p.T, g_h)
             gs = np.matmul(g_h, v_h.T)
             # softmax's rule, p * (gs - sum(gs * p)), in gs's buffer
             proj = gs * p
             gs -= proj.sum(axis=-1, keepdims=True)
             gs *= p
             gs *= factor
-            gq[b, :, cols] = np.matmul(gs, k_h)
-            gk[b, :, cols] = np.matmul(q_h.T, gs).T
+            gq[b, rows, cols] = np.matmul(gs, k_h)
+            gk[b, rows, cols] = np.matmul(q_h.T, gs).T
         acc(q_key, gq)
         acc(k_key, gk)
         acc(v_key, gv)

@@ -195,12 +195,11 @@ def tensor_op_cases(seed: int):
              discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in ssm_leaves})),
              SeqBatch(ps["x"], [69, 69]), ps["w"], ps["b"]).data)
 
-    # two heads of width 3 over 5 positions; the mask drops keys inside a
-    # row and at its ends
+    # two heads of width 3 over 5 positions, then with the second row
+    # padded past 3: its outputs there are zeros, whatever q, k and v hold
     qkv = {"q": leaf((2, 5, 6)), "k": leaf((2, 5, 6)), "v": leaf((2, 5, 6))}
-    keys = np.array([[1, 1, 0, 1, 1], [0, 1, 1, 1, 0]], dtype=bool)
     case("attention", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2))
-    case("attention_masked", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2, keys))
+    case("attention_padded", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2, [5, 3]))
 
     # the same node backward in time, on rows of 69 and 40 valid steps
     rev_leaves = init_ssm_rng(3, 2, rng, "random_stable").named_params()
@@ -209,6 +208,15 @@ def tensor_op_cases(seed: int):
          lambda ps: ssm_conv_projected(
              discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in rev_leaves})),
              SeqBatch(ps["x"], [69, 40]), ps["w"], ps["b"], reverse=True).data)
+
+    # and causally on rows of 69, 40 and 7 valid steps: the node skips the
+    # chunks past each length and writes zeros there
+    pad_leaves = init_ssm_rng(3, 2, rng, "random_stable").named_params()
+    case("chunked_conv_projected_padded",
+         {**pad_leaves, "x": leaf((3, 69, 3)), "w": leaf((3, 2)), "b": leaf((2,))},
+         lambda ps: ssm_conv_projected(
+             discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in pad_leaves})),
+             SeqBatch(ps["x"], [69, 40, 7]), ps["w"], ps["b"]).data)
 
     return cases
 

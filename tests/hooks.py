@@ -124,7 +124,9 @@ def attention_weights(attn, x) -> np.ndarray:
 
     Wraps ``mhssm.tensor._attention_probs``, which the attention node calls
     once per (batch row, head) tile, batch row by batch row, for the
-    duration of that call, and stacks the tiles it returns.
+    duration of that call. A tile covers its row's n valid positions; it
+    fills the top-left (n, n) corner of its (length, length) slot, and the
+    rest holds zeros.
     """
     kept = []
     probs = T._attention_probs
@@ -139,7 +141,10 @@ def attention_weights(attn, x) -> np.ndarray:
         attn.attend(x)
     finally:
         T._attention_probs = probs
-    return np.stack(kept).reshape(x.batch, attn.heads, x.length, x.length)
+    weights = np.zeros((x.batch, attn.heads, x.length, x.length))
+    for (b, h), tile in zip(np.ndindex(x.batch, attn.heads), kept):
+        weights[b, h, :len(tile), :len(tile)] = tile
+    return weights
 
 
 def subprocess_env(**extra) -> dict:

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
-criterion. The learning demonstration (criterion 7) trains three models and
-is the slow part; everything else completes in a couple of minutes.
+criterion. Criteria 1-6 and 8 read their lines from one ``mhssm selftest``
+child, which criterion 9 checks as a whole; the learning demonstration
+(criterion 7) trains three models and is the slow part.
 """
 
 import subprocess
@@ -12,10 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from mhssm.verify import (criterion_determinism, criterion_frontends,
-                          criterion_gating, criterion_gradients,
-                          criterion_reductions, criterion_scan_conv,
-                          criterion_stability)
 from mhssm.training import train
 
 from hooks import subprocess_env
@@ -36,40 +33,49 @@ def report(number, name, detail):
     print(f"PASS criterion {number} ({name}): {detail}")
 
 
-def test_criterion_1_scan_conv_duality():
-    ok, detail = criterion_scan_conv()
-    assert ok, detail
-    report(1, "scan/conv duality", detail)
+@pytest.fixture(scope="session")
+def selftest():
+    """One ``mhssm selftest`` child for the session: it runs every criterion
+    of ``mhssm.verify.CRITERIA`` once and prints one line each."""
+    return subprocess.run([sys.executable, "-m", "mhssm.cli", "selftest"],
+                          capture_output=True, text=True, timeout=1200,
+                          env=subprocess_env())
 
 
-def test_criterion_2_gradient_correctness():
-    ok, detail = criterion_gradients(seeds=range(5))
-    assert ok, detail
-    report(2, "gradient correctness", detail)
+def check_selftest_line(selftest, number, name):
+    """Assert the child's line for criterion ``name`` reads PASS; report its detail."""
+    for line in selftest.stdout.splitlines():
+        status, _, rest = line.partition("  ")
+        if rest.startswith(f"{name}: "):
+            detail = rest[len(name) + 2:].rsplit(" [", 1)[0]
+            assert status == "PASS", detail
+            report(number, name, detail)
+            return
+    pytest.fail(f"no selftest line for {name!r}:\n{selftest.stdout}{selftest.stderr}")
 
 
-def test_criterion_3_stability():
-    ok, detail = criterion_stability()
-    assert ok, detail
-    report(3, "stability", detail)
+def test_criterion_1_scan_conv_duality(selftest):
+    check_selftest_line(selftest, 1, "scan/conv duality")
 
 
-def test_criterion_4_gating_identities():
-    ok, detail = criterion_gating()
-    assert ok, detail
-    report(4, "inter-head gating identities", detail)
+def test_criterion_2_gradient_correctness(selftest):
+    check_selftest_line(selftest, 2, "gradient correctness")
 
 
-def test_criterion_5_frontend_contract():
-    ok, detail = criterion_frontends()
-    assert ok, detail
-    report(5, "frontend contract", detail)
+def test_criterion_3_stability(selftest):
+    check_selftest_line(selftest, 3, "stability")
 
 
-def test_criterion_6_structural_reductions():
-    ok, detail = criterion_reductions()
-    assert ok, detail
-    report(6, "structural reductions", detail)
+def test_criterion_4_gating_identities(selftest):
+    check_selftest_line(selftest, 4, "inter-head gating identities")
+
+
+def test_criterion_5_frontend_contract(selftest):
+    check_selftest_line(selftest, 5, "frontend contract")
+
+
+def test_criterion_6_structural_reductions(selftest):
+    check_selftest_line(selftest, 6, "structural reductions")
 
 
 @pytest.fixture(scope="module")
@@ -125,16 +131,11 @@ def test_criterion_7_learning_demonstration(learning_runs):
     )
 
 
-def test_criterion_8_determinism_and_persistence(tmp_path):
-    ok, detail = criterion_determinism(workdir=tmp_path)
-    assert ok, detail
-    report(8, "determinism & persistence", detail)
+def test_criterion_8_determinism_and_persistence(selftest):
+    check_selftest_line(selftest, 8, "determinism & persistence")
 
 
-def test_criterion_9_selftest_cli():
-    proc = subprocess.run([sys.executable, "-m", "mhssm.cli", "selftest"],
-                          capture_output=True, text=True, timeout=1200,
-                          env=subprocess_env())
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("PASS") >= 7
-    report(9, "selftest CLI", "exit code 0; " + proc.stdout.strip().splitlines()[-1])
+def test_criterion_9_selftest_cli(selftest):
+    assert selftest.returncode == 0, selftest.stdout + selftest.stderr
+    assert selftest.stdout.count("PASS") >= 7
+    report(9, "selftest CLI", "exit code 0; " + selftest.stdout.strip().splitlines()[-1])

@@ -111,15 +111,18 @@ class TestLayerNorm:
         assert np.abs(out.var(axis=-1) - 1.0).max() <= 1e-4
 
 
-def _softmax(x, mask=None):
+def _softmax(x, lengths=None):
     """Softmax over the last axis of 2-d ``x`` through the attention node's
     per-tile weights helper: each row is a one-query tile whose keys are
-    the identity, at scale 1, so its scores are the row itself."""
+    the identity, at scale 1, so its scores are the row itself. With
+    ``lengths``, row i's tile holds only its first lengths[i] keys, as a
+    padded row's tile does, and the rest of the row is zero."""
     x = np.asarray(x, dtype=float)
-    eye = np.eye(x.shape[-1])
-    return np.concatenate([
-        T._attention_probs(row[None], eye, 1.0, None if mask is None else mask[i])
-        for i, row in enumerate(x)])
+    out = np.zeros_like(x)
+    for i, row in enumerate(x):
+        n = x.shape[-1] if lengths is None else lengths[i]
+        out[i, :n] = T._attention_probs(row[None, :n], np.eye(n), 1.0)
+    return out
 
 
 class TestSoftmax:
@@ -142,18 +145,19 @@ class TestSoftmax:
             assert np.abs(ref - mp_softmax(row)).max() <= 1e-12
 
     def test_rows_sum_to_one(self):
+        # each row's weights cover a prefix of its keys, as a padded row's do
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10, 7)) * 5
-        mask = rng.random((10, 7)) > 0.3
-        mask[:, 0] = True
-        out = _softmax(x, mask)
+        lengths = rng.integers(1, 8, size=10)
+        out = _softmax(x, lengths)
         assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-12
-        assert (out[~mask] == 0.0).all()
+        assert (out[np.arange(7) >= lengths[:, None]] == 0.0).all()
 
     def test_fully_masked_row_raises(self):
+        # a row of length 0 has no key to attend to
         qkv = [Tensor(np.zeros((2, 3, 4))) for _ in range(3)]
-        with pytest.raises(ValueError, match="fully masked"):
-            T.attention(*qkv, 1, np.array([[True, True, True], [False, False, False]]))
+        with pytest.raises(ValueError, match="length"):
+            T.attention(*qkv, 1, [3, 0])
 
 
 class TestFft:
@@ -372,17 +376,13 @@ def _glu_linear_reference(y, w, b, g):
     return out, [gy, gw, gb]
 
 
-def _softmax_reference(x, mask, g):
-    if mask is None:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    else:
-        z = np.where(mask, x, -np.inf)
-        e = np.where(mask, np.exp(z - z.max(axis=-1, keepdims=True)), 0.0)
+def _softmax_reference(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
     return s, [s * (g - (g * s).sum(axis=-1, keepdims=True))]
 
 
-def _attention_reference(q, k, v, heads, mask, g):
+def _attention_reference(q, k, v, heads, g):
     """Scores, scale, softmax and weighted sum over (batch, heads, length, dh)
     views, each product one stacked ``np.matmul``, as separate nodes ran
     them; (output, [dq, dk, dv])."""
@@ -399,9 +399,8 @@ def _attention_reference(q, k, v, heads, mask, g):
     q4, k4, v4, g4 = (split(a) for a in (q, k, v, g))
     kt = k4.transpose(0, 1, 3, 2)
     scores = np.matmul(q4, kt) * factor
-    keys = None if mask is None else mask[:, None, None, :]
     gp = np.matmul(g4, np.swapaxes(v4, -1, -2))
-    p, (gs,) = _softmax_reference(scores, keys, gp)
+    p, (gs,) = _softmax_reference(scores, gp)
     gv = np.matmul(np.swapaxes(p, -1, -2), g4)
     gs = gs * factor
     gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
@@ -426,10 +425,14 @@ class TestBufferedRulesKeepBits:
     it replaced, bit for bit."""
 
     @staticmethod
-    def _run(op, arrays, out_shape, dtype):
+    def _run(op, arrays, out_shape, dtype, lengths=None):
         rng = np.random.default_rng(31)
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         g = rng.standard_normal(out_shape).astype(dtype)
+        if lengths is not None:
+            # zero past each row's length, as the encoder's blocks re-zero
+            # their padding
+            g *= np.arange(out_shape[1])[:, None] < np.asarray(lengths)[:, None, None]
         with GradTape() as tape:
             out = op(*leaves)
             # d loss / d out is exactly g: ones from the sum, times g
@@ -443,6 +446,18 @@ class TestBufferedRulesKeepBits:
         for a, b in zip(got_grads, want_grads):
             assert a.dtype == dtype
             assert np.array_equal(a, b)
+
+    def _check_attention(self, qkv, heads, lengths, dtype):
+        """The node against the reference on each row's valid positions,
+        bit for bit, with exact zeros past each length."""
+        got, got_grads, g = self._run(lambda *t: T.attention(*t, heads, lengths), qkv,
+                                      qkv[0].shape, dtype, lengths)
+        for b, n in enumerate(lengths):
+            valid = (slice(b, b + 1), slice(0, n))
+            want, want_grads = _attention_reference(*(a[valid] for a in qkv), heads, g[valid])
+            self._check(got[valid], [a[valid] for a in got_grads], want, want_grads, dtype)
+            for a in [got, *got_grads]:
+                assert (a[b, n:] == 0.0).all()
 
     @staticmethod
     def _affine(rng, d_in, d_out, dtype):
@@ -491,13 +506,15 @@ class TestBufferedRulesKeepBits:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_softmax(self, dtype, masked):
         # softmax's rule inside the attention node: two heads of width 4 over
-        # 7 positions; rows 1 and 2 pad their last keys
+        # 7 positions; rows 1 and 2 are padded past 4 and 1 positions
         rng = np.random.default_rng(35)
         q, k, v = ((rng.standard_normal((3, 7, 8)) * 3.0).astype(dtype) for _ in range(3))
-        mask = (np.arange(7) < np.array([7, 4, 1])[:, None]) if masked else None
-        got, got_grads, g = self._run(lambda *t: T.attention(*t, 2, mask), [q, k, v],
+        if masked:
+            self._check_attention([q, k, v], 2, [7, 4, 1], dtype)
+            return
+        got, got_grads, g = self._run(lambda *t: T.attention(*t, 2), [q, k, v],
                                       q.shape, dtype)
-        self._check(got, got_grads, *_attention_reference(q, k, v, 2, mask, g), dtype)
+        self._check(got, got_grads, *_attention_reference(q, k, v, 2, g), dtype)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["full", "padded"])
     @pytest.mark.parametrize("length", [1, 37])
@@ -507,13 +524,13 @@ class TestBufferedRulesKeepBits:
         rng = np.random.default_rng(37)
         q, k, v = ((rng.standard_normal((3, length, 8)) * 2.0).astype(dtype)
                    for _ in range(3))
-        mask = None
         if masked:
-            # one full row, one padded row and one row with a single key
-            mask = np.arange(length) < np.array([length, -(-length // 2), 1])[:, None]
-        got, got_grads, g = self._run(lambda *t: T.attention(*t, heads, mask), [q, k, v],
+            # one full row, one padded row and one row with a single position
+            self._check_attention([q, k, v], heads, [length, -(-length // 2), 1], dtype)
+            return
+        got, got_grads, g = self._run(lambda *t: T.attention(*t, heads), [q, k, v],
                                       q.shape, dtype)
-        self._check(got, got_grads, *_attention_reference(q, k, v, heads, mask, g), dtype)
+        self._check(got, got_grads, *_attention_reference(q, k, v, heads, g), dtype)
 
 
 class TestAttention:
@@ -525,8 +542,8 @@ class TestAttention:
             T.attention(*qkv, 4)
         with pytest.raises(ShapeError, match="equal"):
             T.attention(qkv[0], qkv[1], Tensor(np.ones((2, 4, 3))), 2)
-        with pytest.raises(ShapeError, match="mask"):
-            T.attention(*qkv, 2, np.ones((2, 3), dtype=bool))
+        with pytest.raises(ShapeError, match="lengths"):
+            T.attention(*qkv, 2, [4, 4, 4])
 
     def test_tape_keeps_no_weights(self):
         # 4 heads over 128 positions: the weights would be 1 MiB, q, k and v

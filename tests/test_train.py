@@ -468,6 +468,67 @@ class TestTrainLoop:
         assert upticks <= 0.1 * ma[0]
 
 
+# a `mhssm train` child that kills itself with SIGKILL, at a point fixed by
+# wrapping ``save_checkpoint``: right after its k-th save ("after"), or
+# between the row of the k-th save's step and that save ("before")
+_KILLED_TRAIN = """
+import os, signal, sys
+from mhssm import cli, training
+
+k, when = int(sys.argv[1]), sys.argv[2]
+real_save = training.save_checkpoint
+saved = []
+
+
+def save(path, arrays, meta):
+    if when == "before" and len(saved) + 1 == k:
+        os.kill(os.getpid(), signal.SIGKILL)
+    real_save(path, arrays, meta)
+    saved.append(meta["step"])
+    if when == "after" and len(saved) == k:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+training.save_checkpoint = save
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+class TestKilledRun:
+    """A run killed with SIGKILL resumes in place to the rows and the final
+    checkpoint of a run that was never stopped."""
+
+    @pytest.mark.parametrize("k,when", [(2, "after"), (3, "before")])
+    def test_resume_after_sigkill_matches_an_uninterrupted_run(self, k, when, tmp_path):
+        from mhssm.checkpoint import load_checkpoint
+        cfg = {**TINY, "checkpoint_every": 3}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        full = train(dict(cfg), out_dir=tmp_path / "full")
+        run = tmp_path / "run"
+        proc = subprocess.run([sys.executable, "-c", _KILLED_TRAIN, str(k), when, "train",
+                               "--config", str(config), "--out", str(run)],
+                              capture_output=True, text=True, timeout=600, env=subprocess_env())
+        assert proc.returncode == -9, proc.stdout + proc.stderr
+        # the checkpoint holds step 3k, or 3(k-1) when killed before its save
+        held = 3 * k if when == "after" else 3 * (k - 1)
+        assert load_checkpoint(run / "checkpoint.bin")[1]["step"] == held
+        logged = [r.split(",")[0] for r in open(run / "metrics.csv")][1:]
+        assert logged == [str(s) for s in range(1, 3 * k + 1)]
+        resumed = train(dict(cfg), out_dir=run, resume=run / "checkpoint.bin")
+        rows = [r.rsplit(",", 1)[0] for r in open(resumed["metrics_path"])]
+        assert rows == [r.rsplit(",", 1)[0] for r in open(full["metrics_path"])]
+        arrays, meta = load_checkpoint(run / "checkpoint.bin")
+        want_arrays, want_meta = load_checkpoint(full["checkpoint_path"])
+        assert arrays.keys() == want_arrays.keys()
+        for name, value in arrays.items():
+            assert value.dtype == want_arrays[name].dtype, name
+            np.testing.assert_array_equal(value, want_arrays[name], err_msg=name)
+        for stored in (meta, want_meta):
+            del stored["config"]["out"]
+        assert meta == want_meta
+
+
 class TestLegacyCheckpoints:
     """Checkpoints from the per-head stage layout (``ihg``, ``glu``) and from
     stateformer layers that nested attention and feed-forward under
