@@ -13,7 +13,7 @@ from .encoder import Encoder, EncoderConfig, build_encoder, param_count, time_re
 from .errors import ConfigError, NumericsError, ShapeError
 from .nn import LayerNorm, Linear, Module
 from .optim import Adam, LrSchedule, clip_grad_norm
-from .seq import SeqBatch
+from .seq import PackedBatch, SeqBatch
 from .ssm import (DiagonalSsm, DiscreteSsm, discretize, materialize_kernel,
                   ssm_conv, ssm_scan)
 from .tasks import IGNORE_INDEX, TaskSpec, generate_task
@@ -26,7 +26,7 @@ __all__ = [
     "Adam", "BidirMhSsmBlock", "ConfigError", "DEFAULTS", "DiagonalSsm",
     "DirectionalMhSsm", "DiscreteSsm", "Encoder", "EncoderConfig", "GradTape",
     "IGNORE_INDEX", "LayerNorm", "Linear", "LrSchedule", "MhSsmBlockConfig",
-    "MhSsmStage", "Module", "NumericsError", "SeqBatch", "ShapeError",
+    "MhSsmStage", "Module", "NumericsError", "PackedBatch", "SeqBatch", "ShapeError",
     "TaskSpec", "Tensor", "build_encoder", "clip_grad_norm",
     "discretize", "evaluate", "generate_task",
     "load_checkpoint", "load_config", "materialize_kernel", "param_count",

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError
 from .nn import LayerNorm, Linear, Module
-from .seq import SeqBatch
+from .seq import PackedBatch
 from .ssm import discretize, init_ssm_rng, ssm_conv_projected, stack_systems
 from .tensor import Tensor
 
@@ -63,7 +63,8 @@ class MhSsmStage(Module):
     The input projection ``in_proj`` and the system run as one
     `ssm_conv_projected` node, which keeps the stage input but not the
     projection, so a stage holds its input once; the gate and ``out_proj``
-    run as one more node (`merge`). With ``reverse`` the stage runs
+    run as one more node (`merge`). A stage maps a packed batch (each row's
+    valid steps, row after row) to another; with ``reverse`` it runs
     backward in time within each row's valid length.
     """
 
@@ -108,10 +109,10 @@ class MhSsmStage(Module):
         per_head = T.reshape(vg, y.shape[:-1] + (self.heads, -1))
         return T.glu_linear(per_head, w, b, in_axes=2)
 
-    def __call__(self, x: Tensor, lengths) -> Tensor:
+    def __call__(self, x: PackedBatch) -> PackedBatch:
         proj = self.in_proj
-        return self.merge(ssm_conv_projected(discretize(self.ssm), SeqBatch(x, lengths),
-                                             proj.w, proj.b, self.reverse).data)
+        y = ssm_conv_projected(discretize(self.ssm), x, proj.w, proj.b, self.reverse)
+        return y.with_data(self.merge(y.data))
 
 
 class DirectionalMhSsm(Module):
@@ -121,9 +122,9 @@ class DirectionalMhSsm(Module):
                  reverse: bool = False):
         self.stages = [MhSsmStage(cfg, rng, dtype, reverse) for _ in range(cfg.stack)]
 
-    def __call__(self, x: Tensor, lengths) -> Tensor:
+    def __call__(self, x: PackedBatch) -> PackedBatch:
         for stage in self.stages:
-            x = stage(x, lengths)
+            x = stage(x)
         return x
 
 
@@ -145,12 +146,13 @@ class BidirMhSsmBlock(Module):
         self.out_proj = Linear(2 * d, d, rng, dtype=dtype)
         self.dropout = cfg.dropout
 
-    def concat_halves(self, x: SeqBatch) -> Tensor:
+    def concat_halves(self, x: PackedBatch) -> Tensor:
         """Pre-activation concatenation of the two directions (post-norm)."""
-        h = self.norm(x.data)
-        return T.concat([self.fwd(h, x.lengths), self.bwd(h, x.lengths)], axis=-1)
+        h = x.with_data(self.norm(x.data))
+        return T.concat([self.fwd(h).data, self.bwd(h).data], axis=-1)
 
-    def __call__(self, x: SeqBatch, train_rng: np.random.Generator | None = None) -> SeqBatch:
+    def __call__(self, x: PackedBatch,
+                 train_rng: np.random.Generator | None = None) -> PackedBatch:
         branch = T.gelu_linear(self.concat_halves(x), self.out_proj.w, self.out_proj.b)
         branch = T.dropout(branch, self.dropout, train_rng)
-        return x.with_data(T.add(x.data, branch)).rezero()
+        return x.with_data(T.add(x.data, branch))

@@ -24,7 +24,7 @@ from . import tensor as T
 from .blocks import BidirMhSsmBlock, MhSsmBlockConfig
 from .errors import ConfigError
 from .nn import LayerNorm, Linear, Module, sinusoidal_encoding
-from .seq import SeqBatch
+from .seq import PackedBatch, SeqBatch
 from .tensor import Tensor
 
 FRONTENDS = ("tr", "ms", "linear")
@@ -107,18 +107,35 @@ class EncoderConfig:
 # frontends
 
 
-def time_reduction(x: SeqBatch) -> SeqBatch:
-    """Splice each pair of adjacent frames into one frame of twice the width.
+def time_reduction(x: PackedBatch) -> PackedBatch:
+    """Splice each pair of adjacent frames of a row into one frame of twice
+    the width, as one node.
 
-    An odd tail is covered by a zero frame; valid lengths become
-    ceil(length / 2).
+    A zero frame covers the last frame of an odd-length row; valid lengths
+    become ceil(length / 2). The rows are packed, so pairs never straddle
+    two rows: the splice is a reshape of the frames, with a zero frame
+    inserted after each odd row.
     """
-    bsz, horizon, dim = x.data.shape
-    data = x.data
-    if horizon % 2:
-        data = T.concat([data, T.zeros((bsz, 1, dim), dtype=data.dtype)], axis=1)
-    data = T.reshape(data, (bsz, -(-horizon // 2), 2 * dim))
-    return SeqBatch(data, -(-x.lengths // 2))
+    dim = x.dim
+    frames = x.data.data.reshape(-1, dim)
+    odd_ends = np.asarray(x.starts[1:], dtype=np.int64)[x.lengths % 2 == 1]
+    if odd_ends.size:
+        frames = np.insert(frames, odd_ends, 0.0, axis=0)
+    length = -(-x.length // 2)
+    shape = (-1, 2 * dim) if x.data.ndim == 2 else (x.batch, length, 2 * dim)
+    out = Tensor._wrap(frames.reshape(shape))
+    # where the inserted frames sit in the spliced frames
+    inserted = odd_ends + np.arange(odd_ends.size)
+    key, in_shape = x.data.key, x.data.shape
+
+    def bwd(g, acc):
+        g = g.reshape(-1, dim)
+        if inserted.size:
+            g = np.delete(g, inserted, axis=0)
+        acc(key, g.reshape(in_shape))
+
+    T.record_op(out, (x.data,), bwd)
+    return PackedBatch(out, -(-x.lengths // 2), length)
 
 
 class MultiScaleFrontend(Module):
@@ -144,10 +161,10 @@ class MultiScaleFrontend(Module):
             for _ in range(per_round)
         ]
 
-    def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
+    def __call__(self, x: PackedBatch, train_rng=None) -> PackedBatch:
         if x.dim != self.input_dim:
             raise ConfigError(f"frontend expects {self.input_dim}-dim input, got {x.dim}")
-        h = x.with_data(self.proj(x.data)).rezero()
+        h = x.with_data(self.proj(x.data))
         if not self.subsample:
             return h
         for blocks in (self.blocks_lo, self.blocks_hi):
@@ -164,12 +181,12 @@ class MultiScaleFrontend(Module):
 class SelfAttentionBlock(Module):
     """Pre-norm residual multi-head scaled dot-product attention.
 
-    The q, k and v projections feed one ``T.attention`` node, whose
-    (batch, length, dim) context ``wo`` reads; head h owns columns
-    h*head_dim to (h+1)*head_dim. Each row attends within its valid
-    length: padded keys take no weight, and the context is exactly zero at
-    padded queries. Scores scale by 1/sqrt(head_dim). Fully padded
-    sequences are rejected.
+    The q, k and v projections of the packed frames feed one
+    ``T.attention`` node, whose context ``wo`` reads; head h owns columns
+    h*head_dim to (h+1)*head_dim. Each row attends within its own valid
+    frames, which the node finds through the batch's row starts; no padded
+    frame exists to take weight. Scores scale by 1/sqrt(head_dim). Fully
+    padded sequences are rejected.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -184,17 +201,17 @@ class SelfAttentionBlock(Module):
         self.wo = Linear(dim, dim, rng, dtype=dtype)
         self.dropout = dropout
 
-    def attend(self, x: SeqBatch) -> Tensor:
+    def attend(self, x: PackedBatch) -> Tensor:
         """Attention branch on the normalized input (no residual)."""
         if (x.lengths == 0).any():
             raise ValueError("attention received a fully padded sequence")
         h = self.norm(x.data)
         q, k, v = self.wq(h), self.wk(h), self.wv(h)
-        return self.wo(T.attention(q, k, v, self.heads, x.lengths))
+        return self.wo(T.attention(q, k, v, self.heads, x.starts))
 
-    def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
+    def __call__(self, x: PackedBatch, train_rng=None) -> PackedBatch:
         branch = T.dropout(self.attend(x), self.dropout, train_rng)
-        return x.with_data(T.add(x.data, branch)).rezero()
+        return x.with_data(T.add(x.data, branch))
 
 
 class FeedForwardBlock(Module):
@@ -207,10 +224,10 @@ class FeedForwardBlock(Module):
         self.lin2 = Linear(hidden, dim, rng, dtype=dtype)
         self.dropout = dropout
 
-    def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
+    def __call__(self, x: PackedBatch, train_rng=None) -> PackedBatch:
         branch = T.gelu_linear(self.lin1(self.norm(x.data)), self.lin2.w, self.lin2.b)
         branch = T.dropout(branch, self.dropout, train_rng)
-        return x.with_data(T.add(x.data, branch)).rezero()
+        return x.with_data(T.add(x.data, branch))
 
 
 class EncoderLayer(Module):
@@ -230,7 +247,7 @@ class EncoderLayer(Module):
         self.ffn = FeedForwardBlock(cfg.model_dim, cfg.ffn_dim, rng,
                                     cfg.dropout, cfg.np_dtype)
 
-    def __call__(self, x: SeqBatch, train_rng=None) -> SeqBatch:
+    def __call__(self, x: PackedBatch, train_rng=None) -> PackedBatch:
         for name in ("ssm_block", "attn", "ffn"):
             if hasattr(self, name):
                 x = getattr(self, name)(x, train_rng)
@@ -238,7 +255,13 @@ class EncoderLayer(Module):
 
 
 class Encoder(Module):
-    """Frontend, block schedule and closing layer norm."""
+    """Frontend, block schedule and closing layer norm.
+
+    The padded input is packed once into its valid frames (`SeqBatch.packed`),
+    every module runs on that `PackedBatch`, and the closing norm's output
+    is unpacked once into a batch with exact zeros at the padding. An
+    unpadded batch packs and unpacks to itself, with no copy and no node.
+    """
 
     def __init__(self, cfg: EncoderConfig, seed: int = 0):
         cfg.validate()
@@ -249,13 +272,13 @@ class Encoder(Module):
         self.final_norm = LayerNorm(cfg.model_dim, dtype=cfg.np_dtype)
 
     def __call__(self, x: SeqBatch, train_rng: np.random.Generator | None = None) -> SeqBatch:
-        h = self.frontend(x, train_rng)
+        h = self.frontend(x.packed(), train_rng)
         if self.cfg.use_positional:
             table = sinusoidal_encoding(h.length, h.dim, h.data.dtype)
-            h = h.with_data(T.add(h.data, Tensor._wrap(table[None]))).rezero()
+            h = h.with_data(T.add(h.data, Tensor._wrap(table[h.positions()])))
         for layer in self.layers:
             h = layer(h, train_rng)
-        return h.with_data(self.final_norm(h.data)).rezero()
+        return h.with_data(self.final_norm(h.data)).unpacked()
 
 
 def build_encoder(cfg: EncoderConfig, seed: int = 0) -> Encoder:

@@ -20,10 +20,10 @@ them, O(L * (Q + 4n)) work per channel, with no kernel and no transform
 (per-node timings in the `ssm_conv` docstring). CHUNK = 32 beat 16 and 64 at
 (1, 8192), (32, 512) and (8, 800) alike. `ssm_conv_projected` runs the same
 node with a stage's input projection folded in, and anti-causally for the
-backward direction (as bidirectional S4D, Gu et al. 2022), on each row's
-valid steps only: on a padded batch it skips every chunk wholly past a
-row's length and writes zeros there, as variable-length batches skip
-padding elsewhere (sequence packing, Krell et al. 2021, arXiv 2107.02027).
+backward direction (as bidirectional S4D, Gu et al. 2022), on the packed
+valid frames of a batch (`mhssm.seq.PackedBatch`, sequence packing, Krell
+et al. 2021, arXiv 2107.02027): no padded step reaches it, and it skips
+every chunk wholly past a row's length.
 The node keeps only its input and small per-channel weights; its backward
 rebuilds the projection, the chunked input and the chunk states.
 
@@ -55,7 +55,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .nn import Module
-from .seq import SeqBatch
+from .seq import PackedBatch, SeqBatch, row_starts
 from .tensor import Tensor
 
 INIT_SCHEMES = ("s4d_lin", "random_stable")
@@ -362,8 +362,8 @@ def _toeplitz_select(q: int) -> np.ndarray:
 
 class _Layout:
     """Where each (chunk, row) of a batch sits in the chunked node's packed
-    (channels, rows, CHUNK) layout, and each row's valid steps in a packed
-    (valid steps, features) array.
+    (channels, rows, CHUNK) layout, and each row's valid steps among the
+    packed frames.
 
     Rows go longest first (a stable sort), so the rows still live in chunk
     c, those with c*CHUNK < length, are a prefix of that order: chunk c's
@@ -371,14 +371,14 @@ class _Layout:
     on, and a (chunk, row) wholly past its row's length has no packed row.
     With every row at full length the order is the batch's own and the
     layout is (channels, chunks, batch, CHUNK) flattened. Row b's valid
-    steps are rows ``starts[b]:starts[b+1]`` of a packed array.
+    steps are frames ``starts[b]:starts[b+1]`` (`mhssm.seq.row_starts`).
     """
 
     __slots__ = ("lengths", "starts", "order", "counts", "offsets", "run_end")
 
     def __init__(self, lengths: tuple[int, ...]):
         self.lengths = lengths
-        self.starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]).tolist()
+        self.starts = row_starts(lengths)
         self.order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
         per_row = -(-np.asarray(lengths, dtype=np.int64) // CHUNK)
         chunks = int(per_row.max(initial=0))
@@ -408,29 +408,9 @@ class _Layout:
         """Rows of chunks 0..C-2, whose end states a next chunk reads."""
         return self.offsets[max(self.chunks - 1, 0)]
 
-    def row_views(self, a: np.ndarray) -> list[np.ndarray]:
-        """Each row's valid steps as a view: ``a[b, :n]`` of a (batch,
-        length, ...) array, or rows ``starts[b]:starts[b+1]`` of a packed one."""
-        if a.ndim == 3:
-            return [a[b, :n] for b, n in enumerate(self.lengths)]
-        return [a[lo:hi] for lo, hi in zip(self.starts, self.starts[1:])]
-
-    def packed(self, x: np.ndarray) -> np.ndarray:
-        """The valid steps of (batch, length, features) ``x``, row after row,
-        as (valid steps, features); ``x`` reshaped when no step is padding."""
-        if self.starts[-1] == x.shape[0] * x.shape[1]:
-            return x.reshape(-1, x.shape[2])
-        return np.concatenate(self.row_views(x))
-
-    def unpacked(self, a: np.ndarray, shape: tuple) -> np.ndarray:
-        """The inverse of `packed`: zeros at the padded steps."""
-        if a.shape[0] == shape[0] * shape[1]:
-            return a.reshape(shape)
-        out = np.empty(shape, a.dtype)
-        for b, (n, row) in enumerate(zip(self.lengths, self.row_views(a))):
-            out[b, :n] = row
-            out[b, n:] = 0.0
-        return out
+    def row_views(self, frames: np.ndarray) -> list[np.ndarray]:
+        """Each row's valid steps as a view of the packed (frames, ...) array."""
+        return [frames[lo:hi] for lo, hi in zip(self.starts, self.starts[1:])]
 
 
 def _tile_pairs(xc: np.ndarray, rows: list[np.ndarray], layout: _Layout, reverse: bool):
@@ -460,9 +440,9 @@ def _tile_pairs(xc: np.ndarray, rows: list[np.ndarray], layout: _Layout, reverse
 
 
 def _to_chunks(x: np.ndarray, layout: _Layout, dtype, reverse: bool) -> np.ndarray:
-    """(batch, length, channels) or packed (valid steps, channels) ->
-    (channels, rows, CHUNK) of ``dtype`` in ``layout``, zeros past each
-    row's length; with ``reverse``, rows run backward within their lengths."""
+    """Packed (frames, channels) -> (channels, rows, CHUNK) of ``dtype`` in
+    ``layout``, zeros past each row's length; with ``reverse``, rows run
+    backward within their lengths."""
     out = np.empty((x.shape[-1], layout.rows, CHUNK), dtype=dtype)
     for j, b in enumerate(layout.order):
         n = layout.lengths[b]
@@ -474,11 +454,7 @@ def _to_chunks(x: np.ndarray, layout: _Layout, dtype, reverse: bool) -> np.ndarr
 
 
 def _from_chunks(xc: np.ndarray, out: np.ndarray, layout: _Layout, reverse: bool) -> np.ndarray:
-    """The inverse of `_to_chunks` into ``out``, (batch, length, channels)
-    with zeros past each row's length, or packed (valid steps, channels)."""
-    if out.ndim == 3:
-        for b, n in enumerate(layout.lengths):
-            out[b, n:] = 0.0
+    """The inverse of `_to_chunks` into packed (frames, channels) ``out``."""
     for tile, block in _tile_pairs(xc, layout.row_views(out), layout, reverse):
         tile[...] = block
     return out
@@ -581,10 +557,14 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
                   b: Tensor | None = None, lengths=None, reverse: bool = False) -> Tensor:
     """The causal convolution of u with the system's kernel, plus ``skip * u``.
 
-    u is ``x``, or with an (in, channels) weight ``w`` and (channels,) bias
-    ``b`` the input projection u = x @ w + b, computed as `T.linear`
-    computes it. One fused node computing what ``causal_conv_fft(u,
-    materialize_kernel)`` does, without the L-tap kernel or any transform
+    ``x`` holds the rows' valid steps one row after another on its leading
+    axes, as a packed batch does: (frames, features), or (batch, length,
+    features) when every row runs the full length (the default without
+    ``lengths``). u is ``x``, or with an (in, channels) weight ``w`` and
+    (channels,) bias ``b`` the input projection u = x @ w + b, computed as
+    `T.linear` computes it; the output has x's leading axes. One fused
+    node computing what ``causal_conv_fft(u, materialize_kernel)`` does on
+    each row, without the L-tap kernel or any transform
     (chunked state passing, Dao & Gu 2024, arXiv 2405.21060). Time is cut
     into chunks of Q = CHUNK steps, the last one zero-padded; z = abar, and
     the powers z^0..z^Q come from log space (`_powers_through`), so abar = 0
@@ -612,30 +592,27 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     The node keeps ``x`` and the small per-channel weights (powers, the
     three GEMM weights and z^Q), and no spectrum. It does not keep u, the
     chunked input or the chunk states: the backward rebuilds them with the
-    forward's GEMMs and carry loop, one (batch*length, in) @ (in, channels)
-    GEMM and one state pass more per call (recomputation in reverse mode,
+    forward's GEMMs and carry loop, one (frames, in) @ (in, channels) GEMM
+    and one state pass more per call (recomputation in reverse mode,
     Chen et al. 2016, arXiv 1604.06174). So a stage holds its input once
     rather than three times over.
 
-    With the rows' valid ``lengths``, each row is the n steps before its
-    length: a (chunk, row) wholly past n has no row in the layout, so the
-    GEMMs, layout copies, carry loop and backward skip it, and y and gu
-    hold exact zeros past n; the gradient there is not read. Causality
-    means the valid outputs read no step past n either. Rows go longest
-    first, so each chunk's live rows are a prefix. Without ``lengths``
-    every step is valid; a batch whose rows all run the full length takes
-    the same layout, so it keeps those bits. With ``reverse`` the node
-    runs anti-causally, reading each row backward within its length in the
-    layout copies. So y, dx and the system's gradients are, bit for bit,
-    the causal node's between two per-row reversals; dw and db sum rows in
-    another order.
+    Row b's n = ``lengths[b]`` steps are frames ``starts[b]:starts[b+1]``
+    (`_Layout`): a (chunk, row) wholly past n has no row in the layout, so
+    the GEMMs, layout copies, carry loop and backward skip it. Rows go
+    longest first, so each chunk's live rows are a prefix. A batch whose
+    rows all run the full length takes the layout of the batch's own
+    order, so it keeps the bits of a node without lengths. With
+    ``reverse`` the node runs anti-causally, reading each row backward
+    within its length in the layout copies. So y, dx and the system's
+    gradients are, bit for bit, the causal node's between two per-row
+    reversals; dw and db sum rows in another order.
     """
-    bsz, length = x.shape[:2]
-    if length < 1:
-        raise ShapeError(f"input length must be >= 1, got {length}")
+    if lengths is None:
+        lengths = (x.shape[1],) * x.shape[0]
     p, n = zoh.shape[1:]
     q = CHUNK
-    layout = _layout((length,) * bsz if lengths is None else tuple(map(int, lengths)))
+    layout = _layout(tuple(map(int, lengths)))
     first, inner = layout.first, layout.inner
     dtype = x.dtype if w is None else np.result_type(x.dtype, w.dtype)
     cdtype = np.result_type(dtype, np.complex64)
@@ -655,30 +632,31 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     w_out = w_out.astype(dtype, copy=False)
     # z^Q per (channel, batch row, mode), so the carry's inner loop spans
     # batch*n contiguous values
-    z_q = np.repeat(powers[:, None, :, q].astype(cdtype), bsz, axis=1)
-    x_data, x_key, x_shape = x.data, x.key, x.shape
+    z_q = np.repeat(powers[:, None, :, q].astype(cdtype), len(layout.lengths), axis=1)
+    x_key, x_shape = x.key, x.shape
+    frames = x.data.reshape(-1, x_shape[-1])
     w_data, b_data = (None, None) if w is None else (w.data, b.data)
 
     def chunked_input():
         # u = x @ w + b as `T.linear` computes it (one 2-d product, the bias
-        # added in place) on x's valid steps, packed; the packed copy goes
-        # before u's chunked copy is made, and u as soon as that exists
-        u = x_data
+        # added in place); u goes as soon as its chunked copy exists
+        u = frames
         if w is not None:
-            u = np.matmul(layout.packed(x_data), w_data)
+            u = np.matmul(frames, w_data)
             u += b_data
         return _to_chunks(u, layout, dtype, reverse)
 
     # the output outlives the call, so it comes before the temporaries and
     # reuses none of their space; in the other order the heap fragmented
     # and peak RSS on `asr_stateformer` rose by 7%
-    y = np.empty((bsz, length, p), dtype=dtype)
+    y = np.empty(x_shape[:-1] + (p,), dtype=dtype)
     uc = chunked_input()
     states = _chunk_states(uc, w_end, z_q, layout)
     yc = np.matmul(uc, w_toe)
     yc[:, first:] += np.matmul(states, w_out)
     del uc, states
-    out = Tensor._wrap(_from_chunks(yc, y, layout, reverse))
+    _from_chunks(yc, y.reshape(-1, p), layout, reverse)
+    out = Tensor._wrap(y)
     zoh_key, zoh_dtype = zoh.key, zoh.dtype
     skip_key, skip_dtype = skip.key, skip.dtype
     inputs = (x, zoh, skip) if w is None else (x, w, b, zoh, skip)
@@ -689,7 +667,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         # each goes before the next full-size gradient buffer is made
         uc = chunked_input()
         states = _chunk_states(uc, w_end, z_q, layout)
-        gc = _to_chunks(g, layout, dtype, reverse)
+        gc = _to_chunks(g.reshape(-1, p), layout, dtype, reverse)
         uc_t = np.swapaxes(uc, 1, 2)
         g_taps = np.matmul(uc_t, gc).reshape(p, q * q) @ _toeplitz_select(q)   # (p, q)
         # conj of d Re(S W) / d W for W = 2 cb z^(t+1), as (p, n, q)
@@ -709,9 +687,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         gc_u = np.matmul(gc, np.swapaxes(w_toe, 1, 2))
         gc_u[:, :inner] += np.matmul(g_ends, np.swapaxes(w_end, 1, 2))
         del gc, g_ends
-        # u's gradient at the valid steps only, packed as the projection reads x
-        gu = np.empty(x_shape[:2] + (p,) if w is None else (layout.starts[-1], p), dtype)
-        _from_chunks(gc_u, gu, layout, reverse)
+        gu = _from_chunks(gc_u, np.empty((len(frames), p), dtype), layout, reverse)
         del gc_u
 
         g_pow = np.zeros(powers.shape, dtype=np.complex128)              # (p, n, q+1)
@@ -725,10 +701,10 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
         acc(skip_key, g_taps[:, 0].astype(skip_dtype, copy=False))
         acc(zoh_key, _zoh_grad(w_log, g_cb, zoh_dtype))
         if w_data is None:
-            acc(x_key, gu)
+            acc(x_key, gu.reshape(x_shape))
             return
-        acc(x_key, layout.unpacked(np.matmul(gu, w_data.T), x_shape))
-        acc(w_key, np.matmul(layout.packed(x_data).T, gu))
+        acc(x_key, np.matmul(gu, w_data.T).reshape(x_shape))
+        acc(w_key, np.matmul(frames.T, gu))
         acc(b_key, gu.sum(axis=0))
 
     T.record_op(out, inputs, bwd)
@@ -755,44 +731,53 @@ def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
         (8, 768, 16)              asr frontend        7.8 / 16.6   3.5 /  9.4   3.9 / 10.8
         (1, 8192, 64)             echo_8k_mh_ssm     63.5 / 137   16.1 / 54.1  19.0 / 68.1
 
-    On a padded batch ``ssm_conv_projected`` skips each row's chunks past
-    its length. At the ASR shapes with rows of 768, 712, 650, 590, 520,
-    455, 390 and 330 steps at full rate (28% padding) and their halves and
-    quarters, projected node before (every step computed) and after, in ms,
-    fwd / fwd+bwd, median of 101 calls interleaved in one process, causal
-    and anti-causal alternating, on the host above::
+    On a padded batch ``ssm_conv_projected`` runs on the packed valid
+    frames and skips each row's chunks past its length. At the ASR shapes
+    with rows of 768, 712, 650, 590, 520, 455, 390 and 330 steps at full
+    rate (28% padding) and their halves and quarters, projected node in
+    ms, fwd / fwd+bwd, median of 101 calls on the host above, causal and
+    anti-causal alternating, with the padded (batch, steps, channels) input
+    that the node packed and unpacked itself against packed input, both
+    loaded in one process and interleaved call by call (median per-call
+    ratio 0.96-0.97 fwd, 0.94-0.97 fwd+bwd). Skipping the padded chunks
+    had taken the fwd+bwd to 0.89-0.94x (float64) and 0.95-1.00x (float32)
+    of a node that computes every step::
 
-        (batch, steps, channels)  float64 before  after        float32 before  after
-        (8, 192, 64)              2.57 / 7.66     2.37 / 7.00  1.88 / 5.09     1.78 / 4.83
-        (8, 384, 32)              1.89 / 6.00     1.84 / 5.65  1.39 / 4.01     1.44 / 3.98
-        (8, 768, 16)              1.67 / 5.60     1.54 / 4.96  1.16 / 3.53     1.19 / 3.52
+        (batch, steps, channels)  float64 padded  packed       float32 padded  packed
+        (8, 192, 64)              2.20 / 6.37     2.15 / 6.16  1.81 / 4.91     1.75 / 4.74
+        (8, 384, 32)              1.81 / 5.41     1.71 / 5.10  1.35 / 3.75     1.32 / 3.65
+        (8, 768, 16)              1.45 / 4.60     1.41 / 4.34  1.13 / 3.29     1.11 / 3.18
 
     The per-call prologue (powers and GEMM weights) and epilogue (the
     power gradients), about 1.5 ms of the fwd+bwd at 64 channels timed
     alone, do not shrink with padding.
     """
     _check_channels(d, u)
+    if u.length < 1:
+        raise ShapeError(f"input length must be >= 1, got {u.length}")
     return u.with_data(_chunked_conv(u.data, d.zoh, d.d))
 
 
-def ssm_conv_projected(d: DiscreteSsm, x: SeqBatch, w: Tensor, b: Tensor,
-                       reverse: bool = False) -> SeqBatch:
+def ssm_conv_projected(d: DiscreteSsm, x: PackedBatch, w: Tensor, b: Tensor,
+                       reverse: bool = False) -> PackedBatch:
     """``ssm_conv(d, u)`` of the projection u = x @ w + b, as one node.
 
-    ``w`` is (in, channels) and ``b`` is (channels,). At each row's valid
-    steps every value equals that of `T.linear` followed by
-    :func:`ssm_conv`, but the node keeps only ``x`` of the activations and
-    reads only each row's ``x.lengths[b]`` valid steps: its outputs past
-    the length are exact zeros, and the gradient there is not read, so the
-    gradients equal those of the two nodes under an upstream gradient that
-    is zero past each length (see :func:`_chunked_conv`). With ``reverse``
-    it runs backward in time within each row's valid length: the output at
-    step t reads u at steps t..length-1.
+    ``x`` is a packed batch and so is the result: each row's valid steps,
+    row after row. ``w`` is (in, channels) and ``b`` is (channels,). At
+    each row's valid steps every value equals that of `T.linear` followed
+    by :func:`ssm_conv` on the unpacked batch, but the node keeps only
+    ``x`` of the activations, so the gradients equal those of the two nodes
+    under an upstream gradient that is zero past each length (see
+    :func:`_chunked_conv`). With ``reverse`` it runs backward in time
+    within each row's valid length: the output at step t reads u at steps
+    t..length-1.
     """
     if w.shape != (x.dim, d.channels) or b.shape != (d.channels,):
         raise ShapeError(f"projection of {x.dim} features to {d.channels} channels needs an "
                          f"({x.dim}, {d.channels}) weight and ({d.channels},) bias, "
                          f"got {w.shape}/{b.shape}")
+    if x.length < 1:
+        raise ShapeError(f"input length must be >= 1, got {x.length}")
     return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b, x.lengths, reverse))
 
 

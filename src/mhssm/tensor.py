@@ -21,7 +21,7 @@ attention) are single nodes that store their result once. An activation's
 output is one multiply away from the inputs its own rule keeps, so
 ``gelu_linear`` and ``glu_linear`` keep those inputs and rebuild the output
 in the backward for the weight gradient instead of holding it. ``attention``
-keeps q, k and v and rebuilds each (batch row, head) tile's weights in the
+keeps q, k and v and rebuilds each (row, head) tile's weights in the
 backward, so no (batch, heads, length, length) array is ever kept or made.
 
 The elementwise rules of ``gelu_linear``, ``glu_linear``, ``layer_norm`` and
@@ -612,7 +612,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def _attention_probs(q_h: np.ndarray, k_h: np.ndarray, factor: float) -> np.ndarray:
-    """Weights of one (batch row, head) tile of :func:`attention`: the
+    """Weights of one (row, head) tile of :func:`attention`: the
     softmax over keys of q_h @ k_h^T * factor, built in one buffer."""
     p = np.matmul(q_h, k_h.T)
     p *= factor
@@ -622,84 +622,81 @@ def _attention_probs(q_h: np.ndarray, k_h: np.ndarray, factor: float) -> np.ndar
     return p
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, starts=None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
-    ``q``, ``k`` and ``v`` are (batch, length, dim). Head h reads columns
-    h*dh to (h+1)*dh of each, with dh = dim / heads, and writes the same
-    columns of the (batch, length, dim) result. ``lengths`` optionally gives
-    each batch row's valid length n >= 1: the row's first n queries attend
-    to its first n keys, and its outputs past n are exact zeros, whose
-    gradient is not read. Without it every position is valid.
+    ``q``, ``k`` and ``v`` are equal (..., dim) arrays whose leading axes
+    hold the frames of a batch's rows one after another, as a packed batch
+    does: row b is frames ``starts[b]`` to ``starts[b+1]`` of them, at least
+    one each, and its queries attend to its keys only. Without ``starts``
+    they are (batch, length, dim) and each batch row is one row. Head h
+    reads columns h*dh to (h+1)*dh of each, with dh = dim / heads, and
+    writes the same columns of the result, which has q's shape.
 
-    The node runs one (batch row, head) tile at a time, sliced to the row's
-    n valid positions: the scores q_h @ k_h^T, scaled in place by
-    1/sqrt(dh), the softmax in the same buffer (``_attention_probs``), then
-    P @ v_h. So a padded row costs its n^2 scores, not length^2. On a tape
-    it keeps q, k, v and the lengths, never the (batch, heads, length,
-    length) weights: its backward rebuilds each tile's P with the same
-    calls, then takes dv = P^T @ g_h, dP = g_h @ v_h^T, softmax's rule in
-    dP's buffer, the scale, dq = dS @ k_h and dk = (q_h^T @ dS)^T, with
-    zeros past n. Each is the product a stacked ``matmul`` makes for that
-    tile, in the same operation order, so every value and gradient keeps
-    the bits of scores, scale, softmax and weighted sum as separate nodes
-    over (batch, heads, n, dh) views of each row's valid positions.
+    The node runs one (row, head) tile at a time, sliced out of the packed
+    frames: the scores q_h @ k_h^T, scaled in place by 1/sqrt(dh), the
+    softmax in the same buffer (``_attention_probs``), then P @ v_h. So a
+    row of n frames costs its n^2 scores. On a tape it keeps q, k, v and
+    the row starts, never the (rows, heads, n, n) weights: its backward
+    rebuilds each tile's P with the same calls, then takes dv = P^T @ g_h,
+    dP = g_h @ v_h^T, softmax's rule in dP's buffer, the scale, dq = dS @
+    k_h and dk = (q_h^T @ dS)^T. Each is the product a stacked ``matmul``
+    makes for that tile, in the same operation order, so every value and
+    gradient keeps the bits of scores, scale, softmax and weighted sum as
+    separate nodes over (rows, heads, n, dh) views.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(
-            f"attention needs equal (batch, length, dim) q, k and v, got "
+            f"attention needs equal (..., dim) q, k and v, got "
             f"{q.shape}/{k.shape}/{v.shape}"
         )
-    bsz, length, dim = q.shape
+    dim = q.shape[-1]
+    frames = math.prod(q.shape[:-1])
     if heads < 1 or dim % heads:
         raise ShapeError(f"attention width {dim} not divisible by {heads} heads")
-    if lengths is None:
-        lengths = [length] * bsz
-    else:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (bsz,):
-            raise ShapeError(f"attention lengths {lengths.shape} do not match batch {bsz}")
-        if (lengths < 1).any() or (lengths > length).any():
-            raise ValueError(f"attention: every row needs a length in [1, {length}], "
-                             f"got {lengths.tolist()}")
-        lengths = lengths.tolist()
+    if starts is None:
+        if q.ndim != 3:
+            raise ShapeError(f"attention without row starts needs (batch, length, dim), "
+                             f"got {q.shape}")
+        starts = range(0, frames + 1, q.shape[1])
+    starts = [int(t) for t in starts]
+    if starts[0] != 0 or starts[-1] != frames:
+        raise ShapeError(f"attention row starts {starts} do not cover {frames} frames")
+    if any(lo >= hi for lo, hi in zip(starts, starts[1:])):
+        raise ValueError(f"attention: every row needs at least one frame, "
+                         f"got row starts {starts}")
     dh = dim // heads
     factor = 1.0 / math.sqrt(dh)
-    q_data, k_data, v_data = q.data, k.data, v.data
-    tiles = [(b, slice(0, n), slice(h * dh, (h + 1) * dh))
-             for b, n in enumerate(lengths) for h in range(heads)]
+    q_data, k_data, v_data = (t.data.reshape(frames, dim) for t in (q, k, v))
+    tiles = [(slice(lo, hi), slice(h * dh, (h + 1) * dh))
+             for lo, hi in zip(starts, starts[1:]) for h in range(heads)]
     dtype = np.result_type(q_data, k_data, v_data)
 
-    def zeroed_padding(a):
-        for b, n in enumerate(lengths):
-            a[b, n:] = 0.0
-        return a
-
-    ctx = zeroed_padding(np.empty(q.shape, dtype=dtype))
-    for b, rows, cols in tiles:
-        p = _attention_probs(q_data[b, rows, cols], k_data[b, rows, cols], factor)
-        ctx[b, rows, cols] = np.matmul(p, v_data[b, rows, cols])
-    out = Tensor._wrap(ctx)
-    q_key, k_key, v_key = q.key, k.key, v.key
+    ctx = np.empty((frames, dim), dtype=dtype)
+    for rows, cols in tiles:
+        p = _attention_probs(q_data[rows, cols], k_data[rows, cols], factor)
+        ctx[rows, cols] = np.matmul(p, v_data[rows, cols])
+    out = Tensor._wrap(ctx.reshape(q.shape))
+    q_key, k_key, v_key, shape = q.key, k.key, v.key, q.shape
 
     def bwd(g, acc):
-        gq, gk, gv = (zeroed_padding(np.empty(g.shape, dtype=np.result_type(g, dtype)))
-                      for _ in range(3))
-        for b, rows, cols in tiles:
-            q_h, k_h, v_h, g_h = (a[b, rows, cols] for a in (q_data, k_data, v_data, g))
+        g = g.reshape(frames, dim)
+        gq, gk, gv = (np.empty(g.shape, dtype=np.result_type(g, dtype)) for _ in range(3))
+        for rows, cols in tiles:
+            q_h, k_h, v_h, g_h = (a[rows, cols] for a in (q_data, k_data, v_data, g))
             p = _attention_probs(q_h, k_h, factor)
-            gv[b, rows, cols] = np.matmul(p.T, g_h)
+            gv[rows, cols] = np.matmul(p.T, g_h)
             gs = np.matmul(g_h, v_h.T)
             # softmax's rule, p * (gs - sum(gs * p)), in gs's buffer
             proj = gs * p
             gs -= proj.sum(axis=-1, keepdims=True)
             gs *= p
             gs *= factor
-            gq[b, rows, cols] = np.matmul(gs, k_h)
-            gk[b, rows, cols] = np.matmul(q_h.T, gs).T
-        acc(q_key, gq)
-        acc(k_key, gk)
-        acc(v_key, gv)
+            gq[rows, cols] = np.matmul(gs, k_h)
+            gk[rows, cols] = np.matmul(q_h.T, gs).T
+        acc(q_key, gq.reshape(shape))
+        acc(k_key, gk.reshape(shape))
+        acc(v_key, gv.reshape(shape))
 
     record_op(out, (q, k, v), bwd)
     return out

@@ -17,10 +17,11 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import BidirMhSsmBlock, MhSsmBlockConfig, MhSsmStage
-from .encoder import EncoderConfig, EncoderLayer, MultiScaleFrontend, build_encoder
+from .encoder import (EncoderConfig, EncoderLayer, MultiScaleFrontend, build_encoder,
+                      time_reduction)
 from .nn import Module
 from .optim import Adam
-from .seq import SeqBatch
+from .seq import PackedBatch, SeqBatch
 from .ssm import (DiagonalSsm, discretize, init_ssm_rng,
                   kernel_sum_bound, materialize_kernel, ssm_conv, ssm_conv_projected, ssm_scan,
                   stack_systems)
@@ -193,13 +194,14 @@ def tensor_op_cases(seed: int):
          {**ssm_leaves, "x": leaf((2, 69, 3)), "w": leaf((3, 2)), "b": leaf((2,))},
          lambda ps: ssm_conv_projected(
              discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in ssm_leaves})),
-             SeqBatch(ps["x"], [69, 69]), ps["w"], ps["b"]).data)
+             SeqBatch(ps["x"], [69, 69]).packed(), ps["w"], ps["b"]).data)
 
-    # two heads of width 3 over 5 positions, then with the second row
-    # padded past 3: its outputs there are zeros, whatever q, k and v hold
+    # two heads of width 3 over 5 positions, then on the packed frames of
+    # rows of 5 and 3: the second row's padding never reaches the node
     qkv = {"q": leaf((2, 5, 6)), "k": leaf((2, 5, 6)), "v": leaf((2, 5, 6))}
     case("attention", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2))
-    case("attention_padded", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2, [5, 3]))
+    case("attention_padded", qkv, lambda ps: T.attention(
+        *(SeqBatch(ps[name], [5, 3]).packed().data for name in "qkv"), 2, [0, 5, 8]))
 
     # the same node backward in time, on rows of 69 and 40 valid steps
     rev_leaves = init_ssm_rng(3, 2, rng, "random_stable").named_params()
@@ -207,16 +209,25 @@ def tensor_op_cases(seed: int):
          {**rev_leaves, "x": leaf((2, 69, 3)), "w": leaf((3, 2)), "b": leaf((2,))},
          lambda ps: ssm_conv_projected(
              discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in rev_leaves})),
-             SeqBatch(ps["x"], [69, 40]), ps["w"], ps["b"], reverse=True).data)
+             SeqBatch(ps["x"], [69, 40]).packed(), ps["w"], ps["b"], reverse=True).data)
 
-    # and causally on rows of 69, 40 and 7 valid steps: the node skips the
-    # chunks past each length and writes zeros there
+    # and causally on the packed frames of rows of 69, 40 and 7 valid
+    # steps: the node skips the chunks past each length
     pad_leaves = init_ssm_rng(3, 2, rng, "random_stable").named_params()
     case("chunked_conv_projected_padded",
          {**pad_leaves, "x": leaf((3, 69, 3)), "w": leaf((3, 2)), "b": leaf((2,))},
          lambda ps: ssm_conv_projected(
              discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in pad_leaves})),
-             SeqBatch(ps["x"], [69, 40, 7]), ps["w"], ps["b"]).data)
+             SeqBatch(ps["x"], [69, 40, 7]).packed(), ps["w"], ps["b"]).data)
+
+    # packing a padded batch's valid frames (rows of 5, 2 and 0), unpacking
+    # 7 packed frames into rows of 5 and 2, and splicing frame pairs of
+    # rows of 5, 2 and 3: a zero frame follows each odd row
+    case("pack", {"x": leaf((3, 5, 2))}, lambda ps: SeqBatch(ps["x"], [5, 2, 0]).packed().data)
+    case("unpack", {"x": leaf((7, 2))},
+         lambda ps: PackedBatch(ps["x"], np.array([5, 2]), 5).unpacked().data)
+    case("splice", {"x": leaf((10, 2))},
+         lambda ps: time_reduction(PackedBatch(ps["x"], np.array([5, 2, 3]), 5)).data)
 
     return cases
 
@@ -283,7 +294,7 @@ def criterion_gradients(seeds=range(5)):
     worst_block = 0.0
     for seed in seeds:
         rng = np.random.default_rng([seed, 5])
-        x = SeqBatch(Tensor(rng.standard_normal((1, 12, 8))), np.array([12]))
+        x = SeqBatch(Tensor(rng.standard_normal((1, 12, 8))), np.array([12])).packed()
         block = toy_bidir_block(seed)
         apply, params = module_apply(block, lambda: _scalarize(block(x).data, np.random.default_rng(3)))
         worst_block = max(worst_block, max_grad_error(apply, params))
@@ -291,7 +302,7 @@ def criterion_gradients(seeds=range(5)):
     worst_sf = 0.0
     for seed in seeds:
         rng = np.random.default_rng([seed, 6])
-        x = SeqBatch(Tensor(rng.standard_normal((1, 12, 8))), np.array([12]))
+        x = SeqBatch(Tensor(rng.standard_normal((1, 12, 8))), np.array([12])).packed()
         layer = toy_stateformer_layer(seed)
         apply, params = module_apply(layer, lambda: _scalarize(layer(x).data, np.random.default_rng(4)))
         worst_sf = max(worst_sf, max_grad_error(apply, params))
@@ -382,7 +393,7 @@ def criterion_frontends(lengths=(99, 100, 101, 102)):
         x = SeqBatch(Tensor(rng.standard_normal((2, horizon, 80))),
                      np.array([horizon, max(1, horizon - 7)]))
         for frontend in (tr, ms):
-            out = frontend(x)
+            out = frontend(x.packed()).unpacked()
             want = -(-np.asarray(x.lengths) // 4)
             if out.dim != 512 or not np.array_equal(out.lengths, want):
                 return False, f"frontend contract violated at L={horizon}"
@@ -391,11 +402,11 @@ def criterion_frontends(lengths=(99, 100, 101, 102)):
 
     horizon = 64
     base = np.random.default_rng(7).standard_normal((1, horizon, 80))
-    ref = tr(SeqBatch(Tensor(base), np.array([horizon]))).data.data
+    ref = tr(SeqBatch(Tensor(base), np.array([horizon])).packed()).unpacked().data.data
     for j in (0, 5, 30, 62, 63):
         bumped = base.copy()
         bumped[0, j] += 1.0
-        out = tr(SeqBatch(Tensor(bumped), np.array([horizon]))).data.data
+        out = tr(SeqBatch(Tensor(bumped), np.array([horizon])).packed()).unpacked().data.data
         changed = np.where(np.abs(out - ref).max(axis=-1)[0] > 0)[0]
         if not np.array_equal(changed, [j // 4]):
             return False, f"splice locality violated: frame {j} touched {changed.tolist()}"
@@ -406,7 +417,7 @@ def criterion_reductions():
     """Removing the SSM pieces recovers the plain architectures bitwise."""
     layer = toy_stateformer_layer(3)
     rng = np.random.default_rng(8)
-    x = SeqBatch(Tensor(rng.standard_normal((2, 10, 8))), np.array([10, 7]))
+    x = SeqBatch(Tensor(rng.standard_normal((2, 10, 8))), np.array([10, 7])).packed()
     layer.ssm_block = lambda h, train_rng=None: h
     a = layer(x).data.data
     b = layer.ffn(layer.attn(x)).data.data
@@ -420,8 +431,8 @@ def criterion_reductions():
     tr.proj.w = Tensor(ms.proj.w.data.copy(), requires_grad=True)
     tr.proj.b = Tensor(ms.proj.b.data.copy(), requires_grad=True)
     ms.blocks_lo = ms.blocks_hi = []
-    x = SeqBatch(Tensor(rng.standard_normal((2, 21, 80))), np.array([21, 13]))
-    if not np.array_equal(ms(x).data.data, tr(x).data.data):
+    x = SeqBatch(Tensor(rng.standard_normal((2, 21, 80))), np.array([21, 13])).packed()
+    if not np.array_equal(ms(x).unpacked().data.data, tr(x).unpacked().data.data):
         return False, "multi-scale frontend with blocks removed differs from time reduction"
     return True, "both structural reductions are bitwise exact"
 

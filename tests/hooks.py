@@ -69,13 +69,21 @@ def reversed_rows(x):
 
 
 def fft_ssm_conv_projected(d, x, w, b, reverse=False):
-    """``ssm_conv_projected`` by the reference path: ``T.linear``, then the
-    materialized kernel convolved by FFT with the skip term; with
-    ``reverse``, that between two per-row reversals."""
+    """``ssm_conv_projected`` by the reference path on the unpacked batch:
+    ``T.linear``, then the materialized kernel convolved by FFT with the
+    skip term; with ``reverse``, that between two per-row reversals."""
+    padded = x.unpacked()
     if reverse:
-        return reversed_rows(fft_ssm_conv_projected(d, reversed_rows(x), w, b))
-    u = T.linear(x.data, w, b)
-    return x.with_data(T.causal_conv_fft(u, materialize_kernel(d, x.length), d.d))
+        padded = reversed_rows(padded)
+    u = T.linear(padded.data, w, b)
+    y = padded.with_data(T.causal_conv_fft(u, materialize_kernel(d, padded.length), d.d))
+    return (reversed_rows(y) if reverse else y).packed()
+
+
+def packed_call(module, x, *args):
+    """``module`` run on the packed valid frames of batch ``x``, as the
+    encoder runs it, with its output unpacked into a padded batch."""
+    return module(x.packed(), *args).unpacked()
 
 
 def tie_directions(block):
@@ -120,7 +128,8 @@ def dtype_leaks(dtype):
 
 
 def attention_weights(attn, x) -> np.ndarray:
-    """(batch, heads, query, key) weights of one ``attn.attend(x)`` call.
+    """(batch, heads, query, key) weights of one ``attn.attend`` call on the
+    packed valid frames of batch ``x``.
 
     Wraps ``mhssm.tensor._attention_probs``, which the attention node calls
     once per (batch row, head) tile, batch row by batch row, for the
@@ -138,7 +147,7 @@ def attention_weights(attn, x) -> np.ndarray:
 
     T._attention_probs = keeping_probs
     try:
-        attn.attend(x)
+        attn.attend(x.packed())
     finally:
         T._attention_probs = probs
     weights = np.zeros((x.batch, attn.heads, x.length, x.length))

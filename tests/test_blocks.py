@@ -5,6 +5,7 @@ import pytest
 
 from mhssm import tensor as T
 from mhssm.blocks import BidirMhSsmBlock, DirectionalMhSsm, MhSsmBlockConfig, MhSsmStage
+from mhssm.encoder import EncoderConfig, build_encoder
 from mhssm.errors import ConfigError
 from mhssm.nn import Linear
 from mhssm.seq import SeqBatch
@@ -13,7 +14,7 @@ from mhssm.tasks import IGNORE_INDEX, generate_task
 from mhssm.tensor import GradTape, Tensor
 from mhssm.training import TaskModel, load_config
 
-from hooks import identity_linear, set_identity_ssm, tie_directions
+from hooks import identity_linear, packed_call, set_identity_ssm, tie_directions
 from oracles import loop_reverse
 
 
@@ -30,6 +31,11 @@ def batch_from(rng, dim, length=10, batch=2, lengths=None):
         mask = np.arange(length)[None, :, None] < np.asarray(lengths)[:, None, None]
         data = data * mask
     return SeqBatch(Tensor(data), lengths)
+
+
+def run(module, data, lengths):
+    """``module`` on the packed valid frames of ``data``, unpacked."""
+    return packed_call(module, SeqBatch(Tensor(data), lengths)).data
 
 
 def held_after(forward) -> int:
@@ -112,7 +118,7 @@ class TestStage:
         rng = np.random.default_rng(7)
         value = rng.standard_normal((1, 5, dim // 2))
         x = np.concatenate([value, np.full((1, 5, dim // 2), 30.0)], axis=-1)
-        out = stage(Tensor(x), np.array([5]))
+        out = run(stage, x, [5])
         expected = value @ stage.out_proj.w.data + stage.out_proj.b.data
         assert np.abs(out.data - expected).max() <= 1e-10
 
@@ -121,7 +127,7 @@ class TestStage:
         rng = np.random.default_rng(8)
         stage = MhSsmStage(cfg_for(12, 2, gating=gating), np.random.default_rng(9))
         x = rng.standard_normal((3, 7, 12))
-        out = stage(Tensor(x), np.array([7, 7, 7]))
+        out = run(stage, x, [7, 7, 7])
         assert out.shape == (3, 7, 12)
 
     def test_gated_width_by_mode(self):
@@ -133,10 +139,10 @@ class TestStage:
         stage = MhSsmStage(cfg_for(8, 2), np.random.default_rng(10))
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 20, 8))
-        base = stage(Tensor(x), np.array([20])).data
+        base = run(stage, x, [20]).data
         bumped = x.copy()
         bumped[0, 12:] += 3.0
-        alt = stage(Tensor(bumped), np.array([20])).data
+        alt = run(stage, bumped, [20]).data
         assert np.abs(alt[0, :12] - base[0, :12]).max() <= 1e-12
         assert np.abs(alt[0, 12:] - base[0, 12:]).max() > 1e-3
 
@@ -146,16 +152,16 @@ class TestStage:
         stage = MhSsmStage(cfg_for(8, 2), np.random.default_rng(10), reverse=True)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 20, 8))
-        base = stage(Tensor(x), np.array([20])).data
+        base = run(stage, x, [20]).data
         bumped = x.copy()
         bumped[0, :8] += 3.0
-        alt = stage(Tensor(bumped), np.array([20])).data
+        alt = run(stage, bumped, [20]).data
         assert np.abs(alt[0, 8:] - base[0, 8:]).max() <= 1e-12
         assert np.abs(alt[0, :8] - base[0, :8]).max() > 1e-3
-        base = stage(Tensor(x), np.array([15])).data
+        base = run(stage, x, [15]).data
         bumped = x.copy()
         bumped[0, 15:] += 3.0
-        alt = stage(Tensor(bumped), np.array([15])).data
+        alt = run(stage, bumped, [15]).data
         np.testing.assert_array_equal(alt[0, :15], base[0, :15])
 
 
@@ -167,7 +173,7 @@ class TestWholeWidthStage:
         # grouped linear and the reshape to (..., heads, 2 * head_dim)
         stage = MhSsmStage(cfg_for(8, 2, gating=gating), np.random.default_rng(0))
         with GradTape() as tape:
-            stage(Tensor(np.ones((2, 5, 8))), np.array([5, 5]))
+            stage(SeqBatch(Tensor(np.ones((2, 5, 8))), [5, 5]).packed())
         assert len(tape.nodes) == nodes
 
     @pytest.mark.parametrize("block,gating,nodes", [
@@ -185,6 +191,25 @@ class TestWholeWidthStage:
         with GradTape() as tape:
             T.cross_entropy(model(x), targets, IGNORE_INDEX)
         assert len(tape.nodes) == nodes
+
+    @pytest.mark.parametrize("horizon", [742, 741])
+    def test_tape_nodes_per_padded_asr_step(self, horizon):
+        # the asr_stateformer benchmark model on a padded batch of 8 rows: one
+        # pack and one unpack node, one splice node per frontend round at
+        # either parity of the horizon, and no node that re-zeroes padding
+        cfg = EncoderConfig(frontend="ms", input_dim=80, model_dim=64, num_layers=2,
+                            block_kind="stateformer", attn_heads=4, ffn_dim=256, heads=4,
+                            stack=2, state_dim=16, gating="glu", dropout=0.0)
+        encoder, readout = build_encoder(cfg, seed=0), Linear(64, 32, np.random.default_rng(1))
+        lengths = [645, 584, 468, 539, 392, horizon, 348, 688]
+        x = SeqBatch(Tensor(np.random.default_rng(2).standard_normal((8, horizon, 80))), lengths)
+        labels = np.zeros((8, -(-horizon // 4)), dtype=np.int64)
+        with GradTape() as tape:
+            T.cross_entropy(readout(encoder(x).data), labels, IGNORE_INDEX)
+        kinds = [node.backward.__qualname__.split(".")[0] for node in tape.nodes]
+        assert len(kinds) == 142
+        assert kinds.count("mul") == 0 and kinds.count("concat") == 6
+        assert kinds.count("time_reduction") == 2
 
     @pytest.mark.parametrize("gating", ["ihg", "glu"])
     def test_ssm_is_consecutive_head_draws(self, gating):
@@ -225,17 +250,14 @@ class TestDirectional:
         directional = DirectionalMhSsm(cfg, np.random.Generator(np.random.PCG64(12)))
         stage = directional.stages[0]
         rng = np.random.default_rng(13)
-        x = Tensor(rng.standard_normal((2, 6, 8)))
-        np.testing.assert_array_equal(
-            directional(x, np.array([6, 6])).data,
-            stage(x, np.array([6, 6])).data,
-        )
+        x = SeqBatch(Tensor(rng.standard_normal((2, 6, 8))), [6, 6]).packed()
+        np.testing.assert_array_equal(directional(x).data.data, stage(x).data.data)
 
     def test_stack_two_shape(self):
         directional = DirectionalMhSsm(cfg_for(8, 2, stack=2),
                                        np.random.Generator(np.random.PCG64(14)))
-        x = Tensor(np.random.default_rng(15).standard_normal((1, 9, 8)))
-        assert directional(x, np.array([9])).shape == (1, 9, 8)
+        x = np.random.default_rng(15).standard_normal((1, 9, 8))
+        assert run(directional, x, [9]).shape == (1, 9, 8)
 
     def test_param_ratio_matches_closed_form(self):
         def stage_params(d, n, h):
@@ -261,7 +283,7 @@ class TestBidirBlock:
     def test_shape_contract(self):
         block = self.make()
         x = batch_from(np.random.default_rng(20), 8, length=11, lengths=[11, 6])
-        assert block(x).data.shape == (2, 11, 8)
+        assert packed_call(block, x).data.shape == (2, 11, 8)
 
     def test_tied_identity_halves_equal(self):
         block = self.make()
@@ -270,7 +292,7 @@ class TestBidirBlock:
         rng = np.random.default_rng(21)
         half = rng.standard_normal((1, 3, 8))
         palindrome = np.concatenate([half, half[:, ::-1]], axis=1)
-        x = SeqBatch(Tensor(palindrome), np.array([6]))
+        x = SeqBatch(Tensor(palindrome), np.array([6])).packed()
         halves = block.concat_halves(x).data
         np.testing.assert_allclose(halves[..., :8], halves[..., 8:], atol=1e-12)
 
@@ -279,9 +301,9 @@ class TestBidirBlock:
         tie_directions(block)
         rng = np.random.default_rng(22)
         x = batch_from(rng, 8, length=10, batch=1)
-        halves = block.concat_halves(x).data
+        halves = block.concat_halves(x.packed()).data
         flipped = x.with_data(Tensor(loop_reverse(x.data.data, x.lengths)))
-        halves_rev = block.concat_halves(flipped).data
+        halves_rev = block.concat_halves(flipped.packed()).data
         swapped = np.concatenate([halves[..., 8:], halves[..., :8]], axis=-1)
         np.testing.assert_allclose(halves_rev, swapped[:, ::-1], atol=1e-12)
 
@@ -291,10 +313,10 @@ class TestBidirBlock:
         # time-reversed copy of it (which held one activation more)
         block = BidirMhSsmBlock(cfg_for(64, 4, stack=2), np.random.Generator(np.random.PCG64(32)))
         x = batch_from(np.random.default_rng(33), 64, length=256, batch=4,
-                       lengths=[256, 100, 1, 0])
+                       lengths=[256, 100, 1, 0]).packed()
         block.concat_halves(x)      # module-level caches are made on the first call
         norm = held_after(lambda: block.norm(x.data))
-        one_stack = held_after(lambda: block.fwd(block.norm(x.data), x.lengths))
+        one_stack = held_after(lambda: block.fwd(x.with_data(block.norm(x.data))))
         both = held_after(lambda: block.concat_halves(x))
         # one_stack counts its output, and both counts the concatenated pair
         activation = x.data.data.nbytes
@@ -304,17 +326,17 @@ class TestBidirBlock:
         block = self.make()
         rng = np.random.default_rng(23)
         core = rng.standard_normal((1, 12, 8))
-        base = block(SeqBatch(Tensor(core), np.array([12]))).data.data
+        base = run(block, core, [12]).data
         for pad in (1, 7, 64):
             padded = np.concatenate([core, np.zeros((1, pad, 8))], axis=1)
-            out = block(SeqBatch(Tensor(padded), np.array([12]))).data.data
+            out = run(block, padded, [12]).data
             assert np.abs(out[0, :12] - base[0]).max() <= 1e-8
             assert np.abs(out[0, 12:]).max() == 0.0
 
     def test_gradients_match_finite_differences(self):
         from mhssm.verify import max_grad_error, module_apply
         block = self.make(seed=24)
-        x = batch_from(np.random.default_rng(25), 8, length=12, batch=1)
+        x = batch_from(np.random.default_rng(25), 8, length=12, batch=1).packed()
         weight = np.random.default_rng(26).standard_normal((1, 12, 8))
 
         def forward():
@@ -329,11 +351,11 @@ class TestBidirBlock:
         stage = MhSsmStage(cfg_for(8, 2, gating=gating),
                            np.random.Generator(np.random.PCG64(30)))
         rng = np.random.default_rng(31)
-        x = Tensor(rng.standard_normal((1, 10, 8)))
+        x = SeqBatch(Tensor(rng.standard_normal((1, 10, 8))), [10]).packed()
         weight = rng.standard_normal((1, 10, 8))
 
         def forward():
-            return T.tsum(T.mul(stage(x, np.array([10])), Tensor(weight)))
+            return T.tsum(T.mul(stage(x).data, Tensor(weight)))
 
         apply, params = module_apply(stage, forward)
         assert max_grad_error(apply, params) <= 1.0
@@ -343,7 +365,7 @@ class TestBidirBlock:
             MhSsmBlockConfig(model_dim=8, heads=2, stack=1, state_dim=4,
                              gating="ihg", dropout=0.5),
             np.random.Generator(np.random.PCG64(27)))
-        x = batch_from(np.random.default_rng(28), 8, length=6, batch=1)
+        x = batch_from(np.random.default_rng(28), 8, length=6, batch=1).packed()
         a = block(x).data.data
         b = block(x).data.data
         np.testing.assert_array_equal(a, b)

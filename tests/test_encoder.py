@@ -12,7 +12,7 @@ from mhssm.errors import ConfigError
 from mhssm.seq import SeqBatch
 from mhssm.tensor import GradTape, Tensor
 
-from hooks import attention_weights, dtype_leaks
+from hooks import attention_weights, dtype_leaks, packed_call
 from oracles import loop_attention_weights
 
 
@@ -26,26 +26,46 @@ def seq(rng, length, dim, batch=1, lengths=None):
     return SeqBatch(Tensor(data), lengths)
 
 
+def splice_padded(x: SeqBatch) -> np.ndarray:
+    """Frame pairs of a zero-padded batch, a zero frame past an odd horizon."""
+    data = x.data.data
+    if x.length % 2:
+        data = np.concatenate([data, np.zeros_like(data[:, :1])], axis=1)
+    return data.reshape(x.batch, -(-x.length // 2), 2 * x.dim)
+
+
 class TestTimeReduction:
     def test_splices_pairs(self):
         frames = np.arange(8.0).reshape(1, 4, 2)
-        out = time_reduction(SeqBatch(Tensor(frames), np.array([4])))
+        out = packed_call(time_reduction, SeqBatch(Tensor(frames), np.array([4])))
         assert out.data.shape == (1, 2, 4)
         np.testing.assert_array_equal(out.data.data[0, 0], [0, 1, 2, 3])
         np.testing.assert_array_equal(out.data.data[0, 1], [4, 5, 6, 7])
 
     def test_odd_length_zero_padded(self):
         frames = np.arange(5.0).reshape(1, 5, 1)
-        out = time_reduction(SeqBatch(Tensor(frames), np.array([5])))
+        out = packed_call(time_reduction, SeqBatch(Tensor(frames), np.array([5])))
         assert out.lengths[0] == 3
         np.testing.assert_array_equal(out.data.data[0, 2], [4.0, 0.0])
 
     def test_double_application_reaches_512(self):
         rng = np.random.default_rng(0)
         x = seq(rng, 40, 128)
-        out = time_reduction(time_reduction(x))
+        out = time_reduction(time_reduction(x.packed())).unpacked()
         assert out.data.shape == (1, 10, 512)
         assert out.lengths[0] == 10
+
+    @pytest.mark.parametrize("lengths", [[5, 2, 3, 0], [4, 2, 4, 1], [7, 7, 7, 7]])
+    def test_packed_rows_splice_as_the_padded_batch(self, lengths):
+        # one node, a zero frame after each odd row and none after an even one
+        x = seq(np.random.default_rng(1), max(lengths), 3, batch=4, lengths=lengths)
+        packed = x.packed()
+        with GradTape() as tape:
+            out = time_reduction(packed)
+        assert len(tape.nodes) == 1
+        assert out.length == -(-x.length // 2)
+        np.testing.assert_array_equal(out.lengths, -(-np.array(lengths) // 2))
+        np.testing.assert_array_equal(out.unpacked().data.data, splice_padded(x))
 
 
 class TestTrFrontend:
@@ -54,27 +74,27 @@ class TestTrFrontend:
         return MultiScaleFrontend(cfg, np.random.default_rng(1))
 
     def test_length_100(self):
-        out = self.make()(seq(np.random.default_rng(2), 100, 80))
+        out = packed_call(self.make(), seq(np.random.default_rng(2), 100, 80))
         assert out.data.shape == (1, 25, 512)
 
     def test_length_101_two_ceilings(self):
-        out = self.make()(seq(np.random.default_rng(3), 101, 80))
+        out = packed_call(self.make(), seq(np.random.default_rng(3), 101, 80))
         assert out.data.shape == (1, 26, 512)
         assert out.lengths[0] == 26
 
     def test_wrong_input_dim(self):
         with pytest.raises(ConfigError, match="80"):
-            self.make()(seq(np.random.default_rng(4), 10, 64))
+            packed_call(self.make(), seq(np.random.default_rng(4), 10, 64))
 
     def test_locality(self):
         frontend = self.make()
         rng = np.random.default_rng(5)
         base = rng.standard_normal((1, 32, 80))
-        ref = frontend(SeqBatch(Tensor(base), np.array([32]))).data.data
+        ref = packed_call(frontend, SeqBatch(Tensor(base), np.array([32]))).data.data
         for j in (0, 9, 18, 31):
             bumped = base.copy()
             bumped[0, j] += 1.0
-            out = frontend(SeqBatch(Tensor(bumped), np.array([32]))).data.data
+            out = packed_call(frontend, SeqBatch(Tensor(bumped), np.array([32]))).data.data
             changed = np.where(np.abs(out - ref).max(axis=-1)[0] > 0)[0]
             np.testing.assert_array_equal(changed, [j // 4])
 
@@ -83,7 +103,7 @@ class TestMsFrontend:
     def test_shape_contract(self):
         cfg = EncoderConfig(frontend="ms", input_dim=80, model_dim=512, num_layers=0)
         frontend = MultiScaleFrontend(cfg, np.random.default_rng(6))
-        out = frontend(seq(np.random.default_rng(7), 200, 80))
+        out = packed_call(frontend, seq(np.random.default_rng(7), 200, 80))
         assert out.data.shape == (1, 50, 512)
 
     def test_reduces_to_tr_without_blocks(self):
@@ -96,7 +116,7 @@ class TestMsFrontend:
         tr.proj.b = Tensor(ms.proj.b.data.copy(), requires_grad=True)
         ms.blocks_lo = ms.blocks_hi = []
         x = seq(np.random.default_rng(10), 37, 80, batch=2, lengths=[37, 20])
-        np.testing.assert_array_equal(ms(x).data.data, tr(x).data.data)
+        np.testing.assert_array_equal(packed_call(ms, x).data.data, packed_call(tr, x).data.data)
 
     def test_parameter_overhead_plausible(self):
         # at full scale the multi-scale frontend should add ~4.5M parameters
@@ -122,15 +142,15 @@ class TestAttention:
         np.testing.assert_allclose(attention_weights(attn, x), np.ones((1, 2, 1, 1)),
                                    atol=1e-15)
         want = attn.wo(attn.wv(attn.norm(x.data))).data
-        np.testing.assert_allclose(attn.attend(x).data, want, atol=1e-15)
+        np.testing.assert_allclose(attn.attend(x.packed()).data, want, atol=1e-15)
 
     def test_permutation_equivariance(self):
         attn = self.make()
         rng = np.random.default_rng(13)
         x = rng.standard_normal((1, 6, 8))
         perm = rng.permutation(6)
-        out = attn(SeqBatch(Tensor(x), np.array([6]))).data.data
-        out_perm = attn(SeqBatch(Tensor(x[:, perm]), np.array([6]))).data.data
+        out = packed_call(attn, SeqBatch(Tensor(x), np.array([6]))).data.data
+        out_perm = packed_call(attn, SeqBatch(Tensor(x[:, perm]), np.array([6]))).data.data
         np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-12)
 
     def test_weights_match_loop_oracle(self):
@@ -151,15 +171,16 @@ class TestAttention:
         attn = self.make()
         x = SeqBatch(Tensor(np.zeros((2, 4, 8))), np.array([4, 0]))
         with pytest.raises(ValueError, match="padded"):
-            attn(x)
+            packed_call(attn, x)
 
-    def test_block_is_eight_nodes(self):
-        # norm, wq, wk, wv, the attention node, wo, the residual sum and the
-        # mask that re-zeroes its padded positions
+    def test_block_is_seven_nodes(self):
+        # norm, wq, wk, wv, the attention node, wo and the residual sum: on
+        # packed frames no padded position is left to re-zero
         attn = self.make()
+        x = seq(np.random.default_rng(16), 5, 8, batch=2, lengths=[5, 3]).packed()
         with GradTape() as tape:
-            attn(seq(np.random.default_rng(16), 5, 8, batch=2, lengths=[5, 3]))
-        assert len(tape.nodes) == 8
+            attn(x)
+        assert len(tape.nodes) == 7
 
     def test_masked_keys_get_zero_weight(self):
         attn = self.make()
@@ -178,7 +199,7 @@ class TestLayers:
     def test_stateformer_with_zeroed_branch_is_transformer(self):
         layer = EncoderLayer(self.enc_cfg("stateformer"), np.random.default_rng(16))
         layer.ssm_block = lambda h, train_rng=None: h
-        x = seq(np.random.default_rng(17), 9, 16, batch=2, lengths=[9, 5])
+        x = seq(np.random.default_rng(17), 9, 16, batch=2, lengths=[9, 5]).packed()
         np.testing.assert_array_equal(layer(x).data.data,
                                       layer.ffn(layer.attn(x)).data.data)
 
@@ -210,11 +231,11 @@ class TestPaddedBatch:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_each_utterance_alone_matches_its_row(self, dtype):
         # utterances of 310-800 frames, as the ASR benchmark draws them. The
-        # chunked node and attention read only each row's valid steps, but
-        # the frontend's first ``linear`` is one GEMM over every row of the
-        # buffer, and OpenBLAS picks its kernel by the row count, so 3,200
-        # rows round differently from 800: the rows agree to a few ulps of
-        # the output's scale (measured: 8.5e-16 in float64, 4.7e-7 in float32)
+        # encoder runs on the packed valid frames, so no GEMM reads a padded
+        # row, and each utterance alone gives its batch row's bits. (One of
+        # at most 64 steps at some frame rate would not: alone, a GEMM in
+        # the chunked node then has a single row, which numpy runs as a
+        # matrix-vector product.)
         enc = build_encoder(EncoderConfig(**self.CFG, dtype=dtype), seed=0)
         rng = np.random.default_rng(0)
         lengths = np.array([800, 640, 470, 310])
@@ -222,12 +243,11 @@ class TestPaddedBatch:
         x = x.with_data(Tensor(x.data.data, dtype=dtype))
         out = enc(x)
         data = out.data.data
-        scale = np.abs(data).max()
         for b, (n, m) in enumerate(zip(lengths, out.lengths)):
             assert (data[b, m:] == 0.0).all()
             alone = enc(SeqBatch(Tensor(x.data.data[b:b + 1, :n]), [n])).data.data[0]
             assert alone.shape[0] == m
-            assert np.abs(alone - data[b, :m]).max() <= 8 * np.finfo(dtype).eps * scale, b
+            np.testing.assert_array_equal(alone, data[b, :m], err_msg=str(b))
 
 
 class TestEncoder:

@@ -12,7 +12,7 @@ from mhssm.ssm import (CHUNK, DiagonalSsm, DiscreteSsm,
                        ssm_conv, ssm_conv_projected, ssm_scan, stack_systems)
 from mhssm.tensor import GradTape, Tensor
 
-from hooks import eigenvalues, init_ssm
+from hooks import eigenvalues, init_ssm, packed_call
 from oracles import loop_reverse, mp_kernel_tap, mp_zoh, power_sum_kernel
 
 
@@ -448,8 +448,8 @@ def projected_and_separate(rng, x, lengths, dtype):
     leaves = {"x": x, "w": rng.standard_normal((x.shape[-1], 6)), "b": rng.standard_normal(6),
               "zoh": d_src.zoh.data, "skip": d_src.d.data}
     leaves = {k: Tensor(v, requires_grad=True, dtype=dtype) for k, v in leaves.items()}
-    # the gradient past each row's length is zero, as the encoder's blocks
-    # re-zero their padding, so both paths read the same upstream gradient
+    # the gradient past each row's length is zero, as the encoder never
+    # computes padding, so both paths read the same upstream gradient
     valid = np.arange(x.shape[1])[:, None] < np.asarray(lengths)[:, None, None]
     weights = Tensor(rng.standard_normal(x.shape[:2] + (6,)) * valid, dtype=dtype)
 
@@ -461,7 +461,7 @@ def projected_and_separate(rng, x, lengths, dtype):
         return y.data.data, {name: grads[t] for name, t in leaves.items()}
 
     w, b = leaves["w"], leaves["b"]
-    return (run(lambda d, xb: ssm_conv_projected(d, xb, w, b)),
+    return (run(lambda d, xb: ssm_conv_projected(d, xb.packed(), w, b).unpacked()),
             run(lambda d, xb: ssm_conv(d, xb.with_data(T.linear(xb.data, w, b)))))
 
 
@@ -490,9 +490,10 @@ class TestChunkedConv:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_projection_keeps_the_bits_on_a_padded_batch(self, dtype):
-        # the two nodes compute every step; the one node skips each row's
-        # padded chunks, so its valid outputs keep their bits, it writes
-        # exact zeros past each length, and its gradients sum fewer terms
+        # the two nodes compute every step; the one node runs on the packed
+        # valid steps and skips each row's padded chunks, so its valid
+        # outputs keep their bits, the unpacked output is exact zeros past
+        # each length, and its gradients sum fewer terms
         rng = np.random.default_rng(32)
         lengths = np.array([70, 41, 9])
         valid = np.arange(70)[None, :, None] < lengths[:, None, None]
@@ -513,9 +514,9 @@ class TestChunkedConv:
         for bad_w, bad_b in [(Tensor(np.ones((6, 6))), b), (Tensor(np.ones((5, 4))), b),
                              (w, Tensor(np.ones(5)))]:
             with pytest.raises(ShapeError, match="weight"):
-                ssm_conv_projected(d, x, bad_w, bad_b)
+                ssm_conv_projected(d, x.packed(), bad_w, bad_b)
         with pytest.raises(ShapeError, match="length"):
-            ssm_conv_projected(d, make_batch(np.random.default_rng(35), 0, 5), w, b)
+            ssm_conv_projected(d, make_batch(np.random.default_rng(35), 0, 5).packed(), w, b)
 
     @pytest.mark.parametrize("length", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
                                         255, 256, 257, 4097, 8192, 16384])
@@ -602,10 +603,10 @@ class TestChunkedConv:
         width = int(lengths.max())
         valid = np.arange(width)[None, :, None] < lengths[:, None, None]
         frames = rng.standard_normal((3, width, 8)) * valid
-        out = block(SeqBatch(Tensor(frames), lengths)).data.data
+        out = packed_call(block, SeqBatch(Tensor(frames), lengths)).data.data
         assert (out[~valid[..., 0]] == 0.0).all()
         for b, n in enumerate(lengths):
-            alone = block(SeqBatch(Tensor(frames[b:b + 1, :n]), [n])).data.data[0]
+            alone = packed_call(block, SeqBatch(Tensor(frames[b:b + 1, :n]), [n])).data.data[0]
             assert np.abs(alone - out[b, :n]).max() <= 1e-12 * np.abs(alone).max()
 
 
@@ -623,7 +624,8 @@ def reversed_and_causal(rng, x, lengths, dtype):
         x_leaf = Tensor(x_in, requires_grad=True, dtype=dtype)
         with GradTape() as tape:
             y = ssm_conv_projected(DiscreteSsm(leaves["zoh"], leaves["skip"]),
-                                   SeqBatch(x_leaf, lengths), leaves["w"], leaves["b"], reverse)
+                                   SeqBatch(x_leaf, lengths).packed(), leaves["w"], leaves["b"],
+                                   reverse).unpacked()
             loss = T.tsum(T.mul(y.data, Tensor(weights_in, dtype=dtype)))
         grads = tape.gradients(loss)
         return y.data.data, {"x": grads[x_leaf], **{k: grads[t] for k, t in leaves.items()}}
@@ -663,8 +665,8 @@ class TestAntiCausalConv:
                                       for scheme in ("s4d_lin", "random_stable")]))
         x = rng.standard_normal((len(lengths), length, 4))
         eye = Tensor(np.eye(4))
-        y = ssm_conv_projected(d, SeqBatch(Tensor(x), lengths), eye, Tensor(np.zeros(4)),
-                               reverse=True).data.data
+        y = ssm_conv_projected(d, SeqBatch(Tensor(x), lengths).packed(), eye,
+                               Tensor(np.zeros(4)), reverse=True).unpacked().data.data
         want = loop_reverse(ssm_scan(d, SeqBatch(Tensor(loop_reverse(x, lengths)), lengths))
                             .data.data, lengths)
         valid = np.arange(length)[None, :] < np.array(lengths)[:, None]

@@ -155,9 +155,9 @@ class TestSoftmax:
 
     def test_fully_masked_row_raises(self):
         # a row of length 0 has no key to attend to
-        qkv = [Tensor(np.zeros((2, 3, 4))) for _ in range(3)]
-        with pytest.raises(ValueError, match="length"):
-            T.attention(*qkv, 1, [3, 0])
+        qkv = [Tensor(np.zeros((3, 4))) for _ in range(3)]
+        with pytest.raises(ValueError, match="frame"):
+            T.attention(*qkv, 1, [0, 3, 3])
 
 
 class TestFft:
@@ -425,14 +425,10 @@ class TestBufferedRulesKeepBits:
     it replaced, bit for bit."""
 
     @staticmethod
-    def _run(op, arrays, out_shape, dtype, lengths=None):
+    def _run(op, arrays, out_shape, dtype):
         rng = np.random.default_rng(31)
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         g = rng.standard_normal(out_shape).astype(dtype)
-        if lengths is not None:
-            # zero past each row's length, as the encoder's blocks re-zero
-            # their padding
-            g *= np.arange(out_shape[1])[:, None] < np.asarray(lengths)[:, None, None]
         with GradTape() as tape:
             out = op(*leaves)
             # d loss / d out is exactly g: ones from the sum, times g
@@ -448,16 +444,18 @@ class TestBufferedRulesKeepBits:
             assert np.array_equal(a, b)
 
     def _check_attention(self, qkv, heads, lengths, dtype):
-        """The node against the reference on each row's valid positions,
-        bit for bit, with exact zeros past each length."""
-        got, got_grads, g = self._run(lambda *t: T.attention(*t, heads, lengths), qkv,
-                                      qkv[0].shape, dtype, lengths)
-        for b, n in enumerate(lengths):
-            valid = (slice(b, b + 1), slice(0, n))
-            want, want_grads = _attention_reference(*(a[valid] for a in qkv), heads, g[valid])
-            self._check(got[valid], [a[valid] for a in got_grads], want, want_grads, dtype)
-            for a in [got, *got_grads]:
-                assert (a[b, n:] == 0.0).all()
+        """The node on the packed valid positions of rows of ``lengths``
+        against the reference on each row's valid positions, bit for bit."""
+        packed = [np.concatenate([a[b, :n] for b, n in enumerate(lengths)]) for a in qkv]
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        got, got_grads, g = self._run(lambda *t: T.attention(*t, heads, starts), packed,
+                                      packed[0].shape, dtype)
+        for lo, hi in zip(starts, starts[1:]):
+            rows = slice(lo, hi)
+            want, want_grads = _attention_reference(*(a[None, rows] for a in packed), heads,
+                                                    g[None, rows])
+            self._check(got[None, rows], [a[None, rows] for a in got_grads], want, want_grads,
+                        dtype)
 
     @staticmethod
     def _affine(rng, d_in, d_out, dtype):
@@ -506,7 +504,7 @@ class TestBufferedRulesKeepBits:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_softmax(self, dtype, masked):
         # softmax's rule inside the attention node: two heads of width 4 over
-        # 7 positions; rows 1 and 2 are padded past 4 and 1 positions
+        # 7 positions, or over the packed frames of rows of 7, 4 and 1
         rng = np.random.default_rng(35)
         q, k, v = ((rng.standard_normal((3, 7, 8)) * 3.0).astype(dtype) for _ in range(3))
         if masked:
@@ -525,7 +523,8 @@ class TestBufferedRulesKeepBits:
         q, k, v = ((rng.standard_normal((3, length, 8)) * 2.0).astype(dtype)
                    for _ in range(3))
         if masked:
-            # one full row, one padded row and one row with a single position
+            # packed rows: one of full length, one half as long, one of a
+            # single position
             self._check_attention([q, k, v], heads, [length, -(-length // 2), 1], dtype)
             return
         got, got_grads, g = self._run(lambda *t: T.attention(*t, heads), [q, k, v],
@@ -542,8 +541,10 @@ class TestAttention:
             T.attention(*qkv, 4)
         with pytest.raises(ShapeError, match="equal"):
             T.attention(qkv[0], qkv[1], Tensor(np.ones((2, 4, 3))), 2)
-        with pytest.raises(ShapeError, match="lengths"):
-            T.attention(*qkv, 2, [4, 4, 4])
+        with pytest.raises(ShapeError, match="cover"):
+            T.attention(*qkv, 2, [0, 4, 8, 12])
+        with pytest.raises(ShapeError, match="row starts"):
+            T.attention(*(Tensor(np.ones((8, 6))) for _ in range(3)), 2)
 
     def test_tape_keeps_no_weights(self):
         # 4 heads over 128 positions: the weights would be 1 MiB, q, k and v
