@@ -93,15 +93,17 @@ class SeqBatch:
         return SeqBatch(data, self.lengths)
 
     def packed(self) -> "PackedBatch":
-        """The valid frames, row after row, as one tape node; with no frame
-        of padding, the batch's own data, with no copy and no node."""
+        """The valid frames, row after row, as one tape node, or as a plain
+        copy when no gradient can reach the data (a model's input); with no
+        frame of padding, the batch's own data, with no copy and no node."""
         if (self.lengths == self.length).all():
             return PackedBatch(self.data, self.lengths, self.length)
         lengths, key, shape = self.lengths, self.data.key, self.data.shape
         starts = row_starts(lengths)
         out = Tensor._wrap(_gather(self.data.data, lengths))
-        T.record_op(out, (self.data,),
-                    lambda g, acc: acc(key, _scatter(g, lengths, starts, shape)))
+        if T._differentiable(self.data):
+            T.record_op(out, (self.data,),
+                        lambda g, acc: acc(key, _scatter(g, lengths, starts, shape)))
         return PackedBatch(out, lengths, self.length, starts)
 
 

@@ -24,8 +24,10 @@ backward direction (as bidirectional S4D, Gu et al. 2022), on the packed
 valid frames of a batch (`mhssm.seq.PackedBatch`, sequence packing, Krell
 et al. 2021, arXiv 2107.02027): no padded step reaches it, and it skips
 every chunk wholly past a row's length.
-The node keeps only its input and small per-channel weights; its backward
-rebuilds the projection, the chunked input and the chunk states.
+The node keeps only its input and the (channels, state, CHUNK + 1) powers
+of each transition, with the taps and readout weights; its backward
+rebuilds the GEMM weights, the projection, the chunked input and the chunk
+states.
 
 The impulse response itself (`materialize_kernel`) serves
 `kernel_sum_bound`, the self-check and the tests, which convolve it by FFT
@@ -336,7 +338,7 @@ def _powers_through(logmag: np.ndarray, angle: np.ndarray, last: int) -> np.ndar
     """
     _, _, coarse, fine = _split_powers(logmag, angle, last + 1)
     powers = coarse[..., :, None] * fine[..., None, :]
-    return powers.reshape(logmag.shape + (-1,))[..., :last + 1]
+    return np.ascontiguousarray(powers.reshape(logmag.shape + (-1,))[..., :last + 1])
 
 
 def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
@@ -350,9 +352,9 @@ def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
 def _toeplitz_select(q: int) -> np.ndarray:
     """(q*q, q) 0/1 matrix mapping tap k to the entries (s, t) with t - s = k.
 
-    ``taps @ select.T`` builds the lower-triangular Toeplitz matrix of the
-    first q taps; ``matrix.reshape(q*q) @ select`` sums its diagonals. Built
-    once per q and shared by every call, so it is read-only.
+    ``matrix.reshape(q*q) @ select`` sums the diagonals of a (q, q) matrix,
+    as the chunked node's backward does for its Toeplitz weight. Built once
+    per q and shared by every call, so it is read-only.
     """
     lag = np.arange(q)[None, :] - np.arange(q)[:, None]        # (s, t) -> t - s
     select = (lag.reshape(-1, 1) == np.arange(q)).astype(np.float64)
@@ -553,6 +555,39 @@ def _end_state_grads(gc: np.ndarray, w_out: np.ndarray, z_q: np.ndarray,
     return out[:, first:first + layout.inner]
 
 
+def _gemm_weights(powers: np.ndarray, taps: np.ndarray, cb: np.ndarray, rows: int, dtype):
+    """The chunked node's GEMM weights and z^Q from its (p, n, Q+1) powers
+    z^0..z^Q, its (p, Q) taps (the skip added to tap 0) and the (p, n)
+    readout weights cb, for a batch of ``rows`` rows, each built straight
+    into its own buffer of ``dtype`` (complex for z^Q):
+
+    * w_toe (p, Q, Q): row s holds tap t - s of the output at step t;
+    * w_end (p, Q, 2n): row s holds z^(Q-1-s), columns interleaved (re, im);
+    * w_out (p, 2n, Q): Re(S @ 2 cb z^(t+1)) over interleaved state columns;
+    * z_q (p, rows, n): z^Q per (channel, batch row, mode), so the carry's
+      inner loop spans rows*n contiguous values.
+
+    The forward and the backward of `_chunked_conv` both call it, so every
+    weight has the same bits in both.
+    """
+    p, n, q = powers.shape[0], powers.shape[1], powers.shape[2] - 1
+    cdtype = np.result_type(dtype, np.complex64)
+    # taps behind q - 1 zeros: window i of q values holds tap t - (q-1-i) at t
+    padded = np.zeros((p, 2 * q - 1))
+    padded[:, q - 1:] = taps
+    w_toe = np.empty((p, q, q), dtype)
+    w_toe[...] = np.lib.stride_tricks.sliding_window_view(padded, q, axis=1)[:, ::-1]
+    w_end = np.empty((p, q, n), cdtype)
+    w_end[...] = np.swapaxes(powers[..., q - 1::-1], 1, 2)
+    w_c = 2.0 * cb[..., None] * powers[..., 1:]
+    w_out = np.empty((p, n, 2, q), dtype)
+    w_out[:, :, 0] = w_c.real
+    np.negative(w_c.imag, out=w_out[:, :, 1])
+    z_q = np.empty((p, rows, n), cdtype)
+    z_q[...] = powers[:, None, :, q]
+    return w_toe, w_end.view(dtype), w_out.reshape(p, 2 * n, q), z_q
+
+
 def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
                   b: Tensor | None = None, lengths=None, reverse: bool = False) -> Tensor:
     """The causal convolution of u with the system's kernel, plus ``skip * u``.
@@ -589,13 +624,16 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     Every value and gradient is the same product, in the same order, as
     `T.linear` followed by the node without a projection.
 
-    The node keeps ``x`` and the small per-channel weights (powers, the
-    three GEMM weights and z^Q), and no spectrum. It does not keep u, the
-    chunked input or the chunk states: the backward rebuilds them with the
-    forward's GEMMs and carry loop, one (frames, in) @ (in, channels) GEMM
-    and one state pass more per call (recomputation in reverse mode,
-    Chen et al. 2016, arXiv 1604.06174). So a stage holds its input once
-    rather than three times over.
+    The node keeps ``x``, w and b, the (p, n, Q+1) powers, the (p, Q) taps
+    and the (p, n) readout weights cb, and no spectrum. It does not keep
+    the three GEMM weights or z^Q, which the backward rebuilds from the
+    powers with the forward's own helper (`_gemm_weights`), so they keep
+    their bits; nor u, the chunked input or the chunk states, which it
+    rebuilds with the forward's GEMMs and carry loop, one (frames, in) @
+    (in, channels) GEMM and one state pass more per call (recomputation in
+    reverse mode, Chen et al. 2016, arXiv 1604.06174). So a stage holds its
+    input once rather than three times over, and no per-channel weight
+    larger than its powers.
 
     Row b's n = ``lengths[b]`` steps are frames ``starts[b]:starts[b+1]``
     (`_Layout`): a (chunk, row) wholly past n has no row in the layout, so
@@ -610,7 +648,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     """
     if lengths is None:
         lengths = (x.shape[1],) * x.shape[0]
-    p, n = zoh.shape[1:]
+    p = zoh.shape[1]
     q = CHUNK
     layout = _layout(tuple(map(int, lengths)))
     first, inner = layout.first, layout.inner
@@ -621,18 +659,6 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     powers = _powers_through(logmag, angle, q)                           # (p, n, q+1)
     taps = 2.0 * np.matmul(cb[:, None, :], powers[..., :q])[:, 0].real   # (p, q)
     taps[:, 0] += skip.data
-    # (p, q, q): row s holds tap t - s of the output at step t
-    w_toe = (taps @ _toeplitz_select(q).T).reshape(p, q, q).astype(dtype, copy=False)
-    # (p, q, 2n): row s holds z^(q-1-s), columns interleaved (re, im)
-    w_end = np.ascontiguousarray(np.swapaxes(powers[..., q - 1::-1], 1, 2), dtype=cdtype)
-    w_end = w_end.view(dtype)
-    # (p, 2n, q): Re(S @ 2 cb z^(t+1)) over interleaved state columns
-    w_c = 2.0 * cb[..., None] * powers[..., 1:]
-    w_out = np.stack([w_c.real, -w_c.imag], axis=2).reshape(p, 2 * n, q)
-    w_out = w_out.astype(dtype, copy=False)
-    # z^Q per (channel, batch row, mode), so the carry's inner loop spans
-    # batch*n contiguous values
-    z_q = np.repeat(powers[:, None, :, q].astype(cdtype), len(layout.lengths), axis=1)
     x_key, x_shape = x.key, x.shape
     frames = x.data.reshape(-1, x_shape[-1])
     w_data, b_data = (None, None) if w is None else (w.data, b.data)
@@ -650,11 +676,12 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     # reuses none of their space; in the other order the heap fragmented
     # and peak RSS on `asr_stateformer` rose by 7%
     y = np.empty(x_shape[:-1] + (p,), dtype=dtype)
+    w_toe, w_end, w_out, z_q = _gemm_weights(powers, taps, cb, len(layout.lengths), dtype)
     uc = chunked_input()
     states = _chunk_states(uc, w_end, z_q, layout)
     yc = np.matmul(uc, w_toe)
     yc[:, first:] += np.matmul(states, w_out)
-    del uc, states
+    del uc, states, w_toe, w_end, w_out, z_q
     _from_chunks(yc, y.reshape(-1, p), layout, reverse)
     out = Tensor._wrap(y)
     zoh_key, zoh_dtype = zoh.key, zoh.dtype
@@ -665,6 +692,7 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     def bwd(g, acc):
         # every term that reads the rebuilt input or states comes first, so
         # each goes before the next full-size gradient buffer is made
+        w_toe, w_end, w_out, z_q = _gemm_weights(powers, taps, cb, len(layout.lengths), dtype)
         uc = chunked_input()
         states = _chunk_states(uc, w_end, z_q, layout)
         gc = _to_chunks(g.reshape(-1, p), layout, dtype, reverse)
@@ -750,7 +778,11 @@ def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
 
     The per-call prologue (powers and GEMM weights) and epilogue (the
     power gradients), about 1.5 ms of the fwd+bwd at 64 channels timed
-    alone, do not shrink with padding.
+    alone, do not shrink with padding. The backward builds the GEMM
+    weights again (`_gemm_weights`, 0.4 ms at 64 channels) rather than
+    keep them: against keeping them, median of 61 interleaved calls, the
+    forward took 0.96-1.01x and the backward 1.01-1.13x at the five shapes
+    above (the most at (8, 192, 64) in float32), fwd+bwd 1.01-1.07x.
     """
     _check_channels(d, u)
     if u.length < 1:

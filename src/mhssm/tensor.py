@@ -17,18 +17,22 @@ its saved activations go as it goes, and an intermediate tensor's gradient
 is dropped as soon as the node that produced it has run its backward; a
 tape is swept once. The hottest composites (affine map, gelu or glu
 followed by the affine map that reads it, convolution plus skip, multi-head
-attention) are single nodes that store their result once. An activation's
-output is one multiply away from the inputs its own rule keeps, so
-``gelu_linear`` and ``glu_linear`` keep those inputs and rebuild the output
-in the backward for the weight gradient instead of holding it. ``attention``
-keeps q, k and v and rebuilds each (row, head) tile's weights in the
-backward, so no (batch, heads, length, length) array is ever kept or made.
+attention) are single nodes that store their result once. ``glu_linear``
+keeps the sigmoid and the value half, one multiply away from its output,
+and rebuilds that output in the backward for the weight gradient instead of
+holding it. ``gelu_linear`` keeps its output and its slope gelu'(x) instead
+of x and Phi(x): the same two arrays' worth, but its backward then makes
+no full-size temporary besides dx. ``attention`` keeps q, k and v and
+rebuilds each (row, head) tile's weights in the backward, so no (batch,
+heads, length, length) array is ever kept or made. ``dropout`` keeps its
+boolean keep mask, and ``linear`` and ``mul`` make no gradient for an
+input that no gradient can reach, such as a model's input frames.
 
 The elementwise rules of ``gelu_linear``, ``glu_linear``, ``layer_norm`` and
 attention's softmax build each result in one preallocated buffer with
 ``out=`` and in-place operators, in the same operation order as the plain
-expressions, so their values keep every bit; ``gelu_linear`` applies its
-rule to the activation's gradient in place, a block of rows at a time, and
+expressions, so their values keep every bit; ``gelu_linear`` makes its
+slope in the forward, a block of rows at a time, into Phi's buffer, and
 ``attention`` works one tile at a time, so neither backward holds a second
 full-size temporary.
 
@@ -78,9 +82,8 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 1 << 30
 _TRIM_THRESHOLD_BYTES = 2**31 - 1
 
-# values per block of gelu_linear's backward rule, the size of
-# ssm._TILE_VALUES: a block's temporary stays in cache and is never
-# full-size
+# values per block of gelu_linear's slope, the size of ssm._TILE_VALUES: a
+# block's temporary stays in cache and is never full-size
 _BLOCK_VALUES = 16384
 
 # tape keys: unlike id(), never reused after a tensor is freed
@@ -355,7 +358,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     ``w`` is (in, out) and ``b`` is (out,). All leading axes of ``x`` fold
     into the rows of one 2-d product, the bias is added in place, and the
-    backward pass takes dx, dw and db as one product or sum each.
+    backward pass takes dx, dw and db as one product or sum each; dx only
+    when a gradient can reach ``x`` (not for a constant input, such as a
+    model's input frames).
 
     With a (groups, in, out) weight and a (groups, out) bias, the last axis
     of ``x`` holds ``groups`` consecutive ``in``-wide slices, and each maps
@@ -373,12 +378,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear input width differs from the weight: {x.shape} @ {w.shape}")
     x_data, w_data = x.data, w.data
     x_key, x_shape, w_key, b_key = x.key, x.shape, w.key, b.key
+    x_grad = _differentiable(x)
     if w.ndim == 2:
         rows = np.matmul(x_data.reshape(-1, d_in), w_data)
 
         def bwd(g, acc):
             g2 = g.reshape(-1, d_out)
-            acc(x_key, np.matmul(g2, w_data.T).reshape(x_shape))
+            if x_grad:
+                acc(x_key, np.matmul(g2, w_data.T).reshape(x_shape))
             acc(w_key, np.matmul(x_data.reshape(-1, d_in).T, g2))
             acc(b_key, g2.sum(axis=0))
     else:
@@ -390,10 +397,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         def bwd(g, acc):
             g3 = g.reshape(-1, groups, d_out)
             gg = g3.transpose(1, 0, 2)
-            gx = np.empty(x_shape, dtype=np.result_type(g, w_data))
-            np.matmul(gg, w_data.transpose(0, 2, 1),
-                      out=gx.reshape(-1, groups, d_in).transpose(1, 0, 2))
-            acc(x_key, gx)
+            if x_grad:
+                gx = np.empty(x_shape, dtype=np.result_type(g, w_data))
+                np.matmul(gg, w_data.transpose(0, 2, 1),
+                          out=gx.reshape(-1, groups, d_in).transpose(1, 0, 2))
+                acc(x_key, gx)
             acc(w_key, np.matmul(xg.transpose(0, 2, 1), gg))
             acc(b_key, g3.sum(axis=0))
     rows += b.data
@@ -418,11 +426,15 @@ def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Gaussian-CDF gelu, then the affine map on the last axis, as one node:
     (x * Phi(x)) @ w + b, with Phi computed through erf.
 
-    ``w`` is (in, out) and ``b`` is (out,). The node keeps ``x`` and Phi(x),
-    not the gelu output: its backward rebuilds that output for dw and frees
-    it, takes the output's gradient through w^T, and turns that buffer into
-    dx in place, a block of rows at a time. Each value and gradient is the
-    same product, in the same order, as gelu then ``linear``.
+    ``w`` is (in, out) and ``b`` is (out,). On a tape the node keeps the
+    gelu output x * Phi(x), which the map read, and the slope gelu'(x) =
+    Phi(x) + x * pdf(x), made in the forward into Phi's buffer a block of
+    rows at a time; it keeps no view of ``x``. Its backward takes dw from
+    the output, frees it, takes the output's gradient through w^T and
+    multiplies that buffer by the slope in place, so it makes no full-size
+    temporary besides dx. With no tape active nothing is kept and no slope
+    is made. Each value and gradient is the same product, in the same
+    order, as gelu then ``linear``.
     """
     d_in, d_out = _dense_dims("gelu_linear", x.shape[-1] if x.ndim else 0, w, b)
     x_data = x.data
@@ -431,30 +443,33 @@ def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
-    rows = np.matmul((x_data * phi_cdf).reshape(-1, d_in), w.data)
+    act = x_data * phi_cdf
+    rows = np.matmul(act.reshape(-1, d_in), w.data)
     rows += b.data
     out = Tensor._wrap(rows.reshape(x.shape[:-1] + (d_out,)))
+    if _active() is None:
+        return out
+    # slope = Phi + x * pdf, pdf = exp(-x^2 / 2) / sqrt(2 pi), into Phi's buffer
+    x2, slope = x_data.reshape(-1, d_in), phi_cdf.reshape(-1, d_in)
+    step = max(1, _BLOCK_VALUES // d_in)
+    for lo in range(0, len(x2), step):
+        xb = x2[lo:lo + step]
+        pdf_term = np.multiply(xb, -0.5)
+        pdf_term *= xb
+        np.exp(pdf_term, out=pdf_term)
+        pdf_term *= _INV_SQRT_2PI
+        pdf_term *= xb
+        slope[lo:lo + step] += pdf_term
     w_data, x_key, x_shape, w_key, b_key = w.data, x.key, x.shape, w.key, b.key
 
     def bwd(g, acc):
+        nonlocal act
         g2 = g.reshape(-1, d_out)
-        x2, phi2 = x_data.reshape(-1, d_in), phi_cdf.reshape(-1, d_in)
-        acc(w_key, np.matmul((x2 * phi2).T, g2))
+        acc(w_key, np.matmul(act.reshape(-1, d_in).T, g2))
         acc(b_key, g2.sum(axis=0))
+        act = None  # the output goes before dx is made
         gx = np.matmul(g2, w_data.T)
-        step = max(1, _BLOCK_VALUES // d_in)
-        for lo in range(0, len(gx), step):
-            blk = slice(lo, lo + step)
-            # gelu'(x) = phi_cdf + x * pdf, pdf = exp(-x^2 / 2) / sqrt(2 pi)
-            xb = x2[blk]
-            slope = np.multiply(xb, -0.5)
-            slope *= xb
-            np.exp(slope, out=slope)
-            slope *= _INV_SQRT_2PI
-            slope *= xb
-            slope += phi2[blk]
-            gx_blk = gx[blk]
-            gx_blk *= slope
+        gx *= slope
         acc(x_key, gx.reshape(x_shape))
 
     record_op(out, (x, w, b), bwd)
@@ -749,13 +764,17 @@ def accuracy(logits_data: np.ndarray, targets: np.ndarray, ignore_index: int = -
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when ``p`` is 0 or no generator is given."""
+    """Inverted dropout; identity when ``p`` is 0 or no generator is given.
+
+    The node keeps the boolean keep mask, one byte a value, and its backward
+    rebuilds the scaled mask from it by the forward's own expression.
+    """
     if p <= 0.0 or rng is None:
         return x
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    out = Tensor._wrap(x.data * keep)
-    key = x.key
-    record_op(out, (x,), lambda g, acc: acc(key, g * keep))
+    mask = rng.random(x.shape) >= p
+    dtype, key = x.dtype, x.key
+    out = Tensor._wrap(x.data * (mask.astype(dtype) / (1.0 - p)))
+    record_op(out, (x,), lambda g, acc: acc(key, g * (mask.astype(dtype) / (1.0 - p))))
     return out
 
 

@@ -1,7 +1,8 @@
 """Test-only substitutions that reduce a layer to a simpler one or swap in a
-reference path, probes on the tape's node dtypes and on attention weights,
-seeded systems with their continuous eigenvalues, and the environment for
-tests that start a fresh interpreter.
+reference path, probes on the tape's node dtypes, on attention weights and
+on what each node's backward closure keeps, seeded systems with their
+continuous eigenvalues, and the environment for tests that start a fresh
+interpreter.
 
 Each works through the layer's own parameters or attributes, or through the
 library's public ``record_op`` and the attention node's per-tile weights
@@ -154,6 +155,70 @@ def attention_weights(attn, x) -> np.ndarray:
     for (b, h), tile in zip(np.ndindex(x.batch, attn.heads), kept):
         weights[b, h, :len(tile), :len(tile)] = tile
     return weights
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _cell_values(fn):
+    for cell in fn.__closure__:
+        try:
+            yield cell.cell_contents
+        except ValueError:  # a cell not yet assigned
+            pass
+
+
+def saved_arrays(node) -> list[np.ndarray]:
+    """The distinct base arrays that a tape node's backward closure keeps.
+
+    Walks the closure's cells, and the functions, lists and tuples found in
+    them, so arrays captured by a helper closure or held in a list count
+    too. A view counts as the array that owns its memory.
+    """
+    # an explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which would keep the found arrays alive
+    # until the garbage collector runs
+    found, seen, stack = {}, set(), [node.backward]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = _base(obj)
+            found[id(base)] = base
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(_cell_values(obj))
+    return list(found.values())
+
+
+def node_kind(node) -> str:
+    """The function that made a node's backward closure: ``linear.<locals>.bwd``
+    is a ``linear``; a lambda's kind is the function it was made in."""
+    return node.backward.__qualname__.split(".<locals>")[0]
+
+
+def saved_bytes_by_kind(tape) -> dict[str, int]:
+    """Bytes that a tape's backward closures keep, per node kind.
+
+    Each base array counts once, for the first node in tape order that keeps
+    it, so the kinds add up to what the closures hold together. Trainable
+    parameters and input arrays that a node reads count too.
+    """
+    totals, counted = {}, set()
+    for node in tape.nodes:
+        kind = node_kind(node)
+        for a in saved_arrays(node):
+            if id(a) not in counted:
+                counted.add(id(a))
+                totals[kind] = totals.get(kind, 0) + a.nbytes
+    return totals
 
 
 def subprocess_env(**extra) -> dict:

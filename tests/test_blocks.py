@@ -14,7 +14,8 @@ from mhssm.tasks import IGNORE_INDEX, generate_task
 from mhssm.tensor import GradTape, Tensor
 from mhssm.training import TaskModel, load_config
 
-from hooks import identity_linear, packed_call, set_identity_ssm, tie_directions
+from hooks import (identity_linear, node_kind, packed_call, saved_bytes_by_kind,
+                   set_identity_ssm, tie_directions)
 from oracles import loop_reverse
 
 
@@ -47,6 +48,19 @@ def held_after(forward) -> int:
             return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+
+
+def padded_asr_step(horizon: int):
+    """The loss of the asr_stateformer benchmark model on a padded batch of 8
+    rows of 80-dim frames, as a function to record on a tape."""
+    cfg = EncoderConfig(frontend="ms", input_dim=80, model_dim=64, num_layers=2,
+                        block_kind="stateformer", attn_heads=4, ffn_dim=256, heads=4,
+                        stack=2, state_dim=16, gating="glu", dropout=0.0)
+    encoder, readout = build_encoder(cfg, seed=0), Linear(64, 32, np.random.default_rng(1))
+    lengths = [645, 584, 468, 539, 392, horizon, 348, 688]
+    x = SeqBatch(Tensor(np.random.default_rng(2).standard_normal((8, horizon, 80))), lengths)
+    labels = np.zeros((8, -(-horizon // 4)), dtype=np.int64)
+    return lambda: T.cross_entropy(readout(encoder(x).data), labels, IGNORE_INDEX)
 
 
 class TestConfig:
@@ -194,22 +208,30 @@ class TestWholeWidthStage:
 
     @pytest.mark.parametrize("horizon", [742, 741])
     def test_tape_nodes_per_padded_asr_step(self, horizon):
-        # the asr_stateformer benchmark model on a padded batch of 8 rows: one
-        # pack and one unpack node, one splice node per frontend round at
-        # either parity of the horizon, and no node that re-zeroes padding
-        cfg = EncoderConfig(frontend="ms", input_dim=80, model_dim=64, num_layers=2,
-                            block_kind="stateformer", attn_heads=4, ffn_dim=256, heads=4,
-                            stack=2, state_dim=16, gating="glu", dropout=0.0)
-        encoder, readout = build_encoder(cfg, seed=0), Linear(64, 32, np.random.default_rng(1))
-        lengths = [645, 584, 468, 539, 392, horizon, 348, 688]
-        x = SeqBatch(Tensor(np.random.default_rng(2).standard_normal((8, horizon, 80))), lengths)
-        labels = np.zeros((8, -(-horizon // 4)), dtype=np.int64)
+        # one unpack node, one splice node per frontend round at either
+        # parity of the horizon, and no node that re-zeroes padding; no
+        # gradient reaches the input frames, so packing them records none
         with GradTape() as tape:
-            T.cross_entropy(readout(encoder(x).data), labels, IGNORE_INDEX)
-        kinds = [node.backward.__qualname__.split(".")[0] for node in tape.nodes]
-        assert len(kinds) == 142
+            padded_asr_step(horizon)()
+        kinds = [node_kind(node) for node in tape.nodes]
+        assert len(kinds) == 141
         assert kinds.count("mul") == 0 and kinds.count("concat") == 6
         assert kinds.count("time_reduction") == 2
+        assert kinds.count("SeqBatch.packed") == 0 and kinds.count("PackedBatch.unpacked") == 1
+
+    def test_padded_asr_step_holds_little_more_than_its_activations(self):
+        # each chunked node keeps its input and (channels, state, CHUNK + 1)
+        # powers and rebuilds its GEMM weights in the backward, and each
+        # gelu keeps its output and slope: 77.8 MiB held, against 101.2 MiB
+        # when the chunked nodes kept their weights and gelu kept its input;
+        # the 24 chunked nodes keep 17.6 MiB, against 40.8 MiB
+        step = padded_asr_step(742)
+        held = held_after(step)
+        assert held <= 80 * 2**20, f"{held / 2**20:.1f} MiB held after the forward pass"
+        with GradTape() as tape:
+            step()
+        kept = saved_bytes_by_kind(tape)["_chunked_conv"]
+        assert kept <= 19 * 2**20, f"{kept / 2**20:.1f} MiB kept by the chunked nodes"
 
     @pytest.mark.parametrize("gating", ["ihg", "glu"])
     def test_ssm_is_consecutive_head_draws(self, gating):

@@ -44,7 +44,10 @@ class TestPacking:
         assert packed.starts == [0, 5, 10, 15]
 
     def test_padded_batch_packs_its_valid_frames(self):
+        # a batch that a gradient can reach, as every module's input inside
+        # the encoder is
         x = padded(np.random.default_rng(1), [5, 2, 0, 3], 5)
+        x = x.with_data(Tensor(x.data.data, requires_grad=True))
         with GradTape() as tape:
             packed = x.packed()
             out = packed.unpacked()
@@ -55,6 +58,16 @@ class TestPacking:
             np.testing.assert_array_equal(packed.data.data[rows], x.data.data[b, :n])
         np.testing.assert_array_equal(out.data.data, x.data.data)
         np.testing.assert_array_equal(packed.positions(), [0, 1, 2, 3, 4, 0, 1, 0, 1, 2])
+
+    def test_constant_batch_packs_without_a_node(self):
+        # a model's input frames: no gradient can reach them, so packing
+        # copies the valid frames and records nothing
+        x = padded(np.random.default_rng(5), [5, 2, 0, 3], 5)
+        with GradTape() as tape:
+            packed = x.packed()
+        assert len(tape.nodes) == 0
+        assert packed.starts == [0, 5, 7, 7, 10]
+        np.testing.assert_array_equal(packed.data.data, x.data.data[x.mask()[..., 0] > 0])
 
     def test_padding_is_dropped_and_unpacked_as_zeros(self):
         x = padded(np.random.default_rng(2), [4, 1], 4)

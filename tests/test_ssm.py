@@ -12,7 +12,7 @@ from mhssm.ssm import (CHUNK, DiagonalSsm, DiscreteSsm,
                        ssm_conv, ssm_conv_projected, ssm_scan, stack_systems)
 from mhssm.tensor import GradTape, Tensor
 
-from hooks import eigenvalues, init_ssm, packed_call
+from hooks import eigenvalues, init_ssm, node_kind, packed_call, saved_arrays
 from oracles import loop_reverse, mp_kernel_tap, mp_zoh, power_sum_kernel
 
 
@@ -506,6 +506,27 @@ class TestChunkedConv:
             assert g.dtype == dtype, name
             scale = np.abs(grads_ref[name]).max()
             assert np.abs(g - grads_ref[name]).max() <= rtol * scale, name
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_node_keeps_its_input_and_powers_only(self, reverse):
+        # besides x, w and b: the (p, n, CHUNK + 1) powers, the (p, CHUNK)
+        # taps and the (p, n) readout weights; no (p, Q, Q), (p, Q, 2n) or
+        # (p, 2n, Q) GEMM weight, no (p, rows, n) z^Q and no product base of
+        # the powers, which the backward rebuilds
+        p, n = 6, 4
+        d = discretize(init_ssm(n, p, seed=37, scheme="random_stable"))
+        rng = np.random.default_rng(38)
+        x = make_batch(rng, 70, 5, batch=3, lengths=[70, 41, 9]).packed()
+        w = Tensor(rng.standard_normal((5, p)), requires_grad=True)
+        b = Tensor(rng.standard_normal(p), requires_grad=True)
+        with GradTape() as tape:
+            ssm_conv_projected(d, x, w, b, reverse)
+        node, = (node for node in tape.nodes if node_kind(node) == "_chunked_conv")
+        kept = saved_arrays(node)
+        inputs = [a for a in kept if any(a is t.data for t in (x.data, w, b))]
+        assert len(inputs) == 3
+        rest = {(a.shape, a.dtype.kind) for a in kept if not any(a is i for i in inputs)}
+        assert rest == {((p, CHUNK), "f"), ((p, n), "c"), ((p, n, CHUNK + 1), "c")}
 
     def test_projection_shape_errors(self):
         d = discretize(init_ssm(4, 6, seed=33))

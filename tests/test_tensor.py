@@ -13,6 +13,7 @@ from mhssm.tasks import IGNORE_INDEX, generate_task
 from mhssm.tensor import GradTape, Tensor
 from mhssm.training import TaskModel, load_config
 
+from hooks import node_kind, saved_arrays
 from oracles import direct_linear_conv, mp_sigmoid, mp_softmax, naive_matmul
 
 # frozen high-precision sigmoid values at x = -2, -1, 0, 1, 2
@@ -464,8 +465,8 @@ class TestBufferedRulesKeepBits:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gelu(self, dtype):
-        # 900 rows of 24: the backward's rule runs in two blocks, the second
-        # one partial
+        # 900 rows of 24: the forward makes the slope in two blocks, the
+        # second one partial
         rng = np.random.default_rng(32)
         x = (rng.standard_normal((3, 300, 24)) * 3.0).astype(dtype)
         w, b = self._affine(rng, 24, 10, dtype)
@@ -560,6 +561,47 @@ class TestAttention:
         finally:
             tracemalloc.stop()
         assert held <= out.data.nbytes + 16 * 2**10, f"{held} bytes held"
+
+
+class TestSavedArrays:
+    """What a node's backward closure keeps (`hooks.saved_arrays`)."""
+
+    def test_gelu_linear_keeps_its_output_and_slope(self):
+        # the gelu output x * Phi(x) and its slope, both input-shaped, and no
+        # view of the input, which is then freed with the tensor
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.standard_normal((3, 7, 8)), requires_grad=True)
+        with GradTape() as tape:
+            T.gelu_linear(x, *_identity_map(8))
+        kept = saved_arrays(tape.nodes[-1])
+        assert sum(a.shape == (21, 8) or a.shape == x.shape for a in kept) == 2
+        assert not any(np.shares_memory(a, x.data) for a in kept)
+
+    def test_dropout_keeps_a_bool_mask(self):
+        # one byte a value; the backward rebuilds the scaled mask with the
+        # forward's expression, so the gradient of a sum over ones is the
+        # output itself
+        x = Tensor(np.ones((6, 50)), requires_grad=True)
+        with GradTape() as tape:
+            out = T.dropout(x, 0.3, np.random.default_rng(51))
+            loss = T.tsum(out)
+        assert [a.dtype for a in saved_arrays(tape.nodes[0])] == [np.bool_]
+        np.testing.assert_array_equal(tape.gradients(loss)[x], out.data)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_linear_sends_a_constant_input_no_gradient(self, groups):
+        # a model's input frames: no gradient can reach them, so the
+        # backward makes dw and db only
+        rng = np.random.default_rng(52)
+        x = Tensor(rng.standard_normal((3, 5, 4 * groups)))
+        shape = (groups, 4, 2) if groups > 1 else (4, 2)
+        w = Tensor(rng.standard_normal(shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(shape[:-2] + (2,)), requires_grad=True)
+        with GradTape() as tape:
+            out = T.linear(x, w, b)
+        sent = []
+        tape.nodes[0].backward(np.ones(out.shape), lambda key, g: sent.append(key))
+        assert sent == [w.key, b.key]
 
 
 class TestBackward:
@@ -701,25 +743,25 @@ class TestTapeRelease:
         want = np.array([[2.0] * 3] * 2 + [[0.0] * 3] * 2)
         np.testing.assert_array_equal(tape.gradients(loss)[x], want)
 
-    @pytest.mark.parametrize("gating,mib", [("ihg", 43), ("glu", 51)])
+    @pytest.mark.parametrize("gating,mib", [("ihg", 30), ("glu", 38)])
     def test_forward_keeps_no_activation_output(self, gating, mib):
         # each gelu or glu runs with the affine map that reads it as one node,
-        # which keeps the activation's inputs but not its output, and each
-        # stage's chunked convolution runs with its input projection, keeping
-        # the stage input but not the projection, its chunked copy or the
-        # chunk states: 42.0 MiB (ihg) and 49.8 MiB (glu) held, against 51.8
-        # and 59.8 with a separate projection node, and 59.8 and 69.8 when
-        # each linear also kept its activated input
+        # which keeps the activation's inputs (gelu: its output and slope)
+        # but not its output, and each stage's chunked convolution runs with
+        # its input projection, keeping the stage input and its powers but
+        # not the projection, its chunked copy, the chunk states or its GEMM
+        # weights: 28.0 MiB (ihg) and 36.0 MiB (glu) held, against 40.8 and
+        # 48.8 when the chunked nodes also kept their GEMM weights
         held, _ = _step_memory({"block": "mh_ssm", "gating": gating}, batch=4)
         assert held <= mib * 2**20, f"{held / 2**20:.1f} MiB held after the forward pass"
 
     def test_attention_keeps_no_weights(self):
         # each attention layer keeps q, k and v and rebuilds its weights
-        # tile by tile in the backward: a stateformer step holds 48.0 MiB,
-        # against 64.1 MiB when the softmax kept every layer's
-        # (batch, heads, length, length) weights
+        # tile by tile in the backward: a stateformer step holds 34.0 MiB,
+        # to which every layer's (batch, heads, length, length) weights
+        # would add 16.1 MiB
         held, _ = _step_memory({"block": "stateformer"}, batch=4)
-        assert held <= 49 * 2**20, f"{held / 2**20:.1f} MiB held after the forward pass"
+        assert held <= 36 * 2**20, f"{held / 2**20:.1f} MiB held after the forward pass"
 
     @pytest.mark.parametrize("block,gating", [
         pytest.param("mh_ssm", "ihg", id="ihg"),
@@ -745,12 +787,10 @@ def test_every_op_matches_finite_differences(seed):
 
 
 def _node_kinds(record) -> set[str]:
-    """The kinds of the nodes ``record()`` puts on a tape: the function that
-    made each node's backward closure (``linear.<locals>.bwd`` is a
-    ``linear``)."""
+    """The kinds (`hooks.node_kind`) of the nodes ``record()`` puts on a tape."""
     with GradTape() as tape:
         record()
-    return {node.backward.__qualname__.split(".<locals>.")[0] for node in tape.nodes}
+    return {node_kind(node) for node in tape.nodes}
 
 
 def test_finite_differences_cover_every_node_kind_of_a_step():
