@@ -92,13 +92,16 @@ class EncoderConfig:
         if self.frontend == "ms":
             self.fe_block_config(self.model_dim // 4).validate()
             self.fe_block_config(self.model_dim // 2).validate()
+        # every kind has a feed-forward block and dropout
+        if self.ffn_dim < 1:
+            raise ConfigError(f"ffn_dim must be >= 1, got {self.ffn_dim}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.block_kind in ("transformer", "stateformer"):
             if self.model_dim % self.attn_heads != 0:
                 raise ConfigError(
                     f"model_dim {self.model_dim} not divisible by attn_heads {self.attn_heads}"
                 )
-            if self.ffn_dim < 1:
-                raise ConfigError("ffn_dim must be >= 1")
         if self.block_kind in ("mh_ssm", "stateformer"):
             self.block_config().validate()
 
@@ -181,12 +184,14 @@ class MultiScaleFrontend(Module):
 class SelfAttentionBlock(Module):
     """Pre-norm residual multi-head scaled dot-product attention.
 
-    The q, k and v projections of the packed frames feed one
-    ``T.attention`` node, whose context ``wo`` reads; head h owns columns
-    h*head_dim to (h+1)*head_dim. Each row attends within its own valid
-    frames, which the node finds through the batch's row starts; no padded
-    frame exists to take weight. Scores scale by 1/sqrt(head_dim). Fully
-    padded sequences are rejected.
+    ``norm``, the q, k and v projections and attention over the packed
+    frames run as one ``T.attention`` node, which keeps only the norm's
+    xhat and 1/sigma and rebuilds the rest in its backward; ``wo`` reads
+    its context, so with the residual sum the branch is three nodes (four
+    with dropout). Head h owns columns h*head_dim to (h+1)*head_dim. Each
+    row attends within its own valid frames, which the node finds through
+    the batch's row starts; no padded frame exists to take weight. Scores
+    scale by 1/sqrt(head_dim). Fully padded sequences are rejected.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -202,12 +207,14 @@ class SelfAttentionBlock(Module):
         self.dropout = dropout
 
     def attend(self, x: PackedBatch) -> Tensor:
-        """Attention branch on the normalized input (no residual)."""
+        """Attention branch on the normalized input (no residual): the
+        ``T.attention`` node, then ``wo``."""
         if (x.lengths == 0).any():
             raise ValueError("attention received a fully padded sequence")
-        h = self.norm(x.data)
-        q, k, v = self.wq(h), self.wk(h), self.wv(h)
-        return self.wo(T.attention(q, k, v, self.heads, x.starts))
+        norm, wq, wk, wv = self.norm, self.wq, self.wk, self.wv
+        ctx = T.attention(x.data, norm.gain, norm.bias, wq.w, wq.b, wk.w, wk.b, wv.w, wv.b,
+                          self.heads, x.starts, norm.eps)
+        return self.wo(ctx)
 
     def __call__(self, x: PackedBatch, train_rng=None) -> PackedBatch:
         branch = T.dropout(self.attend(x), self.dropout, train_rng)
@@ -215,7 +222,13 @@ class SelfAttentionBlock(Module):
 
 
 class FeedForwardBlock(Module):
-    """Pre-norm residual two-layer net with the exact-gaussian gelu."""
+    """Pre-norm residual two-layer net with the exact-gaussian gelu.
+
+    ``norm``, ``lin1``, gelu and ``lin2`` run as one ``T.feed_forward``
+    node, which keeps the norm's xhat and 1/sigma and the gelu output and
+    slope, but neither the norm's output nor ``lin1``'s; with the residual
+    sum the branch is two nodes (three with dropout).
+    """
 
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator,
                  dropout: float = 0.0, dtype=np.float64):
@@ -225,7 +238,9 @@ class FeedForwardBlock(Module):
         self.dropout = dropout
 
     def __call__(self, x: PackedBatch, train_rng=None) -> PackedBatch:
-        branch = T.gelu_linear(self.lin1(self.norm(x.data)), self.lin2.w, self.lin2.b)
+        norm, lin1, lin2 = self.norm, self.lin1, self.lin2
+        branch = T.feed_forward(x.data, norm.gain, norm.bias, lin1.w, lin1.b, lin2.w, lin2.b,
+                                norm.eps)
         branch = T.dropout(branch, self.dropout, train_rng)
         return x.with_data(T.add(x.data, branch))
 

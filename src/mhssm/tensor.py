@@ -16,24 +16,33 @@ as the forward pass drops it. The sweep pops each node as it replays it, so
 its saved activations go as it goes, and an intermediate tensor's gradient
 is dropped as soon as the node that produced it has run its backward; a
 tape is swept once. The hottest composites (affine map, gelu or glu
-followed by the affine map that reads it, convolution plus skip, multi-head
-attention) are single nodes that store their result once. ``glu_linear``
-keeps the sigmoid and the value half, one multiply away from its output,
-and rebuilds that output in the backward for the weight gradient instead of
-holding it. ``gelu_linear`` keeps its output and its slope gelu'(x) instead
-of x and Phi(x): the same two arrays' worth, but its backward then makes
-no full-size temporary besides dx. ``attention`` keeps q, k and v and
-rebuilds each (row, head) tile's weights in the backward, so no (batch,
-heads, length, length) array is ever kept or made. ``dropout`` keeps its
-boolean keep mask, and ``linear`` and ``mul`` make no gradient for an
-input that no gradient can reach, such as a model's input frames.
+followed by the affine map that reads it, convolution plus skip) are single
+nodes that store their result once, and so are the two pre-norm branches
+of an encoder layer: ``feed_forward`` (layer norm, affine map, gelu, affine
+map) and ``attention`` (layer norm, the q, k and v maps, multi-head
+attention). ``glu_linear`` keeps the sigmoid and the value half, one
+multiply away from its output, and rebuilds that output in the backward for
+the weight gradient instead of holding it. ``gelu_linear`` keeps its output
+and its slope gelu'(x) instead of x and Phi(x): the same two arrays' worth,
+but its backward then makes no full-size temporary besides dx.
+``feed_forward`` keeps the norm's xhat and per-frame 1/sigma and the gelu
+output and slope, and rebuilds the norm's output h elementwise in the
+backward; ``attention`` keeps only xhat and 1/sigma and rebuilds h, q, k, v
+and each (row, head) tile's weights in the backward, so no (batch, heads,
+length, length) array is ever kept or made. ``dropout`` keeps its boolean
+keep mask, and ``linear`` and ``mul`` make no gradient for an input that no
+gradient can reach, such as a model's input frames.
 
-The elementwise rules of ``gelu_linear``, ``glu_linear``, ``layer_norm`` and
-attention's softmax build each result in one preallocated buffer with
+Each shared rule has one copy: the layer norm's forward and backward
+(``_normalize``, ``_norm_affine``, ``_norm_backward``), gelu with its slope
+(``_gelu``) and the affine map's expression (``_affine``), which the fused
+nodes call as ``layer_norm``, ``gelu_linear`` and ``linear`` do. The
+elementwise rules build each result in one preallocated buffer with
 ``out=`` and in-place operators, in the same operation order as the plain
-expressions, so their values keep every bit; ``gelu_linear`` makes its
-slope in the forward, a block of rows at a time, into Phi's buffer, and
-``attention`` works one tile at a time, so neither backward holds a second
+expressions, so their values keep every bit; ``_gelu`` makes the slope in
+the forward, a block of rows at a time, into Phi's buffer (``feed_forward``
+writes the gelu output over its pre-activation the same way), and
+``attention`` works one tile at a time, so no backward holds a second
 full-size temporary.
 
 A training step frees over a hundred megabytes of tape and takes them back on
@@ -353,6 +362,14 @@ def shift(a: Tensor, offset: float) -> Tensor:
 # linear algebra and structure
 
 
+def _affine(a2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a2 @ w + b for a 2-d ``a2``, by ``linear``'s expression: one product,
+    then the bias added in place."""
+    rows = np.matmul(a2, w)
+    rows += b
+    return rows
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map on the last axis, x @ w + b, as one node.
 
@@ -380,7 +397,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x_key, x_shape, w_key, b_key = x.key, x.shape, w.key, b.key
     x_grad = _differentiable(x)
     if w.ndim == 2:
-        rows = np.matmul(x_data.reshape(-1, d_in), w_data)
+        rows = _affine(x_data.reshape(-1, d_in), w_data, b.data)
 
         def bwd(g, acc):
             g2 = g.reshape(-1, d_out)
@@ -393,6 +410,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         xg = x_data.reshape(-1, groups, d_in).transpose(1, 0, 2)
         rows = np.empty((xg.shape[1], groups, d_out), dtype=np.result_type(x_data, w_data))
         np.matmul(xg, w_data, out=rows.transpose(1, 0, 2))
+        rows += b.data
 
         def bwd(g, acc):
             g3 = g.reshape(-1, groups, d_out)
@@ -404,7 +422,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 acc(x_key, gx)
             acc(w_key, np.matmul(xg.transpose(0, 2, 1), gg))
             acc(b_key, g3.sum(axis=0))
-    rows += b.data
     out = Tensor._wrap(rows.reshape(x.shape[:-1] + (groups * d_out,)))
     record_op(out, (x, w, b), bwd)
     return out
@@ -422,50 +439,64 @@ def _dense_dims(op: str, width: int, w: Tensor, b: Tensor) -> tuple[int, int]:
     return w.shape
 
 
+def _gelu(x2: np.ndarray, act: np.ndarray) -> np.ndarray | None:
+    """The gelu of 2-d ``x2``, x * Phi(x) with Phi computed through erf,
+    written into ``act``, which may be ``x2`` itself.
+
+    On a tape, also returns the slope gelu'(x) = Phi(x) + x * pdf(x), made
+    in Phi's buffer a block of rows at a time; each block's output is
+    written after its pdf term and before its slope, so no full-size
+    temporary is made. With no tape active it returns None and makes no
+    slope.
+    """
+    # phi = 0.5 * (1 + erf(x / sqrt 2)), built in its own buffer
+    phi = x2 * _INV_SQRT2
+    _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    if _active() is None:
+        np.multiply(x2, phi, out=act)
+        return None
+    # slope = Phi + x * pdf, pdf = exp(-x^2 / 2) / sqrt(2 pi), into Phi's buffer
+    step = max(1, _BLOCK_VALUES // x2.shape[-1])
+    for lo in range(0, len(x2), step):
+        xb, phi_b = x2[lo:lo + step], phi[lo:lo + step]
+        pdf_term = np.multiply(xb, -0.5)
+        pdf_term *= xb
+        np.exp(pdf_term, out=pdf_term)
+        pdf_term *= _INV_SQRT_2PI
+        pdf_term *= xb
+        np.multiply(xb, phi_b, out=act[lo:lo + step])
+        phi_b += pdf_term
+    return phi
+
+
 def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Gaussian-CDF gelu, then the affine map on the last axis, as one node:
-    (x * Phi(x)) @ w + b, with Phi computed through erf.
+    (x * Phi(x)) @ w + b, with Phi computed through erf (``_gelu``).
 
     ``w`` is (in, out) and ``b`` is (out,). On a tape the node keeps the
     gelu output x * Phi(x), which the map read, and the slope gelu'(x) =
-    Phi(x) + x * pdf(x), made in the forward into Phi's buffer a block of
-    rows at a time; it keeps no view of ``x``. Its backward takes dw from
-    the output, frees it, takes the output's gradient through w^T and
+    Phi(x) + x * pdf(x); it keeps no view of ``x``. Its backward takes dw
+    from the output, frees it, takes the output's gradient through w^T and
     multiplies that buffer by the slope in place, so it makes no full-size
     temporary besides dx. With no tape active nothing is kept and no slope
     is made. Each value and gradient is the same product, in the same
     order, as gelu then ``linear``.
     """
     d_in, d_out = _dense_dims("gelu_linear", x.shape[-1] if x.ndim else 0, w, b)
-    x_data = x.data
-    # phi_cdf = 0.5 * (1 + erf(x / sqrt 2)), built in its own buffer
-    phi_cdf = x_data * _INV_SQRT2
-    _erf(phi_cdf, out=phi_cdf)
-    phi_cdf += 1.0
-    phi_cdf *= 0.5
-    act = x_data * phi_cdf
-    rows = np.matmul(act.reshape(-1, d_in), w.data)
-    rows += b.data
-    out = Tensor._wrap(rows.reshape(x.shape[:-1] + (d_out,)))
-    if _active() is None:
+    x2 = x.data.reshape(-1, d_in)
+    act = np.empty(x2.shape, dtype=x2.dtype)
+    slope = _gelu(x2, act)
+    out = Tensor._wrap(_affine(act, w.data, b.data).reshape(x.shape[:-1] + (d_out,)))
+    if slope is None:
         return out
-    # slope = Phi + x * pdf, pdf = exp(-x^2 / 2) / sqrt(2 pi), into Phi's buffer
-    x2, slope = x_data.reshape(-1, d_in), phi_cdf.reshape(-1, d_in)
-    step = max(1, _BLOCK_VALUES // d_in)
-    for lo in range(0, len(x2), step):
-        xb = x2[lo:lo + step]
-        pdf_term = np.multiply(xb, -0.5)
-        pdf_term *= xb
-        np.exp(pdf_term, out=pdf_term)
-        pdf_term *= _INV_SQRT_2PI
-        pdf_term *= xb
-        slope[lo:lo + step] += pdf_term
     w_data, x_key, x_shape, w_key, b_key = w.data, x.key, x.shape, w.key, b.key
 
     def bwd(g, acc):
         nonlocal act
         g2 = g.reshape(-1, d_out)
-        acc(w_key, np.matmul(act.reshape(-1, d_in).T, g2))
+        acc(w_key, np.matmul(act.T, g2))
         acc(b_key, g2.sum(axis=0))
         act = None  # the output goes before dx is made
         gx = np.matmul(g2, w_data.T)
@@ -502,8 +533,7 @@ def glu_linear(y: Tensor, w: Tensor, b: Tensor, in_axes: int = 1) -> Tensor:
     if _active() is not None:
         value = value.copy()
     s = _expit(y.data[..., half:])
-    rows = np.matmul((value * s).reshape(-1, d_in), w.data)
-    rows += b.data
+    rows = _affine((value * s).reshape(-1, d_in), w.data, b.data)
     out = Tensor._wrap(rows.reshape(y.shape[:y.ndim - in_axes] + (d_out,)))
     w_data, y_key, y_shape, w_key, b_key = w.data, y.key, y.shape, w.key, b.key
 
@@ -586,43 +616,127 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # normalization, attention, losses
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance over the last axis, then affine.
+def _normalize(op: str, x: Tensor, gain: Tensor, bias: Tensor, eps: float):
+    """Layer norm's forward over the last axis of ``x``: (h, xhat, inv).
 
-    Uses the population variance with ``eps`` inside the square root.
+    inv = 1 / sqrt(var + eps) per frame, with the population variance,
+    xhat = (x - mean) * inv, and h = xhat * gain + bias (``_norm_affine``)
+    in the buffer that held the squares.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}"
+            f"{op} affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
-    buf = xhat * xhat
-    var = buf.mean(axis=-1, keepdims=True)
+    h = xhat * xhat
+    var = h.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=buf)
-    buf += bias.data
-    out = Tensor._wrap(buf)
+    return _norm_affine(xhat, gain.data, bias.data, h), xhat, inv
+
+
+def _norm_affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """h = xhat * gain + bias, into ``out`` if given. A node that rebuilds
+    h in its backward calls this too, so the rebuilt h keeps its bits."""
+    out = np.multiply(xhat, gain, out=out)
+    out += bias
+    return out
+
+
+def _norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray):
+    """Layer norm's backward for the output gradient ``g``: (dx, dgain, dbias)."""
+    lead = tuple(range(g.ndim - 1))
+    buf = g * xhat
+    dgain = buf.sum(axis=lead)
+    dbias = g.sum(axis=lead)
+    # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain
+    gx = g * gain
+    np.multiply(gx, xhat, out=buf)
+    proj = buf.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=buf)
+    gx -= gx.mean(axis=-1, keepdims=True)
+    gx -= buf
+    gx *= inv
+    return gx, dgain, dbias
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Zero-mean unit-variance over the last axis, then affine.
+
+    Uses the population variance with ``eps`` inside the square root. On a
+    tape the node keeps xhat and the per-frame 1/sigma (``_normalize``);
+    the pre-norms of the attention and feed-forward branches run inside
+    those branches' nodes by the same two rules instead.
+    """
+    h, xhat, inv = _normalize("layer_norm", x, gain, bias, eps)
+    out = Tensor._wrap(h)
     gain_data, x_key, gain_key, bias_key = gain.data, x.key, gain.key, bias.key
 
     def bwd(g, acc):
-        lead = tuple(range(g.ndim - 1))
-        buf = g * xhat
-        acc(gain_key, buf.sum(axis=lead))
-        acc(bias_key, g.sum(axis=lead))
-        # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain
-        gx = g * gain_data
-        np.multiply(gx, xhat, out=buf)
-        proj = buf.mean(axis=-1, keepdims=True)
-        np.multiply(xhat, proj, out=buf)
-        gx -= gx.mean(axis=-1, keepdims=True)
-        gx -= buf
-        gx *= inv
+        gx, dgain, dbias = _norm_backward(g, xhat, inv, gain_data)
+        acc(gain_key, dgain)
+        acc(bias_key, dbias)
         acc(x_key, gx)
 
     record_op(out, (x, gain, bias), bwd)
+    return out
+
+
+def feed_forward(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
+    """Pre-norm two-layer net as one node: gelu(h @ w1 + b1) @ w2 + b2, with
+    h = layer_norm(x, gain, bias) and the gelu of ``gelu_linear``.
+
+    ``w1`` is (dim, hidden) and ``w2`` (hidden, out). The first map's
+    output becomes the gelu output in its own buffer, and the slope is
+    made in Phi's, a block of rows at a time (``_gelu``), so the forward
+    never holds the pre-activation beside both. On a tape the node keeps
+    xhat, the per-frame 1/sigma, the gelu output and the slope: neither h
+    nor the pre-activation. Its backward takes dw2 from the gelu output and
+    frees it, takes the pre-activation's gradient through w2^T times the
+    slope, rebuilds h from xhat (elementwise, no product) for dw1, then
+    runs the norm's rule (``_norm_backward``). Each value and gradient is
+    the same product, in the same order, as ``layer_norm``, ``linear`` and
+    ``gelu_linear`` as three nodes.
+    """
+    d = x.shape[-1] if x.ndim else 0
+    _, hidden = _dense_dims("feed_forward", d, w1, b1)
+    _, d_out = _dense_dims("feed_forward", hidden, w2, b2)
+    h, xhat, inv = _normalize("feed_forward", x, gain, bias, eps)
+    act = _affine(h.reshape(-1, d), w1.data, b1.data)
+    del h
+    slope = _gelu(act, act)
+    out = Tensor._wrap(_affine(act, w2.data, b2.data).reshape(x.shape[:-1] + (d_out,)))
+    if slope is None:
+        return out
+    gain_data, bias_data, w1_data, w2_data = gain.data, bias.data, w1.data, w2.data
+    x_key, x_shape, gain_key, bias_key = x.key, x.shape, gain.key, bias.key
+    w1_key, b1_key, w2_key, b2_key = w1.key, b1.key, w2.key, b2.key
+
+    def bwd(g, acc):
+        nonlocal act, slope
+        g2 = g.reshape(-1, d_out)
+        acc(w2_key, np.matmul(act.T, g2))
+        acc(b2_key, g2.sum(axis=0))
+        act = None  # the gelu output goes before the pre-activation's gradient is made
+        g_pre = np.matmul(g2, w2_data.T)
+        g_pre *= slope
+        slope = None  # so is the slope, before h is rebuilt
+        h2 = _norm_affine(xhat, gain_data, bias_data).reshape(-1, d)
+        acc(w1_key, np.matmul(h2.T, g_pre))
+        acc(b1_key, g_pre.sum(axis=0))
+        del h2
+        gh = np.matmul(g_pre, w1_data.T).reshape(x_shape)
+        del g_pre
+        gx, dgain, dbias = _norm_backward(gh, xhat, inv, gain_data)
+        acc(gain_key, dgain)
+        acc(bias_key, dbias)
+        acc(x_key, gx)
+
+    record_op(out, (x, gain, bias, w1, b1, w2, b2), bwd)
     return out
 
 
@@ -637,43 +751,73 @@ def _attention_probs(q_h: np.ndarray, k_h: np.ndarray, factor: float) -> np.ndar
     return p
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, starts=None) -> Tensor:
-    """Multi-head scaled dot-product attention as one node.
+def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray,
+                     tiles, factor: float):
+    """(dq, dk, dv) of :func:`attention`'s tiles for the context gradient
+    ``g``, all (frames, dim): each tile's weights rebuilt by
+    ``_attention_probs``, then dv = P^T @ g_h, dP = g_h @ v_h^T, softmax's
+    rule in dP's buffer, the scale, dq = dS @ k_h and dk = (q_h^T @ dS)^T."""
+    gq, gk, gv = (np.empty(g.shape, dtype=np.result_type(g, q)) for _ in range(3))
+    for rows, cols in tiles:
+        q_h, k_h, v_h, g_h = (a[rows, cols] for a in (q, k, v, g))
+        p = _attention_probs(q_h, k_h, factor)
+        gv[rows, cols] = np.matmul(p.T, g_h)
+        gs = np.matmul(g_h, v_h.T)
+        # softmax's rule, p * (gs - sum(gs * p)), in gs's buffer
+        proj = gs * p
+        gs -= proj.sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= factor
+        gq[rows, cols] = np.matmul(gs, k_h)
+        gk[rows, cols] = np.matmul(q_h.T, gs).T
+    return gq, gk, gv
 
-    ``q``, ``k`` and ``v`` are equal (..., dim) arrays whose leading axes
-    hold the frames of a batch's rows one after another, as a packed batch
-    does: row b is frames ``starts[b]`` to ``starts[b+1]`` of them, at least
-    one each, and its queries attend to its keys only. Without ``starts``
-    they are (batch, length, dim) and each batch row is one row. Head h
-    reads columns h*dh to (h+1)*dh of each, with dh = dim / heads, and
-    writes the same columns of the result, which has q's shape.
+
+def attention(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
+              wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, heads: int,
+              starts=None, eps: float = 1e-5) -> Tensor:
+    """Pre-norm multi-head scaled dot-product attention as one node: the
+    layer norm of ``x``, its q, k and v maps, and attention over them.
+
+    ``x`` is a (..., dim) array whose leading axes hold the frames of a
+    batch's rows one after another, as a packed batch does: row b is
+    frames ``starts[b]`` to ``starts[b+1]`` of them, at least one each, and
+    its queries attend to its keys only. Without ``starts`` it is (batch,
+    length, dim) and each batch row is one row. h = layer_norm(x, gain,
+    bias) (``_normalize``); q = h @ wq + bq, and so k and v, each by
+    ``linear``'s expression with a (dim, dim) weight. Head h reads columns
+    h*dh to (h+1)*dh of each, with dh = dim / heads, and writes the same
+    columns of the result, which has x's shape.
 
     The node runs one (row, head) tile at a time, sliced out of the packed
     frames: the scores q_h @ k_h^T, scaled in place by 1/sqrt(dh), the
-    softmax in the same buffer (``_attention_probs``), then P @ v_h. So a
-    row of n frames costs its n^2 scores. On a tape it keeps q, k, v and
-    the row starts, never the (rows, heads, n, n) weights: its backward
-    rebuilds each tile's P with the same calls, then takes dv = P^T @ g_h,
-    dP = g_h @ v_h^T, softmax's rule in dP's buffer, the scale, dq = dS @
-    k_h and dk = (q_h^T @ dS)^T. Each is the product a stacked ``matmul``
-    makes for that tile, in the same operation order, so every value and
-    gradient keeps the bits of scores, scale, softmax and weighted sum as
-    separate nodes over (rows, heads, n, dh) views.
+    softmax in the same buffer (``_attention_probs``), then P @ v_h, so a
+    row of n frames costs its n^2 scores. On a tape it keeps only xhat,
+    the per-frame 1/sigma and the row starts, never h, q, k, v or the
+    (rows, heads, n, n) weights. Its backward rebuilds h, then q, k and v
+    by the same products, runs the tiles' rule (``_attention_grads``), then
+    each map's, summing h's gradient v's part first, then k's, then q's,
+    as a tape sums three ``linear`` nodes', and ends with the norm's rule.
+    So every value and gradient keeps the bits of norm, three ``linear``
+    nodes, scores, scale, softmax and weighted sum as separate nodes over
+    (rows, heads, n, dh) views.
     """
-    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
+    maps = ((wq, bq), (wk, bk), (wv, bv))
+    dim = x.shape[-1] if x.ndim else 0
+    if x.ndim < 2 or any(w.shape != (dim, dim) or b.shape != (dim,) for w, b in maps):
         raise ShapeError(
-            f"attention needs equal (..., dim) q, k and v, got "
-            f"{q.shape}/{k.shape}/{v.shape}"
+            f"attention needs (..., dim) frames and equal (dim, dim) q, k and v weights "
+            f"with (dim,) biases, got {x.shape} and "
+            + ", ".join(f"{w.shape}/{b.shape}" for w, b in maps)
         )
-    dim = q.shape[-1]
-    frames = math.prod(q.shape[:-1])
+    frames = math.prod(x.shape[:-1])
     if heads < 1 or dim % heads:
         raise ShapeError(f"attention width {dim} not divisible by {heads} heads")
     if starts is None:
-        if q.ndim != 3:
+        if x.ndim != 3:
             raise ShapeError(f"attention without row starts needs (batch, length, dim), "
-                             f"got {q.shape}")
-        starts = range(0, frames + 1, q.shape[1])
+                             f"got {x.shape}")
+        starts = range(0, frames + 1, x.shape[1])
     starts = [int(t) for t in starts]
     if starts[0] != 0 or starts[-1] != frames:
         raise ShapeError(f"attention row starts {starts} do not cover {frames} frames")
@@ -682,38 +826,45 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, starts=None) -> Tenso
                          f"got row starts {starts}")
     dh = dim // heads
     factor = 1.0 / math.sqrt(dh)
-    q_data, k_data, v_data = (t.data.reshape(frames, dim) for t in (q, k, v))
     tiles = [(slice(lo, hi), slice(h * dh, (h + 1) * dh))
              for lo, hi in zip(starts, starts[1:]) for h in range(heads)]
-    dtype = np.result_type(q_data, k_data, v_data)
+    h, xhat, inv = _normalize("attention", x, gain, bias, eps)
+    map_data = [(w.data, b.data) for w, b in maps]
+    q_data, k_data, v_data = (_affine(h.reshape(frames, dim), w, b) for w, b in map_data)
+    del h
+    dtype = q_data.dtype
 
     ctx = np.empty((frames, dim), dtype=dtype)
     for rows, cols in tiles:
         p = _attention_probs(q_data[rows, cols], k_data[rows, cols], factor)
         ctx[rows, cols] = np.matmul(p, v_data[rows, cols])
-    out = Tensor._wrap(ctx.reshape(q.shape))
-    q_key, k_key, v_key, shape = q.key, k.key, v.key, q.shape
+    out = Tensor._wrap(ctx.reshape(x.shape))
+    gain_data, bias_data, x_shape = gain.data, bias.data, x.shape
+    x_key, gain_key, bias_key = x.key, gain.key, bias.key
+    map_keys = [(w.key, b.key) for w, b in maps]
 
     def bwd(g, acc):
         g = g.reshape(frames, dim)
-        gq, gk, gv = (np.empty(g.shape, dtype=np.result_type(g, dtype)) for _ in range(3))
-        for rows, cols in tiles:
-            q_h, k_h, v_h, g_h = (a[rows, cols] for a in (q_data, k_data, v_data, g))
-            p = _attention_probs(q_h, k_h, factor)
-            gv[rows, cols] = np.matmul(p.T, g_h)
-            gs = np.matmul(g_h, v_h.T)
-            # softmax's rule, p * (gs - sum(gs * p)), in gs's buffer
-            proj = gs * p
-            gs -= proj.sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= factor
-            gq[rows, cols] = np.matmul(gs, k_h)
-            gk[rows, cols] = np.matmul(q_h.T, gs).T
-        acc(q_key, gq.reshape(shape))
-        acc(k_key, gk.reshape(shape))
-        acc(v_key, gv.reshape(shape))
+        h2 = _norm_affine(xhat, gain_data, bias_data).reshape(frames, dim)
+        grads = _attention_grads(*(_affine(h2, w, b) for w, b in map_data), g, tiles, factor)
+        # each map's rules in the order a tape replays three linear nodes,
+        # v's, k's, then q's, summing h's gradient in that order
+        gh = None
+        for (w, _), (w_key, b_key), g_map in zip(map_data[::-1], map_keys[::-1], grads[::-1]):
+            acc(w_key, np.matmul(h2.T, g_map))
+            acc(b_key, g_map.sum(axis=0))
+            part = np.matmul(g_map, w.T)
+            if gh is None:
+                gh = part
+            else:
+                gh += part
+        del h2, grads, g_map, part
+        gx, dgain, dbias = _norm_backward(gh.reshape(x_shape), xhat, inv, gain_data)
+        acc(gain_key, dgain)
+        acc(bias_key, dbias)
+        acc(x_key, gx)
 
-    record_op(out, (q, k, v), bwd)
+    record_op(out, (x, gain, bias, wq, bq, wk, bk, wv, bv), bwd)
     return out
 
 

@@ -196,12 +196,10 @@ def tensor_op_cases(seed: int):
              discretize(DiagonalSsm(3, 2, **{k: ps[k] for k in ssm_leaves})),
              SeqBatch(ps["x"], [69, 69]).packed(), ps["w"], ps["b"]).data)
 
-    # two heads of width 3 over 5 positions, then on the packed frames of
-    # rows of 5 and 3: the second row's padding never reaches the node
-    qkv = {"q": leaf((2, 5, 6)), "k": leaf((2, 5, 6)), "v": leaf((2, 5, 6))}
-    case("attention", qkv, lambda ps: T.attention(ps["q"], ps["k"], ps["v"], 2))
-    case("attention_padded", qkv, lambda ps: T.attention(
-        *(SeqBatch(ps[name], [5, 3]).packed().data for name in "qkv"), 2, [0, 5, 8]))
+    # the retired q, k and v leaves' draws stay, so later cases draw the same
+    # values
+    for _ in range(3):
+        leaf((2, 5, 6))
 
     # the same node backward in time, on rows of 69 and 40 valid steps
     rev_leaves = init_ssm_rng(3, 2, rng, "random_stable").named_params()
@@ -228,6 +226,22 @@ def tensor_op_cases(seed: int):
          lambda ps: PackedBatch(ps["x"], np.array([5, 2]), 5).unpacked().data)
     case("splice", {"x": leaf((10, 2))},
          lambda ps: time_reduction(PackedBatch(ps["x"], np.array([5, 2, 3]), 5)).data)
+
+    # the pre-norm branches, each one node: the feed-forward net, 4 features
+    # to 5 hidden and back, and attention, two heads of width 3 over the
+    # packed frames of rows of 5 and 3
+    def pre_norm(x_shape):
+        dim = x_shape[-1]
+        return {"x": leaf(x_shape), "gain": leaf((dim,), offset=1.0, scale_=0.1),
+                "bias": leaf((dim,), scale_=0.1)}
+
+    ffn = {**pre_norm((2, 3, 4)), "w1": leaf((4, 5)), "b1": leaf((5,)),
+           "w2": leaf((5, 4)), "b2": leaf((4,))}
+    case("feed_forward", ffn, lambda ps: T.feed_forward(*(ps[k] for k in ffn)))
+    attn = {**pre_norm((8, 6)), **{f"{kind}{m}": leaf(shape, scale_=0.5)
+                                   for m in "qkv" for kind, shape in (("w", (6, 6)),
+                                                                      ("b", (6,)))}}
+    case("attention", attn, lambda ps: T.attention(*(ps[k] for k in attn), 2, [0, 5, 8]))
 
     return cases
 

@@ -5,7 +5,7 @@ import pytest
 
 from mhssm import tensor as T
 from mhssm.checkpoint import load_checkpoint, save_checkpoint
-from mhssm.encoder import (EncoderConfig, EncoderLayer, MultiScaleFrontend,
+from mhssm.encoder import (BLOCK_KINDS, EncoderConfig, EncoderLayer, MultiScaleFrontend,
                            SelfAttentionBlock, build_encoder, param_count,
                            time_reduction)
 from mhssm.errors import ConfigError
@@ -32,6 +32,31 @@ def splice_padded(x: SeqBatch) -> np.ndarray:
     if x.length % 2:
         data = np.concatenate([data, np.zeros_like(data[:, :1])], axis=1)
     return data.reshape(x.batch, -(-x.length // 2), 2 * x.dim)
+
+
+class TestConfigValidation:
+    """Every block kind has a feed-forward block and dropout, so each checks
+    both when an encoder is built, not only when a CLI config is loaded."""
+
+    SMALL = dict(input_dim=4, model_dim=8, num_layers=1, attn_heads=2, ffn_dim=16, heads=2,
+                 stack=1, state_dim=4, dropout=0.0)
+
+    @pytest.mark.parametrize("ffn_dim", [0, -3])
+    @pytest.mark.parametrize("block_kind", BLOCK_KINDS)
+    def test_ffn_dim_below_one_is_refused(self, block_kind, ffn_dim):
+        cfg = EncoderConfig(frontend="linear", block_kind=block_kind,
+                            **{**self.SMALL, "ffn_dim": ffn_dim})
+        with pytest.raises(ConfigError, match="ffn_dim"):
+            build_encoder(cfg)
+
+    @pytest.mark.parametrize("dropout", [1.0, float("nan"), 1.5, -0.1])
+    @pytest.mark.parametrize("frontend", ["linear", "tr"])
+    @pytest.mark.parametrize("block_kind", BLOCK_KINDS)
+    def test_dropout_outside_unit_interval_is_refused(self, block_kind, frontend, dropout):
+        cfg = EncoderConfig(frontend=frontend, block_kind=block_kind,
+                            **{**self.SMALL, "dropout": dropout})
+        with pytest.raises(ConfigError, match="dropout"):
+            build_encoder(cfg)
 
 
 class TestTimeReduction:
@@ -173,14 +198,15 @@ class TestAttention:
         with pytest.raises(ValueError, match="padded"):
             packed_call(attn, x)
 
-    def test_block_is_seven_nodes(self):
-        # norm, wq, wk, wv, the attention node, wo and the residual sum: on
-        # packed frames no padded position is left to re-zero
+    def test_block_is_three_nodes(self):
+        # the attention node (norm, q, k and v maps and attention), wo and
+        # the residual sum: on packed frames no padded position is left to
+        # re-zero
         attn = self.make()
         x = seq(np.random.default_rng(16), 5, 8, batch=2, lengths=[5, 3]).packed()
         with GradTape() as tape:
             attn(x)
-        assert len(tape.nodes) == 7
+        assert len(tape.nodes) == 3
 
     def test_masked_keys_get_zero_weight(self):
         attn = self.make()
