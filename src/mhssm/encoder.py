@@ -120,25 +120,21 @@ def time_reduction(x: PackedBatch) -> PackedBatch:
     inserted after each odd row.
     """
     dim = x.dim
-    frames = x.data.data.reshape(-1, dim)
+    frames = x.data.data
     odd_ends = np.asarray(x.starts[1:], dtype=np.int64)[x.lengths % 2 == 1]
     if odd_ends.size:
         frames = np.insert(frames, odd_ends, 0.0, axis=0)
-    length = -(-x.length // 2)
-    shape = (-1, 2 * dim) if x.data.ndim == 2 else (x.batch, length, 2 * dim)
-    out = Tensor._wrap(frames.reshape(shape))
+    out = Tensor._wrap(frames.reshape(-1, 2 * dim))
     # where the inserted frames sit in the spliced frames
     inserted = odd_ends + np.arange(odd_ends.size)
-    key, in_shape = x.data.key, x.data.shape
+    key = x.data.key
 
     def bwd(g, acc):
         g = g.reshape(-1, dim)
-        if inserted.size:
-            g = np.delete(g, inserted, axis=0)
-        acc(key, g.reshape(in_shape))
+        acc(key, np.delete(g, inserted, axis=0) if inserted.size else g)
 
     T.record_op(out, (x.data,), bwd)
-    return PackedBatch(out, -(-x.lengths // 2), length)
+    return PackedBatch(out, -(-x.lengths // 2), -(-x.length // 2))
 
 
 class MultiScaleFrontend(Module):
@@ -191,7 +187,8 @@ class SelfAttentionBlock(Module):
     with dropout). Head h owns columns h*head_dim to (h+1)*head_dim. Each
     row attends within its own valid frames, which the node finds through
     the batch's row starts; no padded frame exists to take weight. Scores
-    scale by 1/sqrt(head_dim). Fully padded sequences are rejected.
+    scale by 1/sqrt(head_dim). The node rejects a fully padded row, one
+    with no frame to attend to, with ``ValueError``.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -209,8 +206,6 @@ class SelfAttentionBlock(Module):
     def attend(self, x: PackedBatch) -> Tensor:
         """Attention branch on the normalized input (no residual): the
         ``T.attention`` node, then ``wo``."""
-        if (x.lengths == 0).any():
-            raise ValueError("attention received a fully padded sequence")
         norm, wq, wk, wv = self.norm, self.wq, self.wk, self.wv
         ctx = T.attention(x.data, norm.gain, norm.bias, wq.w, wq.b, wk.w, wk.b, wv.w, wv.b,
                           self.heads, x.starts, norm.eps)
@@ -272,10 +267,12 @@ class EncoderLayer(Module):
 class Encoder(Module):
     """Frontend, block schedule and closing layer norm.
 
-    The padded input is packed once into its valid frames (`SeqBatch.packed`),
-    every module runs on that `PackedBatch`, and the closing norm's output
-    is unpacked once into a batch with exact zeros at the padding. An
-    unpadded batch packs and unpacks to itself, with no copy and no node.
+    The padded input is packed once into its (frames, dim) valid frames
+    (`SeqBatch.packed`), every module runs on that `PackedBatch`, and the
+    closing norm's output is unpacked once into a batch with exact zeros at
+    the padding. An unpadded batch enters and leaves by a reshape, with no
+    copy: its input, which no gradient reaches, records no node, and its
+    output one `T.reshape` node.
     """
 
     def __init__(self, cfg: EncoderConfig, seed: int = 0):

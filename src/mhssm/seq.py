@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -39,15 +37,24 @@ def _scatter(frames: np.ndarray, lengths, starts, shape) -> np.ndarray:
     return out
 
 
+def _reshaped(data: Tensor, shape) -> Tensor:
+    """A view of ``data`` in ``shape``: a `T.reshape` node when a gradient
+    can reach ``data``, a plain tensor when none can."""
+    if T._differentiable(data):
+        return T.reshape(data, shape)
+    return Tensor._wrap(data.data.reshape(shape))
+
+
 class SeqBatch:
     """A (batch, length, dim) tensor plus the valid length of each row.
 
     Positions at t >= length are padding. The encoder packs the valid
     frames once on entry (`packed`), runs every module on that
-    `PackedBatch`, and unpacks its output once, with exact zeros at the
-    padding, so no node inside it computes a padded frame. `mask` and
-    `rezero` stay for callers outside the encoder, such as the benchmark's
-    padding checks.
+    (frames, dim) `PackedBatch`, and unpacks its output once, with exact
+    zeros at the padding, so no node inside it computes a padded frame.
+    `packed` and `PackedBatch.unpacked` are the only code that asks whether
+    a batch has padding. `mask` and `rezero` stay for callers outside the
+    encoder, such as the benchmark's padding checks.
     """
 
     __slots__ = ("data", "lengths")
@@ -93,37 +100,36 @@ class SeqBatch:
         return SeqBatch(data, self.lengths)
 
     def packed(self) -> "PackedBatch":
-        """The valid frames, row after row, as one tape node, or as a plain
-        copy when no gradient can reach the data (a model's input); with no
-        frame of padding, the batch's own data, with no copy and no node."""
+        """The valid frames, row after row, as (frames, dim): one tape node,
+        or a plain copy when no gradient can reach the data (a model's
+        input). With no frame of padding, a view of the batch's own data,
+        recorded as one `T.reshape` node only when a gradient can reach it."""
         if (self.lengths == self.length).all():
-            return PackedBatch(self.data, self.lengths, self.length)
+            frames = (self.batch * self.length, self.dim)
+            return PackedBatch(_reshaped(self.data, frames), self.lengths, self.length)
         lengths, key, shape = self.lengths, self.data.key, self.data.shape
         starts = row_starts(lengths)
         out = Tensor._wrap(_gather(self.data.data, lengths))
         if T._differentiable(self.data):
             T.record_op(out, (self.data,),
                         lambda g, acc: acc(key, _scatter(g, lengths, starts, shape)))
-        return PackedBatch(out, lengths, self.length, starts)
+        return PackedBatch(out, lengths, self.length)
 
 
 class PackedBatch:
     """The valid frames of a padded batch, row after row, with each row's length.
 
-    Row b's frames are ``starts[b]:starts[b+1]`` of ``data``'s leading axes
-    taken in order. ``data`` is (frames, dim), or, when no frame of the
-    batch is padding, the (batch, length, dim) batch itself, which holds
-    the same frames in the same order. A row-wise node (affine map, norm,
-    activation, residual sum) acts on either as it is; the chunked SSM node
-    and attention read each row through ``starts``. ``length`` is the
-    padded length that `unpacked` restores.
+    ``data`` is (frames, dim); row b's frames are ``starts[b]:starts[b+1]``.
+    A row-wise node (affine map, norm, activation, residual sum) acts on it
+    as it is; the chunked SSM node and attention read each row through
+    ``starts``. ``length`` is the padded length that `unpacked` restores.
     """
 
     __slots__ = ("data", "lengths", "length", "starts")
 
-    def __init__(self, data: Tensor, lengths: np.ndarray, length: int, starts=None):
-        self.starts = row_starts(lengths) if starts is None else starts
-        if data.ndim < 2 or math.prod(data.shape[:-1]) != self.starts[-1]:
+    def __init__(self, data: Tensor, lengths: np.ndarray, length: int):
+        self.starts = row_starts(lengths)
+        if data.ndim != 2 or data.shape[0] != self.starts[-1]:
             raise ShapeError(f"packed data {data.shape} does not hold the "
                              f"{self.starts[-1]} valid frames of lengths {lengths.tolist()}")
         self.data = data
@@ -139,23 +145,20 @@ class PackedBatch:
         return self.data.shape[-1]
 
     def with_data(self, data: Tensor) -> "PackedBatch":
-        return PackedBatch(data, self.lengths, self.length, self.starts)
+        return PackedBatch(data, self.lengths, self.length)
 
     def positions(self) -> np.ndarray:
-        """Each frame's step within its row, shaped to index a table for
-        ``data``'s leading axes."""
-        if self.data.ndim == 3:
-            return np.arange(self.length)
+        """Each frame's step within its row."""
         return np.arange(self.starts[-1]) - np.repeat(self.starts[:-1], self.lengths)
 
     def unpacked(self) -> SeqBatch:
         """The (batch, length, dim) batch with exact zeros at the padding, as
-        one tape node; the data itself, with no copy and no node, when it is
-        the unpadded batch."""
-        if self.data.ndim == 3:
-            return SeqBatch(self.data, self.lengths)
+        one tape node. With no frame of padding, a view of the data,
+        recorded as one `T.reshape` node only when a gradient can reach it."""
+        shape = (self.batch, self.length, self.dim)
+        if (self.lengths == self.length).all():
+            return SeqBatch(_reshaped(self.data, shape), self.lengths)
         lengths, starts, key = self.lengths, self.starts, self.data.key
-        out = Tensor._wrap(_scatter(self.data.data, lengths, starts,
-                                    (self.batch, self.length, self.dim)))
+        out = Tensor._wrap(_scatter(self.data.data, lengths, starts, shape))
         T.record_op(out, (self.data,), lambda g, acc: acc(key, _gather(g, lengths)))
         return SeqBatch(out, lengths)

@@ -588,18 +588,19 @@ def _gemm_weights(powers: np.ndarray, taps: np.ndarray, cb: np.ndarray, rows: in
     return w_toe, w_end.view(dtype), w_out.reshape(p, 2 * n, q), z_q
 
 
-def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
-                  b: Tensor | None = None, lengths=None, reverse: bool = False) -> Tensor:
+def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, lengths, w: Tensor | None = None,
+                  b: Tensor | None = None, reverse: bool = False) -> Tensor:
     """The causal convolution of u with the system's kernel, plus ``skip * u``.
 
     ``x`` holds the rows' valid steps one row after another on its leading
-    axes, as a packed batch does: (frames, features), or (batch, length,
-    features) when every row runs the full length (the default without
-    ``lengths``). u is ``x``, or with an (in, channels) weight ``w`` and
-    (channels,) bias ``b`` the input projection u = x @ w + b, computed as
-    `T.linear` computes it; the output has x's leading axes. One fused
-    node computing what ``causal_conv_fft(u, materialize_kernel)`` does on
-    each row, without the L-tap kernel or any transform
+    axes, row b's ``lengths[b]`` of them: the (frames, features) of a
+    packed batch, or, from `ssm_conv`, a (batch, length, features) batch
+    whose rows all run the full length. u is ``x``, or with an (in,
+    channels) weight ``w`` and (channels,) bias ``b`` the input projection
+    u = x @ w + b, computed as `T.linear` computes it; the output has x's
+    leading axes. One fused node computing what
+    ``causal_conv_fft(u, materialize_kernel)`` does on each row, without
+    the L-tap kernel or any transform
     (chunked state passing, Dao & Gu 2024, arXiv 2405.21060). Time is cut
     into chunks of Q = CHUNK steps, the last one zero-padded; z = abar, and
     the powers z^0..z^Q come from log space (`_powers_through`), so abar = 0
@@ -640,14 +641,12 @@ def _chunked_conv(x: Tensor, zoh: Tensor, skip: Tensor, w: Tensor | None = None,
     the GEMMs, layout copies, carry loop and backward skip it. Rows go
     longest first, so each chunk's live rows are a prefix. A batch whose
     rows all run the full length takes the layout of the batch's own
-    order, so it keeps the bits of a node without lengths. With
+    order, so its bits do not depend on whether ``x`` is packed. With
     ``reverse`` the node runs anti-causally, reading each row backward
     within its length in the layout copies. So y, dx and the system's
     gradients are, bit for bit, the causal node's between two per-row
     reversals; dw and db sum rows in another order.
     """
-    if lengths is None:
-        lengths = (x.shape[1],) * x.shape[0]
     p = zoh.shape[1]
     q = CHUNK
     layout = _layout(tuple(map(int, lengths)))
@@ -787,7 +786,7 @@ def ssm_conv(d: DiscreteSsm, u: SeqBatch) -> SeqBatch:
     _check_channels(d, u)
     if u.length < 1:
         raise ShapeError(f"input length must be >= 1, got {u.length}")
-    return u.with_data(_chunked_conv(u.data, d.zoh, d.d))
+    return u.with_data(_chunked_conv(u.data, d.zoh, d.d, (u.length,) * u.batch))
 
 
 def ssm_conv_projected(d: DiscreteSsm, x: PackedBatch, w: Tensor, b: Tensor,
@@ -795,14 +794,14 @@ def ssm_conv_projected(d: DiscreteSsm, x: PackedBatch, w: Tensor, b: Tensor,
     """``ssm_conv(d, u)`` of the projection u = x @ w + b, as one node.
 
     ``x`` is a packed batch and so is the result: each row's valid steps,
-    row after row. ``w`` is (in, channels) and ``b`` is (channels,). At
-    each row's valid steps every value equals that of `T.linear` followed
-    by :func:`ssm_conv` on the unpacked batch, but the node keeps only
-    ``x`` of the activations, so the gradients equal those of the two nodes
-    under an upstream gradient that is zero past each length (see
-    :func:`_chunked_conv`). With ``reverse`` it runs backward in time
-    within each row's valid length: the output at step t reads u at steps
-    t..length-1.
+    row after row, as (frames, in) and (frames, channels) data. ``w`` is
+    (in, channels) and ``b`` is (channels,). At each row's valid steps
+    every value equals that of `T.linear` followed by :func:`ssm_conv` on
+    the unpacked batch, but the node keeps only ``x`` of the activations,
+    so the gradients equal those of the two nodes under an upstream
+    gradient that is zero past each length (see :func:`_chunked_conv`).
+    With ``reverse`` it runs backward in time within each row's valid
+    length: the output at step t reads u at steps t..length-1.
     """
     if w.shape != (x.dim, d.channels) or b.shape != (d.channels,):
         raise ShapeError(f"projection of {x.dim} features to {d.channels} channels needs an "
@@ -810,7 +809,7 @@ def ssm_conv_projected(d: DiscreteSsm, x: PackedBatch, w: Tensor, b: Tensor,
                          f"got {w.shape}/{b.shape}")
     if x.length < 1:
         raise ShapeError(f"input length must be >= 1, got {x.length}")
-    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, w, b, x.lengths, reverse))
+    return x.with_data(_chunked_conv(x.data, d.zoh, d.d, x.lengths, w, b, reverse))
 
 
 def kernel_sum_bound(d: DiscreteSsm, length: int) -> np.ndarray:

@@ -775,19 +775,17 @@ def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray,
 
 def attention(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
               wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, heads: int,
-              starts=None, eps: float = 1e-5) -> Tensor:
+              starts, eps: float = 1e-5) -> Tensor:
     """Pre-norm multi-head scaled dot-product attention as one node: the
     layer norm of ``x``, its q, k and v maps, and attention over them.
 
-    ``x`` is a (..., dim) array whose leading axes hold the frames of a
-    batch's rows one after another, as a packed batch does: row b is
-    frames ``starts[b]`` to ``starts[b+1]`` of them, at least one each, and
-    its queries attend to its keys only. Without ``starts`` it is (batch,
-    length, dim) and each batch row is one row. h = layer_norm(x, gain,
-    bias) (``_normalize``); q = h @ wq + bq, and so k and v, each by
-    ``linear``'s expression with a (dim, dim) weight. Head h reads columns
-    h*dh to (h+1)*dh of each, with dh = dim / heads, and writes the same
-    columns of the result, which has x's shape.
+    ``x`` is (frames, dim) and holds a batch's rows one after another, as a
+    packed batch does: row b is frames ``starts[b]`` to ``starts[b+1]``, at
+    least one each, and its queries attend to its keys only. h =
+    layer_norm(x, gain, bias) (``_normalize``); q = h @ wq + bq, and so k
+    and v, each by ``linear``'s expression with a (dim, dim) weight. Head h
+    reads columns h*dh to (h+1)*dh of each, with dh = dim / heads, and
+    writes the same columns of the (frames, dim) result.
 
     The node runs one (row, head) tile at a time, sliced out of the packed
     frames: the scores q_h @ k_h^T, scaled in place by 1/sqrt(dh), the
@@ -804,20 +802,15 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
     """
     maps = ((wq, bq), (wk, bk), (wv, bv))
     dim = x.shape[-1] if x.ndim else 0
-    if x.ndim < 2 or any(w.shape != (dim, dim) or b.shape != (dim,) for w, b in maps):
+    if x.ndim != 2 or any(w.shape != (dim, dim) or b.shape != (dim,) for w, b in maps):
         raise ShapeError(
-            f"attention needs (..., dim) frames and equal (dim, dim) q, k and v weights "
+            f"attention needs (frames, dim) input and equal (dim, dim) q, k and v weights "
             f"with (dim,) biases, got {x.shape} and "
             + ", ".join(f"{w.shape}/{b.shape}" for w, b in maps)
         )
-    frames = math.prod(x.shape[:-1])
+    frames = x.shape[0]
     if heads < 1 or dim % heads:
         raise ShapeError(f"attention width {dim} not divisible by {heads} heads")
-    if starts is None:
-        if x.ndim != 3:
-            raise ShapeError(f"attention without row starts needs (batch, length, dim), "
-                             f"got {x.shape}")
-        starts = range(0, frames + 1, x.shape[1])
     starts = [int(t) for t in starts]
     if starts[0] != 0 or starts[-1] != frames:
         raise ShapeError(f"attention row starts {starts} do not cover {frames} frames")
@@ -830,7 +823,7 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
              for lo, hi in zip(starts, starts[1:]) for h in range(heads)]
     h, xhat, inv = _normalize("attention", x, gain, bias, eps)
     map_data = [(w.data, b.data) for w, b in maps]
-    q_data, k_data, v_data = (_affine(h.reshape(frames, dim), w, b) for w, b in map_data)
+    q_data, k_data, v_data = (_affine(h, w, b) for w, b in map_data)
     del h
     dtype = q_data.dtype
 
@@ -838,14 +831,13 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
     for rows, cols in tiles:
         p = _attention_probs(q_data[rows, cols], k_data[rows, cols], factor)
         ctx[rows, cols] = np.matmul(p, v_data[rows, cols])
-    out = Tensor._wrap(ctx.reshape(x.shape))
-    gain_data, bias_data, x_shape = gain.data, bias.data, x.shape
+    out = Tensor._wrap(ctx)
+    gain_data, bias_data = gain.data, bias.data
     x_key, gain_key, bias_key = x.key, gain.key, bias.key
     map_keys = [(w.key, b.key) for w, b in maps]
 
     def bwd(g, acc):
-        g = g.reshape(frames, dim)
-        h2 = _norm_affine(xhat, gain_data, bias_data).reshape(frames, dim)
+        h2 = _norm_affine(xhat, gain_data, bias_data)
         grads = _attention_grads(*(_affine(h2, w, b) for w, b in map_data), g, tiles, factor)
         # each map's rules in the order a tape replays three linear nodes,
         # v's, k's, then q's, summing h's gradient in that order
@@ -859,7 +851,7 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
             else:
                 gh += part
         del h2, grads, g_map, part
-        gx, dgain, dbias = _norm_backward(gh.reshape(x_shape), xhat, inv, gain_data)
+        gx, dgain, dbias = _norm_backward(gh, xhat, inv, gain_data)
         acc(gain_key, dgain)
         acc(bias_key, dbias)
         acc(x_key, gx)

@@ -191,16 +191,18 @@ class TestWholeWidthStage:
         assert len(tape.nodes) == nodes
 
     @pytest.mark.parametrize("block,gating,nodes", [
-        pytest.param("mh_ssm", "ihg", 40, id="mh_ssm"),
-        pytest.param("stateformer", "ihg", 46, id="stateformer"),
-        pytest.param("mh_ssm", "glu", 56, id="mh_ssm-glu"),
-        pytest.param("stateformer", "glu", 62, id="stateformer-glu"),
-        pytest.param("transformer", "ihg", 15, id="transformer"),
+        pytest.param("mh_ssm", "ihg", 41, id="mh_ssm"),
+        pytest.param("stateformer", "ihg", 47, id="stateformer"),
+        pytest.param("mh_ssm", "glu", 57, id="mh_ssm-glu"),
+        pytest.param("stateformer", "glu", 63, id="stateformer-glu"),
+        pytest.param("transformer", "ihg", 16, id="transformer"),
     ])
     def test_tape_nodes_per_default_step(self, block, gating, nodes):
         # the count does not depend on the batch size, so a batch of 2 will do;
         # each layer's feed-forward branch is two nodes (the net and the
-        # residual sum) and its attention branch three (with wo)
+        # residual sum) and its attention branch three (with wo); the
+        # unpadded batch enters by a reshape that records nothing, since no
+        # gradient reaches the input, and leaves by one reshape node
         cfg = load_config({"block": block, "gating": gating})
         model = TaskModel(cfg)
         x, targets = generate_task(model.spec, 2, 0)
@@ -334,7 +336,7 @@ class TestBidirBlock:
         flipped = x.with_data(Tensor(loop_reverse(x.data.data, x.lengths)))
         halves_rev = block.concat_halves(flipped.packed()).data
         swapped = np.concatenate([halves[..., 8:], halves[..., :8]], axis=-1)
-        np.testing.assert_allclose(halves_rev, swapped[:, ::-1], atol=1e-12)
+        np.testing.assert_allclose(halves_rev, swapped[::-1], atol=1e-12)
 
     def test_backward_stack_keeps_no_reversed_copy(self):
         # the block holds what its norm holds plus, twice, what one stack on

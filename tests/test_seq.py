@@ -31,16 +31,23 @@ class TestLengths:
 
 
 class TestPacking:
-    def test_unpadded_batch_packs_and_unpacks_to_itself(self):
-        # every echo batch: the encoder's interior then runs on the input's
-        # own array, with no copy and no tape node
-        x = SeqBatch(Tensor(np.random.default_rng(0).standard_normal((3, 5, 4))), [5, 5, 5])
+    @pytest.mark.parametrize("differentiable", [False, True], ids=["constant", "differentiable"])
+    def test_unpadded_batch_packs_and_unpacks_to_itself(self, differentiable):
+        # every echo batch: the encoder's interior then runs on a (frames,
+        # dim) view of the input's own array, with no copy; a batch that a
+        # gradient can reach records one reshape node each way, a model's
+        # input none
+        data = np.random.default_rng(0).standard_normal((3, 5, 4))
+        x = SeqBatch(Tensor(data, requires_grad=differentiable), [5, 5, 5])
         with GradTape() as tape:
             packed = x.packed()
+            packing_nodes = len(tape.nodes)
             out = packed.unpacked()
-        assert len(tape.nodes) == 0
-        assert packed.data is x.data and out.data is x.data
-        assert np.shares_memory(out.data.data, x.data.data)
+        assert (packing_nodes, len(tape.nodes)) == ((1, 2) if differentiable else (0, 0))
+        assert packed.data.shape == (15, 4)
+        assert np.shares_memory(packed.data.data, x.data.data)
+        assert np.shares_memory(out.data.data, packed.data.data)
+        np.testing.assert_array_equal(out.data.data, data)
         assert packed.starts == [0, 5, 10, 15]
 
     def test_padded_batch_packs_its_valid_frames(self):
@@ -75,16 +82,20 @@ class TestPacking:
         out = noisy.packed().unpacked().data.data
         np.testing.assert_array_equal(out, (x.data.data + 5.0) * x.mask())
 
-    def test_gradients_route_to_the_valid_frames(self):
+    @pytest.mark.parametrize("lengths", [[4, 1], [4, 4]], ids=["padded", "full"])
+    def test_gradients_route_to_the_valid_frames(self, lengths):
         x = Tensor(np.random.default_rng(3).standard_normal((2, 4, 3)), requires_grad=True)
-        g = np.random.default_rng(4).standard_normal((5, 3))
+        g = np.random.default_rng(4).standard_normal((sum(lengths), 3))
         with GradTape() as tape:
-            loss = T.tsum(T.mul(SeqBatch(x, [4, 1]).packed().data, Tensor(g)))
+            loss = T.tsum(T.mul(SeqBatch(x, lengths).packed().data, Tensor(g)))
         grad = tape.gradients(loss)[x]
         np.testing.assert_array_equal(grad[0], g[:4])
-        np.testing.assert_array_equal(grad[1], np.vstack([g[4:], np.zeros((3, 3))]))
+        np.testing.assert_array_equal(grad[1], np.vstack([g[4:], np.zeros((4 - lengths[1], 3))]))
 
-    def test_packed_data_must_hold_every_valid_frame(self):
+    @pytest.mark.parametrize("shape", [(6, 2), (1, 7, 2), (7,)], ids=["short", "3-d", "1-d"])
+    def test_packed_data_must_hold_every_valid_frame(self, shape):
+        # (frames, dim) only: a batch that holds the same frames on more
+        # leading axes is refused too
         with pytest.raises(ShapeError, match="valid frames"):
-            PackedBatch(Tensor(np.zeros((6, 2))), np.array([5, 2]), 5)
+            PackedBatch(Tensor(np.zeros(shape)), np.array([5, 2]), 5)
         assert row_starts(np.array([5, 2])) == [0, 5, 7]

@@ -409,7 +409,7 @@ def fft_conv(d, u):
 
 
 def chunked_conv(d, u):
-    return _chunked_conv(u, d.zoh, d.d)
+    return _chunked_conv(u, d.zoh, d.d, (u.shape[1],) * u.shape[0])
 
 
 def output_and_grads(conv, make_discrete, leaves, u, weights):

@@ -429,23 +429,19 @@ def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
 
 def _attention_block_reference(x, gain, bias, maps, heads, starts, g):
     """``_attention_reference`` behind a layer norm and the q, k and v affine
-    maps, on each row's frames of ``x`` (rows ``starts[b]:starts[b+1]``), or
-    on a (batch, length, dim) ``x`` without ``starts``; h's gradient sums
-    v's part, then k's, then q's, as the tape sums three linear nodes'.
+    maps, on each row's frames of the (frames, dim) ``x`` (rows
+    ``starts[b]:starts[b+1]``); h's gradient sums v's part, then k's, then
+    q's, as the tape sums three linear nodes'.
     (output, [dx, dgain, dbias, dwq, dbq, dwk, dbk, dwv, dbv])."""
     h, _ = _layer_norm_reference(x, gain, bias, np.zeros_like(x))
-    h2 = h.reshape(-1, x.shape[-1])
-    qkv = [(h2 @ w + b).reshape(x.shape) for w, b in maps]
-    if starts is None:
-        out, grads = _attention_reference(*qkv, heads, g)
-    else:
-        out, grads = np.empty_like(x), [np.empty_like(x) for _ in range(3)]
-        for lo, hi in zip(starts, starts[1:]):
-            row_out, row_grads = _attention_reference(*(a[None, lo:hi] for a in qkv), heads,
-                                                      g[None, lo:hi])
-            out[lo:hi] = row_out[0]
-            for full, part in zip(grads, row_grads):
-                full[lo:hi] = part[0]
+    qkv = [h @ w + b for w, b in maps]
+    out, grads = np.empty_like(x), [np.empty_like(x) for _ in range(3)]
+    for lo, hi in zip(starts, starts[1:]):
+        row_out, row_grads = _attention_reference(*(a[None, lo:hi] for a in qkv), heads,
+                                                  g[None, lo:hi])
+        out[lo:hi] = row_out[0]
+        for full, part in zip(grads, row_grads):
+            full[lo:hi] = part[0]
     gh, map_grads = None, []
     for (w, b), g_map in reversed(list(zip(maps, grads))):
         g_part, gw, gb = _affine_reference(h, w, b, g_map)[1]
@@ -501,15 +497,15 @@ class TestBufferedRulesKeepBits:
 
     def _check_attention(self, rng, x, heads, lengths, dtype):
         """The node, given its norm and q, k and v maps, against the
-        reference bit for bit: on the (batch, length, dim) ``x``, or, with
-        ``lengths``, on the packed valid frames of rows of those lengths."""
+        reference bit for bit, on the packed valid frames of the (batch,
+        length, dim) ``x``'s rows of ``lengths``, or of its full rows."""
         dim = x.shape[-1]
         params = [*self._norm(rng, dim, dtype),
                   *(a for _ in range(3) for a in self._affine(rng, dim, dim, dtype))]
-        starts = None
-        if lengths is not None:
-            x = np.concatenate([x[b, :n] for b, n in enumerate(lengths)])
-            starts = np.concatenate([[0], np.cumsum(lengths)])
+        if lengths is None:
+            lengths = [x.shape[1]] * x.shape[0]
+        x = np.concatenate([x[b, :n] for b, n in enumerate(lengths)])
+        starts = np.concatenate([[0], np.cumsum(lengths)])
         got, got_grads, g = self._run(lambda *t: T.attention(*t, heads, starts),
                                       [x, *params], x.shape, dtype)
         maps = [params[i:i + 2] for i in (2, 4, 6)]
@@ -592,18 +588,21 @@ class TestAttention:
     """The attention node's input checks and what it keeps on a tape."""
 
     def test_shape_errors(self):
-        inputs = _attention_inputs(np.ones((2, 4, 6)))
+        inputs = _attention_inputs(np.ones((8, 6)))
         with pytest.raises(ShapeError, match="divisible"):
-            T.attention(*inputs, 4)
+            T.attention(*inputs, 4, [0, 4, 8])
         narrow_v = [Tensor(np.ones((6, 3))), Tensor(np.ones(3))]
         with pytest.raises(ShapeError, match="equal"):
-            T.attention(*inputs[:7], *narrow_v, 2)
+            T.attention(*inputs[:7], *narrow_v, 2, [0, 4, 8])
         with pytest.raises(ShapeError, match="affine shapes"):
-            T.attention(inputs[0], Tensor(np.ones(4)), *inputs[2:], 2)
+            T.attention(inputs[0], Tensor(np.ones(4)), *inputs[2:], 2, [0, 4, 8])
         with pytest.raises(ShapeError, match="cover"):
             T.attention(*inputs, 2, [0, 4, 8, 12])
-        with pytest.raises(ShapeError, match="row starts"):
-            T.attention(*_attention_inputs(np.ones((8, 6))), 2)
+        # (frames, dim) only, and every call names its rows
+        with pytest.raises(ShapeError, match="frames, dim"):
+            T.attention(*_attention_inputs(np.ones((2, 4, 6))), 2, [0, 4, 8])
+        with pytest.raises(TypeError, match="starts"):
+            T.attention(*inputs, 2)
 
     def test_tape_keeps_no_weights(self):
         # 4 heads over 128 positions: the weights would be 1 MiB, q, k and v
@@ -611,11 +610,11 @@ class TestAttention:
         # 1/sigma beside its output
         rng = np.random.default_rng(38)
         inputs = [Tensor(t.data, requires_grad=True)
-                  for t in _attention_inputs(rng.standard_normal((2, 128, 48)))]
+                  for t in _attention_inputs(rng.standard_normal((256, 48)))]
         tracemalloc.start()
         try:
             with GradTape():
-                out = T.attention(*inputs, 4)
+                out = T.attention(*inputs, 4, [0, 128, 256])
                 held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -666,13 +665,13 @@ class TestSavedArrays:
     def test_attention_keeps_xhat_and_inv_only(self):
         # no h, q, k or v: the backward rebuilds them
         rng = np.random.default_rng(54)
-        x = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 5, 8)).reshape(10, 8), requires_grad=True)
         params = [Tensor(rng.standard_normal(shape), requires_grad=True)
                   for shape in ((8,), (8,)) + ((8, 8), (8,)) * 3]
         with GradTape() as tape:
-            T.attention(x, *params, 2)
+            T.attention(x, *params, 2, [0, 5, 10])
         kept = self._kept_activations(tape.nodes[-1], params)
-        assert sorted(a.shape for a in kept) == [(2, 5, 1), (2, 5, 8)]
+        assert sorted(a.shape for a in kept) == [(10, 1), (10, 8)]
         assert not any(np.shares_memory(a, x.data) for a in kept)
 
     def test_dropout_keeps_a_bool_mask(self):
